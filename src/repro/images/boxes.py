@@ -92,8 +92,15 @@ class ImageDocument:
 
     def __init__(self, boxes: Sequence[TextBox]):
         self.boxes = reading_order(boxes)
-        self._order = {id(box): i for i, box in enumerate(self.boxes)}
+        self._index()
         self._fingerprint: str | None = None
+
+    def _index(self) -> None:
+        """Build the identity-keyed reading-order index and an empty
+        neighbour table ((reading-order index, direction) -> box or
+        ``None``, filled lazily by :meth:`neighbor`)."""
+        self._order = {id(box): i for i, box in enumerate(self.boxes)}
+        self._neighbors: dict[tuple[int, str], TextBox | None] = {}
 
     def order_of(self, box: TextBox) -> int:
         return self._order.get(id(box), 0)
@@ -102,7 +109,9 @@ class ImageDocument:
         # ``_order`` maps id(box) -> index, and ids are process-local: an
         # unpickled copy carrying the original map would silently report
         # order 0 for every box, collapsing location fingerprints (and
-        # with them every persistent-store key derived from them).
+        # with them every persistent-store key derived from them).  The
+        # neighbour table is left out too, so the pickled bytes do not
+        # depend on which neighbour queries ran before the dump.
         return {"boxes": self.boxes, "_fingerprint": self._fingerprint}
 
     def __setstate__(self, state: dict) -> None:
@@ -110,7 +119,7 @@ class ImageDocument:
         # identity-keyed index.  (Also rebuilds correctly from pre-fix
         # pickles, whose state dict still carries a stale ``_order``.)
         self.boxes = state["boxes"]
-        self._order = {id(box): i for i, box in enumerate(self.boxes)}
+        self._index()
         self._fingerprint = state.get("_fingerprint")
 
     def fingerprint(self) -> str:
@@ -137,7 +146,23 @@ class ImageDocument:
     # Neighbour geometry
     # ------------------------------------------------------------------
     def neighbor(self, box: TextBox, direction: str) -> TextBox | None:
-        """Nearest box strictly in ``direction`` with orthogonal overlap."""
+        """Nearest box strictly in ``direction`` with orthogonal overlap.
+
+        Ties go to the first box in reading order.  For a box on this
+        page the answer is computed once and kept in the neighbour
+        table; a box from elsewhere is scanned afresh on every call.
+        """
+        index = self._order.get(id(box))
+        if index is None:
+            return self._scan(box, direction)
+        key = (index, direction)
+        try:
+            return self._neighbors[key]
+        except KeyError:
+            found = self._neighbors[key] = self._scan(box, direction)
+            return found
+
+    def _scan(self, box: TextBox, direction: str) -> TextBox | None:
         best: TextBox | None = None
         best_distance = float("inf")
         for other in self.boxes:

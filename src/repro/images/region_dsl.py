@@ -27,7 +27,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
 from repro.baselines.disjunctive import Candidate, select_disjuncts
 from repro.core.document import RegionProgram, SynthesisFailure
@@ -44,6 +45,7 @@ from repro.images.boxes import (
 
 MAX_MOTIONS = 4
 MAX_ABSOLUTE_STEPS = 4
+MAX_RELATIVE_STEPS = 24  # bounded walk across the page
 MAX_STATES = 4000
 
 
@@ -107,33 +109,43 @@ class PathProgram:
         return inner
 
 
+def _walk(
+    doc: ImageDocument, cursor: TextBox, direction: str
+) -> Iterator[TextBox]:
+    """Successive neighbours from ``cursor`` in ``direction``, to the page
+    edge.  Every step moves strictly along ``direction``, so it ends."""
+    while True:
+        cursor = doc.neighbor(cursor, direction)
+        if cursor is None:
+            return
+        yield cursor
+
+
 def _apply_motion(
     doc: ImageDocument, path: list[TextBox], motion: Motion
 ) -> list[TextBox] | None:
-    cursor = path[-1]
+    return _extend(path, _walk(doc, path[-1], motion.direction), motion)
+
+
+def _extend(
+    path: list[TextBox], steps: Iterable[TextBox], motion: Motion
+) -> list[TextBox] | None:
+    """``path`` extended by ``motion``, given the boxes ``steps`` walked from
+    its end in the motion's direction: the walk itself, or a prefix of it
+    at least as long as the motion can use."""
+    extended = list(path)
     if isinstance(motion, Absolute):
-        extended = list(path)
-        for _ in range(motion.k):
-            neighbour = doc.neighbor(cursor, motion.direction)
-            if neighbour is None:
-                break
-            extended.append(neighbour)
-            cursor = neighbour
+        extended.extend(islice(steps, motion.k))
         if len(extended) == len(path):
             return None  # no progress at all: the direction is empty
         return extended
     regex = _compiled(motion.pattern)
-    extended = list(path)
-    for _ in range(24):  # bounded walk across the page
-        neighbour = doc.neighbor(cursor, motion.direction)
-        if neighbour is None:
-            return None
+    for neighbour in islice(steps, MAX_RELATIVE_STEPS):
         if regex.fullmatch(neighbour.text.strip()):
             if motion.inclusive:
                 extended.append(neighbour)
             return extended
         extended.append(neighbour)
-        cursor = neighbour
     return None
 
 
@@ -195,7 +207,9 @@ def enumerate_paths(
 
     Guided breadth-first enumeration over motion sequences.  A state is the
     current path; expansion only considers directions toward uncovered
-    targets (plus pattern stops in those directions).
+    targets (plus pattern stops in those directions).  Each (state,
+    direction) walk is taken once and every candidate motion in that
+    direction is cut from it.
     """
     target_ids = {id(box) for box in targets}
 
@@ -203,42 +217,80 @@ def enumerate_paths(
         members = {id(box) for box in path}
         return target_ids <= members
 
+    # Absolute motions use at most MAX_ABSOLUTE_STEPS boxes of a walk,
+    # Relative ones at most MAX_RELATIVE_STEPS.
+    walk_length = MAX_RELATIVE_STEPS if patterns else MAX_ABSOLUTE_STEPS
     results: list[PathProgram] = []
     frontier: list[tuple[tuple[Motion, ...], list[TextBox]]] = [((), [start])]
     states = 0
     for _ in range(MAX_MOTIONS):
         next_frontier: list[tuple[tuple[Motion, ...], list[TextBox]]] = []
         for motions, path in frontier:
-            uncovered = [box for box in targets if id(box) not in
-                         {id(b) for b in path}]
+            members = {id(box) for box in path}
+            uncovered = [box for box in targets if id(box) not in members]
             if not uncovered:
                 continue
             directions: set[str] = set()
             for box in uncovered:
                 directions |= _toward(path[-1], box)
-            candidate_motions: list[Motion] = []
             for direction in sorted(directions):
-                for k in range(1, MAX_ABSOLUTE_STEPS + 1):
-                    candidate_motions.append(Absolute(direction, k))
+                walked = list(
+                    islice(_walk(doc, path[-1], direction), walk_length)
+                )
+                candidate_motions: list[Motion] = [
+                    Absolute(direction, k)
+                    for k in range(1, MAX_ABSOLUTE_STEPS + 1)
+                ]
                 for pattern in patterns:
                     candidate_motions.append(Relative(direction, pattern, True))
                     candidate_motions.append(Relative(direction, pattern, False))
-            for motion in candidate_motions:
-                states += 1
-                if states > MAX_STATES:
-                    return results
-                extended = _apply_motion(doc, path, motion)
-                if extended is None:
-                    continue
-                new_motions = motions + (motion,)
-                if covered(extended):
-                    results.append(PathProgram(new_motions))
-                else:
-                    next_frontier.append((new_motions, extended))
+                for motion in candidate_motions:
+                    states += 1
+                    if states > MAX_STATES:
+                        return results
+                    extended = _extend(path, walked, motion)
+                    if extended is None:
+                        continue
+                    new_motions = motions + (motion,)
+                    if covered(extended):
+                        results.append(PathProgram(new_motions))
+                    else:
+                        next_frontier.append((new_motions, extended))
         frontier = next_frontier
         if not frontier:
             break
     return results
+
+
+# A trie node: children by next motion, and the positions (in the path
+# list the trie was built from) of the paths that end here.
+_Trie = tuple[dict[Motion, "_Trie"], list[int]]
+
+
+def _prefix_trie(paths: Sequence[PathProgram]) -> _Trie:
+    root: _Trie = ({}, [])
+    for position, path in enumerate(paths):
+        node = root
+        for motion in path.motions:
+            node = node[0].setdefault(motion, ({}, []))
+        node[1].append(position)
+    return root
+
+
+def _run_trie(
+    doc: ImageDocument, start: TextBox, trie: _Trie
+) -> Iterator[tuple[int, list[TextBox]]]:
+    """``(position, path.run(doc, start))`` for every path in ``trie`` that
+    runs; a motion prefix shared by several paths is applied once."""
+    stack = [(trie, [start])]
+    while stack:
+        (children, ends), boxes = stack.pop()
+        for position in ends:
+            yield position, boxes
+        for motion, child in children.items():
+            extended = _apply_motion(doc, boxes, motion)
+            if extended is not None:
+                stack.append((child, extended))
 
 
 def synthesize_region_program(
@@ -256,45 +308,45 @@ def synthesize_region_program(
         raise SynthesisFailure("no examples for image region synthesis")
 
     def targets_of(region: ImageRegion) -> list[TextBox]:
-        tagged = [box for box in region.locations() if box.tags]
-        return tagged if tagged else region.locations()
+        locations = region.locations()
+        tagged = [box for box in locations if box.tags]
+        return tagged if tagged else locations
+
+    targets = [targets_of(region) for _, _, region in examples]
 
     # Enumerate from small subsets (the paper: subsets of size <= 3).
-    pool: dict[PathProgram, None] = {}
-    for doc, landmark, region in examples[:3]:
-        for path in enumerate_paths(doc, landmark, targets_of(region), patterns):
-            pool.setdefault(path, None)
+    subset = list(range(min(3, len(examples))))
     if len(examples) > 3:
-        doc, landmark, region = examples[-1]
-        for path in enumerate_paths(doc, landmark, targets_of(region), patterns):
+        subset.append(len(examples) - 1)
+    pool: dict[PathProgram, None] = {}
+    for index in subset:
+        doc, landmark, _ = examples[index]
+        for path in enumerate_paths(doc, landmark, targets[index], patterns):
             pool.setdefault(path, None)
 
-    def correct_on(path: PathProgram, doc, landmark, region) -> bool:
-        boxes = path.run(doc, landmark)
-        if boxes is None:
-            return False
-        targets = targets_of(region)
-        produced = ImageRegion(boxes)
-        if not produced.covers(targets):
-            return False
-        # Tightness: a path that wanders past the values would feed the
-        # value program unrelated text (and defeat the blueprint check).
-        # The +1 budget is the landmark box itself — this is what forces
-        # Example 5.3's disjunction (a date-stop walk that swallows the
-        # engine number on engine-present forms is one box too long).
-        return len(boxes) <= len(targets) + 1
+    # A path is correct on an example when its region covers the targets.
+    paths = list(pool)
+    trie = _prefix_trie(paths)
+    correct_on: list[list[int]] = [[] for _ in paths]
+    for index, (doc, landmark, _) in enumerate(examples):
+        wanted = targets[index]
+        for position, boxes in _run_trie(doc, landmark, trie):
+            # Tightness: a path that wanders past the values would feed
+            # the value program unrelated text (and defeat the blueprint
+            # check).  The +1 budget is the landmark box itself — this is
+            # what forces Example 5.3's disjunction (a date-stop walk that
+            # swallows the engine number on engine-present forms is one
+            # box too long).
+            if len(boxes) > len(wanted) + 1:
+                continue
+            if ImageRegion(boxes).covers(wanted):
+                correct_on[position].append(index)
 
-    candidates: list[Candidate[PathProgram]] = []
-    for path in pool:
-        covered = frozenset(
-            index
-            for index, (doc, landmark, region) in enumerate(examples)
-            if correct_on(path, doc, landmark, region)
-        )
-        if covered:
-            candidates.append(
-                Candidate(program=path, covered=covered, size=path.size())
-            )
+    candidates: list[Candidate[PathProgram]] = [
+        Candidate(program=path, covered=frozenset(covered), size=path.size())
+        for path, covered in zip(paths, correct_on)
+        if covered
+    ]
 
     try:
         chosen = select_disjuncts(

@@ -24,6 +24,7 @@ from repro.harness.runner import flush_corpus_store
 from repro.html.domain import HtmlDomain
 from repro.html.parser import parse_html
 from repro.images import blueprint as bp
+from repro.images.boxes import DIRECTIONS
 from repro.images.domain import ImageDomain
 
 
@@ -75,6 +76,30 @@ class TestFingerprintStability:
         assert copy.fingerprint() == doc.fingerprint()
         orders = [copy.order_of(box) for box in copy.boxes]
         assert orders == list(range(len(copy.boxes)))
+
+    def test_neighbour_table_stays_out_of_pickles(self):
+        """Neighbour queries fill the document's neighbour table; neither
+        the document's nor the corpus's pickled bytes (what the corpus
+        store writes) may change, and an unpickled copy must answer
+        every query the same way."""
+        corpus = finance.generate_corpus(
+            "CashInvoice", train_size=2, test_size=1, seed=0
+        )
+        doc = corpus.train[0].doc
+        doc_bytes, corpus_bytes = pickle.dumps(doc), pickle.dumps(corpus)
+        answers = [
+            [doc.neighbor(box, direction) for direction in DIRECTIONS]
+            for box in doc.boxes
+        ]
+        assert pickle.dumps(doc) == doc_bytes
+        assert pickle.dumps(corpus) == corpus_bytes
+        copy = pickle.loads(doc_bytes)
+        for box, row in zip(copy.boxes, answers):
+            for direction, expected in zip(DIRECTIONS, row):
+                found = copy.neighbor(box, direction)
+                assert (found is None) == (expected is None)
+                if found is not None:
+                    assert copy.order_of(found) == doc.order_of(expected)
 
     def test_regenerated_corpus_fingerprints_identical(self):
         """Seeded generation is the cross-machine key contract: machine A

@@ -1,16 +1,20 @@
 """Tests for text-box geometry (repro.images.boxes)."""
 
+import pickle
+
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.images.boxes import (
     BOTTOM,
+    DIRECTIONS,
     ImageDocument,
     ImageRegion,
     LEFT,
     RIGHT,
     TOP,
     TextBox,
+    _directional_distance,
     enclosing_region,
     reading_order,
 )
@@ -99,6 +103,55 @@ class TestNeighbors:
             ]
         )
         assert doc.neighbor(doc.boxes[0], BOTTOM).text == "aligned"
+
+    # A coarse grid of positions and sizes, so pages are full of exact
+    # distance ties, duplicate boxes and overlaps.
+    GRID_BOX = st.builds(
+        lambda x, y, w, h: box("g", x, y, w=w, h=h),
+        st.sampled_from([0, 40, 80, 120]),
+        st.sampled_from([0, 10, 20, 40]),
+        st.sampled_from([20, 40, 80]),
+        st.sampled_from([10, 20]),
+    )
+
+    @staticmethod
+    def scanned(boxes, query, direction):
+        """The reference answer: a full scan in reading order, first
+        strictly nearest box wins."""
+        best, best_distance = None, float("inf")
+        for other in boxes:
+            if other is query:
+                continue
+            distance = _directional_distance(query, other, direction)
+            if distance is not None and distance < best_distance:
+                best, best_distance = other, distance
+        return best
+
+    @given(st.lists(GRID_BOX, min_size=1, max_size=10), GRID_BOX)
+    def test_property_table_matches_full_scan(self, boxes, foreign):
+        doc = ImageDocument(boxes)
+        for _ in range(2):  # the second pass reads filled table slots
+            for query in [*doc.boxes, foreign]:
+                for direction in DIRECTIONS:
+                    assert doc.neighbor(query, direction) is self.scanned(
+                        doc.boxes, query, direction
+                    )
+        copy = pickle.loads(pickle.dumps(doc))
+        for original, query in zip(doc.boxes, copy.boxes):
+            for direction in DIRECTIONS:
+                expected = doc.neighbor(original, direction)
+                found = copy.neighbor(query, direction)
+                assert found is self.scanned(copy.boxes, query, direction)
+                assert (found is None) == (expected is None)
+                if found is not None:
+                    assert copy.order_of(found) == doc.order_of(expected)
+
+    def test_foreign_box_is_not_cached(self):
+        doc = grid_doc()
+        foreign = box("elsewhere", 0, 50)  # where C sits
+        assert doc.neighbor(foreign, RIGHT).text == "D"
+        foreign.y = 0  # same object, moved to A's row
+        assert doc.neighbor(foreign, RIGHT).text == "B"
 
 
 class TestRegions:
