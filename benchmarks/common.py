@@ -25,7 +25,7 @@ import sys
 import time
 
 from repro.core.caching import StageTimer, cache_enabled, use_timer
-from repro.core.store import store_enabled
+from repro.store import store_enabled
 from repro.harness.sharding import env_shard
 from repro.harness.ablations import run_ablations_experiment
 from repro.harness.images import (
@@ -121,12 +121,6 @@ def timed_experiment(name: str, experiment, *args, **kwargs):
         cache_enabled=cache_enabled(),
         store_enabled=store_enabled(),
     )
-    # A packed-plan run (REPRO_SHARD_PLAN) owns a cost-balanced task set
-    # rather than the round-robin slice; record which plan shaped it so
-    # the trajectory stays interpretable.
-    plan_file = os.environ.get("REPRO_SHARD_PLAN", "").strip()
-    if plan_file:
-        context["plan"] = plan_file
     record_synthesis_speed(SPEED_TRAJECTORY, name, wall, snapshot, **context)
     emit(
         f"timings_{name}",

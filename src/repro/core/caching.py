@@ -71,7 +71,7 @@ class StageTimer:
     wall-clock: each experiment driver wraps one canonical task (see
     :mod:`repro.harness.sharding`) in :meth:`task`, and the resulting
     ``tasks`` table — keyed by the task's string tuple — is what the
-    predictive shard packer (:mod:`repro.harness.costmodel`) learns
+    work pool's claim order (:mod:`repro.harness.costmodel`) learns
     from.  Task keys ride through :meth:`snapshot`/:meth:`merge` like
     every other measurement, so per-task timings survive process
     fan-out and shard merges (task sets are disjoint across workers and

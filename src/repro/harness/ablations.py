@@ -152,9 +152,7 @@ def run_ablations_experiment(
     shrinking); default sizes are per mechanism.
     """
     del methods  # the variant set is the experiment definition
-    run_tasks = resolve_tasks(
-        ablation_tasks(), shard, tasks, experiment="ablations"
-    )
+    run_tasks = resolve_tasks(ablation_tasks(), shard, tasks)
     if jobs() > 1:
         return run_field_jobs(
             _ablation_field_task,

@@ -1,16 +1,15 @@
-"""Per-task wall-clock cost model for predictive shard packing.
+"""Per-task wall-clock cost model for the work pool's claim order.
 
 Round-robin sharding (:func:`repro.harness.sharding.assign`) balances
-*task counts*, but the tasks are wildly heterogeneous — an image-domain
-ablation task costs many times an HTML field task — so a shard that
-draws the slow tasks straggles while its siblings idle.  This module is
-the cost side of the fix: every shard run records per-task wall-clock
-(:meth:`repro.core.caching.StageTimer.task`, surfaced in each partial's
-``task_seconds``), the observations are persisted as a ``timing`` kind
-in the :class:`~repro.store.BlueprintStore`, and a
+*task counts*, but the tasks are heterogeneous — an image-domain task
+can cost many times an HTML field task.  This module is the cost side
+of balancing time instead: every shard or pool run records per-task
+wall-clock (:meth:`repro.core.caching.StageTimer.task`, surfaced in
+each partial's ``task_seconds``), the observations are persisted as a
+``timing`` kind in the :class:`~repro.store.BlueprintStore`, and a
 :class:`CostModel` loaded from that history predicts what every task of
-a graph will cost — which is exactly what the LPT packer
-(:func:`repro.harness.sharding.pack_tasks`) balances on.
+a graph will cost — which is what the work pool orders its claims by
+(:func:`repro.harness.queue.claim_order`).
 
 Timing entries are keyed by ``(experiment, REPRO_SCALE, task_key)``:
 
@@ -22,11 +21,11 @@ Timing entries are keyed by ``(experiment, REPRO_SCALE, task_key)``:
 * like every store key, :data:`~repro.store.BLUEPRINT_ALGO_VERSION`
   is folded in via :func:`~repro.store.entry_key`, so an algorithm
   change that shifts the cost profile orphans the stale timings instead
-  of letting them mis-shape future plans.
+  of letting them mis-order future claims.
 
 Each entry holds ``{"seconds": <EWMA>, "count": <observations>}``.  New
 observations fold in with an exponential moving average
-(:data:`EWMA_ALPHA`), so plans track drift (machine changes, new
+(:data:`EWMA_ALPHA`), so predictions track drift (machine changes, new
 optimizations) without being whipsawed by one noisy run.  Rows that are
 corrupt, non-numeric, non-finite or non-positive are treated as absent —
 a damaged cache degrades predictions, never a run.
@@ -35,11 +34,10 @@ Prediction falls back gracefully as history thins::
 
     exact (experiment, task) EWMA
       -> mean over the experiment's recorded tasks
-        -> mean over every experiment's recorded tasks
-          -> DEFAULT_SECONDS (uniform costs: packing degenerates to
-             count-balancing, i.e. no worse than round-robin)
+        -> DEFAULT_SECONDS (uniform costs: the claim order stays
+           canonical)
 
-Timings are *advisory*: they shape shard assignment, never results.  A
+Timings are *advisory*: they shape claim order, never results.  A
 cold, stale or disabled store only costs balance, and the balance
 feedback loop closes on the next recorded run.
 """
@@ -64,15 +62,9 @@ TIMING_SUBSTRATE = "harness"
 # Weight of the newest observation when folding into a stored EWMA.
 EWMA_ALPHA = 0.5
 
-# Cost assumed for a task with no history anywhere: any uniform constant
-# makes LPT balance task counts, which is round-robin's guarantee.
+# Cost assumed for a task of an experiment with no history: a uniform
+# constant leaves the claim order canonical.
 DEFAULT_SECONDS = 1.0
-
-# Prediction-source labels, most to least specific.
-SOURCE_EXACT = "exact"
-SOURCE_EXPERIMENT_MEAN = "experiment-mean"
-SOURCE_GLOBAL_MEAN = "global-mean"
-SOURCE_DEFAULT = "default"
 
 
 def timing_entry_key(experiment: str, scale: float, task: TaskKey) -> str:
@@ -160,18 +152,15 @@ def record_task_timings(
 
 @dataclass
 class CostModel:
-    """Predicted per-task seconds with experiment/global-mean fallbacks.
+    """Predicted per-task seconds with an experiment-mean fallback.
 
     Built by :meth:`load`, which probes the timing store for every task
-    of every graph it is given — pass all registry graphs (see
-    :func:`repro.harness.sharding.registry_graphs`) so the global-mean
-    fallback can see cross-experiment history.
+    of every graph it is given.
     """
 
     scale: float
     exact: dict[tuple[str, TaskKey], float] = field(default_factory=dict)
     experiment_means: dict[str, float] = field(default_factory=dict)
-    global_mean: float | None = None
 
     @classmethod
     def load(
@@ -204,43 +193,13 @@ class CostModel:
             ]
             if values:
                 experiment_means[experiment] = sum(values) / len(values)
-        global_mean = (
-            sum(exact.values()) / len(exact) if exact else None
-        )
         return cls(
-            scale=scale,
-            exact=exact,
-            experiment_means=experiment_means,
-            global_mean=global_mean,
+            scale=scale, exact=exact, experiment_means=experiment_means
         )
 
     def predict(self, experiment: str, task: TaskKey) -> float:
         """Predicted seconds for one task (never raises, never <= 0)."""
-        seconds, _ = self.predict_with_source(experiment, task)
-        return seconds
-
-    def predict_with_source(
-        self, experiment: str, task: TaskKey
-    ) -> tuple[float, str]:
-        """``(seconds, source)`` where source names the fallback level."""
-        task = tuple(task)
-        exact = self.exact.get((experiment, task))
+        exact = self.exact.get((experiment, tuple(task)))
         if exact is not None:
-            return exact, SOURCE_EXACT
-        mean = self.experiment_means.get(experiment)
-        if mean is not None:
-            return mean, SOURCE_EXPERIMENT_MEAN
-        if self.global_mean is not None:
-            return self.global_mean, SOURCE_GLOBAL_MEAN
-        return DEFAULT_SECONDS, SOURCE_DEFAULT
-
-    def coverage(
-        self, experiment: str, graph: Sequence[TaskKey]
-    ) -> float:
-        """Fraction of ``graph`` with an exact recorded prediction."""
-        if not graph:
-            return 0.0
-        known = sum(
-            1 for task in graph if (experiment, tuple(task)) in self.exact
-        )
-        return known / len(graph)
+            return exact
+        return self.experiment_means.get(experiment, DEFAULT_SECONDS)

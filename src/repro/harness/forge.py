@@ -5,7 +5,7 @@ both settings (drifted longitudinal test pages); ``forge_images`` runs the
 image method set over degraded scans.  Both mirror the table drivers in
 :mod:`repro.harness.runner` / :mod:`repro.harness.images` exactly — corpus
 store, program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD`` /
-packed-plan / work-queue task resolution — so the forge doubles as a
+work-queue task resolution — so the forge doubles as a
 store/scheduler stress workload at whatever size
 ``REPRO_FORGE_PROVIDERS`` × ``REPRO_FORGE_DOCS`` dials in.
 """
@@ -127,9 +127,7 @@ def run_forge_html_experiment(
     default_train, default_test = forge_html_sizes()
     train_size = train_size if train_size is not None else default_train
     test_size = test_size if test_size is not None else default_test
-    run_tasks = resolve_tasks(
-        forge_html_tasks(), shard, tasks, experiment="forge_html"
-    )
+    run_tasks = resolve_tasks(forge_html_tasks(), shard, tasks)
     if jobs() > 1:
         return run_field_jobs(
             _forge_html_field_task,
@@ -191,9 +189,7 @@ def run_forge_images_experiment(
     default_train, default_test = forge_image_sizes()
     train_size = train_size if train_size is not None else default_train
     test_size = test_size if test_size is not None else default_test
-    run_tasks = resolve_tasks(
-        forge_image_tasks(), shard, tasks, experiment="forge_images"
-    )
+    run_tasks = resolve_tasks(forge_image_tasks(), shard, tasks)
     if jobs() > 1:
         return run_field_jobs(
             _forge_image_field_task,

@@ -83,7 +83,6 @@ def run_finance_experiment(
         ],
         shard,
         tasks,
-        experiment="finance",
     )
     return _run_image_tasks("finance", methods, run_tasks,
                             train_size, test_size, seed)
@@ -208,7 +207,6 @@ def run_m2h_images_experiment(
         ],
         shard,
         tasks,
-        experiment="m2h_images",
     )
     return _run_image_tasks("m2h_images", methods, run_tasks,
                             train_size, test_size, seed)

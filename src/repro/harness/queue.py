@@ -1,21 +1,27 @@
 """Work-stealing shard execution over a leased claim queue.
 
-Static shard plans (round-robin or LPT-packed) decide ownership before
-the first task runs; a killed or badly mispredicted worker strands its
-whole slice until someone runs ``repro-shard retry``.  This module is
-the dynamic alternative: N workers pull tasks one at a time from a
-shared **claim queue** — a ``queue``-kind table in the blueprint store
-(:mod:`repro.store.claims`), riding whichever backend the run already
-uses (sqlite file-lock, memory, or a ``repro-store serve`` daemon).
+Static round-robin shards decide ownership before the first task runs;
+a killed or straggling worker strands its whole slice until someone
+runs ``repro-shard retry``.  This module is the dynamic alternative: N
+workers pull tasks one at a time from a shared **claim queue** — a
+``queue``-kind table in the blueprint store (:mod:`repro.store.claims`),
+riding whichever backend the run already uses (sqlite file-lock,
+memory, or a ``repro-store serve`` daemon).
 
 The protocol per worker::
 
     sync(graph)                  # idempotent: first worker seeds the queue
     while True:
-        claim(worker, lease)     # atomic CAS grant, canonical order
+        claim(worker, lease)     # atomic CAS grant, in claim order
         ... run the task, renewing the lease (heartbeats) ...
         complete(worker, member) # CAS: only the current holder wins
         append to partial file   # atomic tmp+rename snapshot
+
+Tasks are queued in :func:`claim_order`: longest predicted seconds
+first (the ``timing`` store kind, :mod:`repro.harness.costmodel`), ties
+in canonical order.  Greedy claiming in that order is list scheduling
+in LPT order, i.e. Graham's LPT schedule, without a plan file.  With no
+timing history every prediction is equal and the order is canonical.
 
 Crash safety falls out of three properties:
 
@@ -134,6 +140,22 @@ def experiment_digest(experiment: str, seed: int = 0) -> str:
     return _graph_digest(
         experiment, graph, seed, scale(), method_names, registered.config()
     )
+
+
+def claim_order(experiment: str, graph: Sequence[TaskKey]) -> list[TaskKey]:
+    """``graph`` sorted by descending predicted seconds, ties canonical.
+
+    ``sync`` keeps existing rows, so whichever sync runs first fixes the
+    order of a queue.
+    """
+    from repro.harness.costmodel import CostModel
+    from repro.harness.runner import scale
+
+    graph = [tuple(task) for task in graph]
+    model = CostModel.load({experiment: graph}, scale=scale())
+    predicted = [model.predict(experiment, task) for task in graph]
+    order = sorted(range(len(graph)), key=lambda i: (-predicted[i], i))
+    return [graph[i] for i in order]
 
 
 class QueueUnavailableError(RuntimeError):
@@ -334,7 +356,7 @@ def work_shard(
     poll = poll_seconds() if poll is None else poll
     label = shard if shard is not None else ShardSpec(0, 1)
 
-    queue.sync(graph)
+    queue.sync(claim_order(experiment, graph))
 
     timer = StageTimer()
     grouped: dict[TaskKey, list] = {}
@@ -467,7 +489,6 @@ def _worker_env(index: int, round_number: int) -> dict[str, str]:
     # Workers coordinate through the queue; a static-shard knob leaking
     # into their environment must not confuse anything they run.
     env.pop("REPRO_SHARD", None)
-    env.pop("REPRO_SHARD_PLAN", None)
     src = str(Path(__file__).resolve().parents[2])
     existing = env.get("PYTHONPATH")
     env["PYTHONPATH"] = f"{src}:{existing}" if existing else src
@@ -515,7 +536,7 @@ def run_work_pool(
         raise ValueError(f"need at least one worker, got {workers}")
     if fresh:
         queue.purge()
-    synced = queue.sync(graph)
+    synced = queue.sync(claim_order(experiment, graph))
     echo(
         f"work pool: {experiment} x{workers} workers,"
         f" {len(graph)} tasks ({synced['added']} newly queued),"

@@ -37,15 +37,6 @@ Environment knobs
     into byte-identical tables (:mod:`repro.harness.sharding` and the
     ``repro-shard`` CLI).  Default: the whole graph.
 
-``REPRO_SHARD_PLAN``
-    Path to a ``repro-shard plan`` JSON file.  With it set, the shard
-    from ``REPRO_SHARD=i/N`` owns the plan's i-th *packed* task set —
-    balanced by predicted wall-clock (:mod:`repro.harness.costmodel`) —
-    instead of the round-robin slice.  The plan must match the
-    experiment, shard count and canonical task graph, or the run fails
-    loudly.  Assignment only: merged results stay byte-identical to
-    round-robin and unsharded runs.
-
 ``REPRO_STORE`` / ``REPRO_STORE_DIR``
     The persistent content-hash store (:mod:`repro.store`): L2 under
     the ``DistanceCache`` plus program- and corpus-level entries, so
@@ -594,30 +585,20 @@ def resolve_tasks(
     all_tasks: list[tuple[str, ...]],
     shard,
     tasks: Sequence[tuple[str, ...]] | None,
-    experiment: str | None = None,
 ) -> list[tuple[str, ...]]:
     """The task subset an experiment driver should run.
 
     ``tasks`` (an explicit list, used by the shard scheduler and its
     tests) wins outright; otherwise the canonical list is filtered down to
     the requested shard — ``shard=None`` reads ``REPRO_SHARD`` from the
-    environment, which defaults to the whole graph.  With
-    ``REPRO_SHARD_PLAN`` set, the shard owns its packed-plan task set
-    instead of the round-robin slice; the plan must match ``experiment``
-    (the driver's registry name), the shard count, and the canonical
-    graph, otherwise the run fails loudly rather than quietly running a
-    different partition.
+    environment, which defaults to the whole graph.
     """
     from repro.harness import sharding
 
     if tasks is not None:
         return [tuple(task) for task in tasks]
     all_tasks = [tuple(task) for task in all_tasks]
-    spec = sharding.resolve_shard(shard)
-    plan = sharding.env_plan()
-    if plan is not None:
-        return sharding.plan_shard_tasks(plan, spec, all_tasks, experiment)
-    return sharding.assign(all_tasks, spec)
+    return sharding.assign(all_tasks, sharding.resolve_shard(shard))
 
 
 def run_m2h_experiment(
@@ -650,7 +631,6 @@ def run_m2h_experiment(
         ],
         shard,
         tasks,
-        experiment="m2h",
     )
     if jobs() > 1:
         return run_field_jobs(
@@ -812,8 +792,7 @@ def run_m2h_robustness_experiment(
         267, minimum=20
     )
     run_tasks = resolve_tasks(
-        robustness_tasks(providers, fields, seeds), shard, tasks,
-        experiment="robustness",
+        robustness_tasks(providers, fields, seeds), shard, tasks
     )
     if jobs() > 1:
         return run_field_jobs(

@@ -28,26 +28,19 @@ merge is a deterministic reorder, never a reduction.  Inside a shard the
 ordinary ``REPRO_JOBS`` pools still apply, so a two-machine, eight-core
 run shards twice and forks eight ways.
 
-Round-robin assignment balances task *counts*; the tasks themselves are
-heterogeneous, so count-balanced shards can be badly time-imbalanced.
-The **predictive packer** fixes that: a :class:`PackedPlan` assigns
-arbitrary task keys to N shards by LPT (longest-processing-time-first)
-greedy packing over per-task wall-clock predictions from the
-:class:`~repro.harness.costmodel.CostModel` — cost-aware tiling in the
-spirit of the shared-memory PaLD work, one level up.  When the
-predictions are degenerate enough that plain round-robin would finish
-sooner, the packer keeps round-robin, so a packed plan's predicted
-makespan is never worse than the round-robin split of the same graph.
-Plans serialize to JSON (``repro-shard plan``), drivers honour them via
-``REPRO_SHARD_PLAN=<file>`` next to ``REPRO_SHARD=i/N``, and every
-shard run records its observed per-task seconds back into the timing
-store, so plans improve across CI runs.  The store itself is pluggable
+Round-robin assignment balances task *counts*, not seconds.  When the
+tasks are heterogeneous, the work-stealing pool (:mod:`repro.harness.queue`,
+``repro-shard work``) balances time instead: workers claim one task at
+a time, longest-predicted-first from the recorded per-task timings, so
+a straggling task never strands a whole slice.  Every shard run records
+its observed per-task seconds back into the timing store
+(:mod:`repro.harness.costmodel`).  The store itself is pluggable
 (:mod:`repro.store`): point every shard of a fleet at one ``repro-store
 serve`` daemon via ``REPRO_STORE_URL`` and they share a single warm
 cache — blueprints, corpora, programs and timings discovered by one
-shard are hits for the rest.  Packing only moves tasks
-between shards — the merge contract below is assignment-agnostic, so
-packed partials merge byte-identical to round-robin and unsharded runs.
+shard are hits for the rest.  The merge contract below is
+assignment-agnostic, so pool partials merge byte-identical to
+round-robin and unsharded runs.
 
 Command line (installed as ``repro-shard``)::
 
@@ -55,13 +48,7 @@ Command line (installed as ``repro-shard``)::
     repro-shard tasks --experiment robustness --shards 3
     REPRO_SCALE=0.15 repro-shard run --experiment m2h --shard 0/3 \
         --out part0.pkl
-    repro-shard plan --experiment robustness --shards 2 --out plan.json
-    REPRO_SCALE=0.15 repro-shard run --experiment robustness \
-        --shard 0/2 --plan plan.json --out packed0.pkl
-    repro-shard plan --experiment robustness --shards 2 \
-        --plan plan.json --observed packed*.pkl   # prediction error
-    repro-shard pack --experiment robustness --shards 2 \
-        --out merged.pkl                          # plan + run + merge
+    repro-shard work --experiment robustness --workers 2 --out merged.pkl
     repro-shard merge part*.pkl --out merged.pkl --table table.txt \
         --timing-json benchmarks/results/BENCH_synthesis_speed.json
     repro-shard retry part0.pkl part2.pkl --out residual.pkl
@@ -79,17 +66,15 @@ byte-identical to an unsharded run.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import os
 import pickle
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Sequence
 
 PARTIAL_SCHEMA = 1
-PLAN_SCHEMA = 1
 
 # A canonical task: a tuple of strings whose length/meaning is fixed per
 # experiment (see the module docstring).
@@ -426,424 +411,6 @@ def get_experiment(name: str) -> Experiment:
         raise ValueError(f"unknown experiment {name!r} (known: {known})")
 
 
-def registry_graphs() -> dict[str, list[TaskKey]]:
-    """Every registered experiment's canonical task graph.
-
-    The cost model probes all of them so its global-mean fallback can
-    draw on cross-experiment timing history.
-    """
-    return {name: exp.tasks() for name, exp in sorted(EXPERIMENTS.items())}
-
-
-# ----------------------------------------------------------------------
-# Predictive packing: LPT over per-task cost predictions
-# ----------------------------------------------------------------------
-def lpt_pack(
-    graph: Sequence[TaskKey],
-    costs: Sequence[float],
-    count: int,
-) -> list[list[TaskKey]]:
-    """Assign ``graph`` to ``count`` shards by LPT greedy packing.
-
-    Tasks are placed heaviest-first onto the currently least-loaded
-    shard — Graham's classic bound: the resulting makespan is within
-    ``4/3 - 1/(3N)`` of optimal.  Every tie breaks deterministically
-    and content-independently (equal costs by canonical position, equal
-    loads by shard index), and nothing iterates a set or dict, so the
-    same inputs pack identically under every hash seed and on every
-    machine — the same no-coordination contract round-robin gives.
-
-    Each shard's task list comes back sorted by canonical position, so
-    tasks sharing a live corpus stay in canonical relative order inside
-    a shard (the serial driver loops' one-live-corpus memo still
-    applies), and ``count > len(graph)`` leaves the surplus shards
-    empty, exactly like :func:`assign`.
-    """
-    if count < 1:
-        raise ValueError(f"shard count must be >= 1, got {count}")
-    if len(costs) != len(graph):
-        raise ValueError(
-            f"{len(graph)} tasks but {len(costs)} costs"
-        )
-    order = sorted(range(len(graph)), key=lambda i: (-costs[i], i))
-    loads = [0.0] * count
-    assigned: list[list[int]] = [[] for _ in range(count)]
-    for position in order:
-        target = min(range(count), key=lambda s: (loads[s], s))
-        loads[target] += costs[position]
-        assigned[target].append(position)
-    return [
-        [graph[position] for position in sorted(positions)]
-        for positions in assigned
-    ]
-
-
-def shard_loads(
-    shards: Sequence[Sequence[TaskKey]],
-    cost_of: Mapping[TaskKey, float],
-) -> list[float]:
-    """Total cost per shard under ``cost_of`` (missing tasks cost 0)."""
-    return [
-        sum(cost_of.get(tuple(task), 0.0) for task in shard)
-        for shard in shards
-    ]
-
-
-def round_robin_split(
-    graph: Sequence[TaskKey], count: int
-) -> list[list[TaskKey]]:
-    """All ``count`` round-robin shards of ``graph`` — the packer's
-    baseline assignment, defined once so the fallback comparison, the
-    plan's counterfactual and the observed report can never drift
-    apart."""
-    return [
-        assign(graph, ShardSpec(index, count)) for index in range(count)
-    ]
-
-
-def pack_tasks(
-    graph: Sequence[TaskKey],
-    costs: Sequence[float],
-    count: int,
-) -> tuple[list[list[TaskKey]], str]:
-    """The better of LPT and round-robin for ``graph`` under ``costs``.
-
-    LPT is a 4/3-approximation but not optimal, and on contrived cost
-    vectors the fixed round-robin split can land closer to optimal than
-    the greedy does — so the packer computes both makespans and keeps
-    round-robin when it strictly wins.  That makes the packed plan's
-    predicted makespan **never worse than round-robin's** by
-    construction, which is the invariant the property tests pin.
-    Returns ``(shards, strategy)`` with strategy ``"lpt"`` or
-    ``"round-robin"``.
-    """
-    graph = [tuple(task) for task in graph]
-    cost_of = {task: costs[i] for i, task in enumerate(graph)}
-    packed = lpt_pack(graph, costs, count)
-    round_robin = round_robin_split(graph, count)
-    packed_makespan = max(shard_loads(packed, cost_of), default=0.0)
-    rr_makespan = max(shard_loads(round_robin, cost_of), default=0.0)
-    if rr_makespan < packed_makespan:
-        return round_robin, "round-robin"
-    return packed, "lpt"
-
-
-@dataclass
-class PackedPlan:
-    """A cost-model shard assignment for one experiment split.
-
-    ``shards[i]`` is shard ``i``'s owned task list (canonical relative
-    order); ``predicted``/``round_robin_predicted`` are the per-shard
-    predicted seconds under the model that built the plan; ``sources``
-    counts how many tasks were predicted at each fallback level (see
-    :mod:`repro.harness.costmodel`).  Plans are advisory metadata: the
-    partial/merge machinery re-validates coverage from scratch, so a
-    stale or hand-edited plan can at worst fail loudly, never corrupt a
-    table.
-    """
-
-    experiment: str
-    seed: int
-    scale: float
-    graph: list[TaskKey]
-    shards: list[list[TaskKey]]
-    predicted: list[float]
-    round_robin_predicted: list[float]
-    strategy: str = "lpt"
-    sources: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def count(self) -> int:
-        return len(self.shards)
-
-    def predicted_makespan(self) -> float:
-        return max(self.predicted, default=0.0)
-
-
-def build_plan(
-    experiment: str,
-    count: int,
-    *,
-    seed: int = 0,
-    model=None,
-    graph: Sequence[TaskKey] | None = None,
-) -> PackedPlan:
-    """Pack ``experiment``'s graph into ``count`` shards by predicted cost.
-
-    ``model`` defaults to a :class:`~repro.harness.costmodel.CostModel`
-    loaded from the timing store over every registry graph (so the
-    global-mean fallback sees cross-experiment history); ``graph``
-    overrides the registered canonical graph for test-sized splits.
-    """
-    from repro.harness.costmodel import CostModel
-    from repro.harness.runner import scale
-
-    if graph is None:
-        graph = get_experiment(experiment).tasks()
-    graph = [tuple(task) for task in graph]
-    if model is None:
-        graphs = registry_graphs()
-        graphs.setdefault(experiment, graph)
-        model = CostModel.load(graphs, scale=scale())
-    costs = []
-    sources: dict[str, int] = {}
-    for task in graph:
-        seconds, source = model.predict_with_source(experiment, task)
-        costs.append(seconds)
-        sources[source] = sources.get(source, 0) + 1
-    cost_of = {task: costs[i] for i, task in enumerate(graph)}
-    shards, strategy = pack_tasks(graph, costs, count)
-    round_robin = round_robin_split(graph, count)
-    return PackedPlan(
-        experiment=experiment,
-        seed=seed,
-        scale=scale(),
-        graph=graph,
-        shards=shards,
-        predicted=shard_loads(shards, cost_of),
-        round_robin_predicted=shard_loads(round_robin, cost_of),
-        strategy=strategy,
-        sources=sources,
-    )
-
-
-def save_plan(path: "str | os.PathLike", plan: PackedPlan) -> None:
-    payload = {
-        "schema": PLAN_SCHEMA,
-        "experiment": plan.experiment,
-        "seed": plan.seed,
-        "scale": plan.scale,
-        "graph": [list(task) for task in plan.graph],
-        "shards": [
-            {
-                "tasks": [list(task) for task in shard],
-                "predicted_seconds": round(predicted, 6),
-            }
-            for shard, predicted in zip(plan.shards, plan.predicted)
-        ],
-        "round_robin_predicted_seconds": [
-            round(predicted, 6) for predicted in plan.round_robin_predicted
-        ],
-        "strategy": plan.strategy,
-        "sources": dict(plan.sources),
-    }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(payload, indent=2) + "\n")
-
-
-def load_plan(path: "str | os.PathLike") -> PackedPlan:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as err:
-        raise ValueError(f"{path}: cannot read shard plan: {err}") from None
-    if not isinstance(payload, dict) or payload.get("schema") != PLAN_SCHEMA:
-        raise ValueError(f"{path}: not a repro-shard plan (schema mismatch)")
-    try:
-        return PackedPlan(
-            experiment=payload["experiment"],
-            seed=int(payload["seed"]),
-            scale=float(payload["scale"]),
-            graph=[tuple(task) for task in payload["graph"]],
-            shards=[
-                [tuple(task) for task in shard["tasks"]]
-                for shard in payload["shards"]
-            ],
-            predicted=[
-                float(shard["predicted_seconds"])
-                for shard in payload["shards"]
-            ],
-            round_robin_predicted=[
-                float(value)
-                for value in payload["round_robin_predicted_seconds"]
-            ],
-            strategy=payload.get("strategy", "lpt"),
-            sources=dict(payload.get("sources", {})),
-        )
-    except (KeyError, TypeError, ValueError) as err:
-        raise ValueError(f"{path}: malformed shard plan: {err}") from None
-
-
-def env_plan() -> PackedPlan | None:
-    """The plan from ``REPRO_SHARD_PLAN`` (``None`` when unset).
-
-    An unreadable plan file raises rather than silently reverting to
-    round-robin: the operator asked for a specific assignment, and a
-    quiet fallback would run different task sets than they believe.
-    """
-    path = os.environ.get("REPRO_SHARD_PLAN", "").strip()
-    if not path:
-        return None
-    return load_plan(path)
-
-
-def plan_shard_tasks(
-    plan: PackedPlan,
-    spec: ShardSpec,
-    graph: Sequence[TaskKey],
-    experiment: str | None = None,
-) -> list[TaskKey]:
-    """Shard ``spec``'s owned tasks under ``plan``, validated against
-    ``graph``.
-
-    A plan is only honoured when it describes exactly the split being
-    run: same experiment (when the caller knows its name), same shard
-    count, and the same canonical graph — any drift (new fields, a
-    scaled-down test graph, a stale plan artifact) fails loudly here
-    instead of producing a partial the merge would reject hours later.
-    """
-    if experiment is not None and plan.experiment != experiment:
-        raise ValueError(
-            f"shard plan is for experiment {plan.experiment!r},"
-            f" not {experiment!r}"
-        )
-    if spec.count != plan.count:
-        raise ValueError(
-            f"shard plan has {plan.count} shard(s) but the run asked for"
-            f" {spec.count} (REPRO_SHARD={spec})"
-        )
-    graph = [tuple(task) for task in graph]
-    if plan.graph != graph:
-        raise ValueError(
-            "shard plan was built for a different task graph"
-            f" ({len(plan.graph)} task(s) vs {len(graph)});"
-            " rebuild it with `repro-shard plan`"
-        )
-    return [tuple(task) for task in plan.shards[spec.index]]
-
-
-def balance_ratio(loads: Sequence[float]) -> float:
-    """Max/min per-shard load — 1.0 is perfect balance, ``inf`` an idle
-    shard."""
-    if not loads:
-        return 1.0
-    low = min(loads)
-    if low <= 0:
-        return math.inf
-    return max(loads) / low
-
-
-def plan_report(
-    plan: PackedPlan,
-    observed_partials: Sequence[dict] | None = None,
-) -> dict:
-    """Makespan/prediction report for a plan, optionally scored against
-    observed shard partials.
-
-    The predicted block restates the plan's per-shard makespans (packed
-    vs the round-robin counterfactual).  Given partials, the observed
-    block re-aggregates their recorded per-task seconds under *both*
-    assignments — packed shards and round-robin — so the balance
-    comparison uses one measurement basis, plus per-task prediction
-    error for the tasks the model had predicted.  Everything in the
-    returned dict is JSON-serializable (CI uploads it as an artifact).
-    """
-    report: dict = {
-        "schema": PLAN_SCHEMA,
-        "experiment": plan.experiment,
-        "shards": plan.count,
-        "scale": plan.scale,
-        "strategy": plan.strategy,
-        "sources": dict(plan.sources),
-        "predicted": {
-            "per_shard_seconds": list(plan.predicted),
-            "makespan_seconds": plan.predicted_makespan(),
-            "balance_ratio": _json_ratio(balance_ratio(plan.predicted)),
-            "round_robin_per_shard_seconds": list(
-                plan.round_robin_predicted
-            ),
-            "round_robin_makespan_seconds": max(
-                plan.round_robin_predicted, default=0.0
-            ),
-            "round_robin_balance_ratio": _json_ratio(
-                balance_ratio(plan.round_robin_predicted)
-            ),
-        },
-    }
-    if not observed_partials:
-        return report
-    observed: dict[TaskKey, float] = {}
-    wall_by_index: dict[int, float] = {}
-    wall_by_owned: dict[tuple, float] = {}
-    for partial in observed_partials:
-        for task, seconds in partial.get("task_seconds", {}).items():
-            observed[tuple(task)] = seconds
-        # Prefer the partial's recorded shard index: owned-set keying
-        # aliases shards with identical task lists (e.g. two empty
-        # shards when count > len(graph)).
-        shard = partial.get("shard")
-        if (
-            isinstance(shard, (tuple, list))
-            and len(shard) == 2
-            and shard[1] == plan.count
-        ):
-            wall_by_index[shard[0]] = partial.get("wall_seconds", 0.0)
-        owned = tuple(tuple(task) for task in partial.get("owned", []))
-        wall_by_owned[owned] = partial.get("wall_seconds", 0.0)
-    packed_loads = shard_loads(plan.shards, observed)
-    rr_loads = shard_loads(
-        round_robin_split(plan.graph, plan.count), observed
-    )
-    shard_walls = [
-        wall_by_index.get(
-            index,
-            wall_by_owned.get(tuple(tuple(task) for task in shard)),
-        )
-        for index, shard in enumerate(plan.shards)
-    ]
-    report["observed"] = {
-        "tasks_observed": len(observed),
-        "tasks_missing": len(plan.graph) - len(observed),
-        "per_shard_task_seconds": [round(v, 4) for v in packed_loads],
-        "per_shard_wall_seconds": [
-            round(v, 4) if v is not None else None for v in shard_walls
-        ],
-        "makespan_seconds": round(max(packed_loads, default=0.0), 4),
-        "balance_ratio": _json_ratio(balance_ratio(packed_loads)),
-        "round_robin_per_shard_task_seconds": [
-            round(v, 4) for v in rr_loads
-        ],
-        "round_robin_makespan_seconds": round(
-            max(rr_loads, default=0.0), 4
-        ),
-        "round_robin_balance_ratio": _json_ratio(
-            balance_ratio(rr_loads)
-        ),
-        "prediction_error": _prediction_error(plan, observed),
-    }
-    return report
-
-
-def _json_ratio(value: float) -> float | None:
-    """``inf`` is not valid JSON; report an idle shard as ``None``."""
-    return None if math.isinf(value) else round(value, 4)
-
-
-def _prediction_error(
-    plan: PackedPlan, observed: Mapping[TaskKey, float]
-) -> dict:
-    """Per-shard predicted-vs-observed error for the plan's assignment."""
-    per_shard = []
-    for shard, predicted in zip(plan.shards, plan.predicted):
-        seconds = sum(observed.get(tuple(task), 0.0) for task in shard)
-        entry = {
-            "predicted_seconds": round(predicted, 4),
-            "observed_seconds": round(seconds, 4),
-        }
-        if seconds > 0:
-            entry["abs_pct_error"] = round(
-                abs(predicted - seconds) / seconds * 100.0, 2
-            )
-        per_shard.append(entry)
-    scored = [e["abs_pct_error"] for e in per_shard if "abs_pct_error" in e]
-    return {
-        "per_shard": per_shard,
-        "mean_abs_pct_error": (
-            round(sum(scored) / len(scored), 2) if scored else None
-        ),
-    }
-
-
 # ----------------------------------------------------------------------
 # Partial results: run one shard, serialize, merge
 # ----------------------------------------------------------------------
@@ -903,7 +470,6 @@ def run_shard(
     graph: Sequence[TaskKey] | None = None,
     owned: Sequence[TaskKey] | None = None,
     run: Callable[[list, list[TaskKey], int], list] | None = None,
-    plan: "PackedPlan | str | os.PathLike | None" = None,
 ) -> dict:
     """Run one shard of ``experiment`` and return its partial-result dict.
 
@@ -912,14 +478,11 @@ def run_shard(
     registered full graph.  ``owned`` overrides the round-robin assignment
     with an explicit task set — ownership validation then happens at merge
     time, where the union over partials must cover the graph exactly once.
-    ``plan`` (a :class:`PackedPlan`, a plan-file path, or the
-    ``REPRO_SHARD_PLAN`` env knob when neither ``plan`` nor ``owned`` is
-    given) replaces round-robin assignment with the plan's packed shard.
 
     The partial records observed per-task wall-clock (``task_seconds``),
     and — for cache-enabled, store-enabled runs — feeds those timings
-    back into the persistent timing store, so the next ``repro-shard
-    plan`` predicts from them.
+    back into the persistent timing store, which orders the work pool's
+    claims (:func:`repro.harness.queue.claim_order`).
     """
     from repro.core.caching import StageTimer, cache_enabled, use_timer
     from repro.harness.costmodel import record_task_timings
@@ -928,13 +491,6 @@ def run_shard(
     spec = resolve_shard(shard)
     registered = get_experiment(experiment)
     graph = list(graph if graph is not None else registered.tasks())
-    if owned is None:
-        if plan is None:
-            plan = env_plan()
-        elif not isinstance(plan, PackedPlan):
-            plan = load_plan(plan)
-        if plan is not None:
-            owned = plan_shard_tasks(plan, spec, graph, experiment)
     owned = list(owned if owned is not None else assign(graph, spec))
     methods = methods if methods is not None else registered.methods()
     run = run if run is not None else registered.run
@@ -962,7 +518,7 @@ def run_shard(
     if cache_enabled():
         # REPRO_CACHE=0 baselines run without any memo layer, so their
         # wall-clock is not representative of a normal run — recording
-        # it would mis-shape future plans.
+        # it would mis-order future work-pool claims.
         record_task_timings(experiment, task_seconds, scale=scale())
     method_names = [method.name for method in methods]
     return {
@@ -1330,80 +886,7 @@ def main(argv: list[str] | None = None) -> int:
         help="i/N (default: REPRO_SHARD, else the whole graph)",
     )
     run_cmd.add_argument("--seed", type=int, default=0)
-    run_cmd.add_argument(
-        "--plan",
-        default=None,
-        help=(
-            "packed-plan file: own the plan's shard --shard instead of"
-            " the round-robin slice (default: REPRO_SHARD_PLAN)"
-        ),
-    )
     run_cmd.add_argument("--out", required=True)
-
-    plan_cmd = sub.add_parser(
-        "plan",
-        help=(
-            "pack the task graph into N shards by predicted wall-clock"
-            " (LPT over the recorded timing history)"
-        ),
-    )
-    plan_cmd.add_argument(
-        "--experiment", required=True, choices=sorted(EXPERIMENTS)
-    )
-    plan_cmd.add_argument("--shards", type=int, required=True)
-    plan_cmd.add_argument("--seed", type=int, default=0)
-    plan_cmd.add_argument(
-        "--plan",
-        default=None,
-        help="report on an existing plan file instead of building one",
-    )
-    plan_cmd.add_argument(
-        "--out", default=None, help="write the plan JSON here"
-    )
-    plan_cmd.add_argument(
-        "--observed",
-        nargs="+",
-        default=None,
-        help=(
-            "shard partials from a completed run: report observed"
-            " per-shard makespans and prediction error"
-        ),
-    )
-    plan_cmd.add_argument(
-        "--report-out",
-        default=None,
-        help="write the makespan/prediction report JSON here",
-    )
-
-    pack_cmd = sub.add_parser(
-        "pack",
-        help=(
-            "plan, run every packed shard in this process, merge, and"
-            " report observed balance vs round-robin"
-        ),
-    )
-    pack_cmd.add_argument(
-        "--experiment", required=True, choices=sorted(EXPERIMENTS)
-    )
-    pack_cmd.add_argument("--shards", type=int, required=True)
-    pack_cmd.add_argument("--seed", type=int, default=0)
-    pack_cmd.add_argument(
-        "--plan",
-        default=None,
-        help="run an existing plan file instead of building one",
-    )
-    pack_cmd.add_argument(
-        "--plan-out", default=None, help="also write the plan JSON here"
-    )
-    pack_cmd.add_argument("--out", required=True)
-    pack_cmd.add_argument(
-        "--table", default=None, help="also write rendered tables here"
-    )
-    pack_cmd.add_argument(
-        "--report-out",
-        default=None,
-        help="write the makespan/prediction report JSON here",
-    )
 
     work_cmd = sub.add_parser(
         "work",
@@ -1523,111 +1006,13 @@ def main(argv: list[str] | None = None) -> int:
 
     if args.command == "run":
         spec = resolve_shard(args.shard)
-        partial = run_shard(
-            args.experiment, spec, seed=args.seed, plan=args.plan
-        )
+        partial = run_shard(args.experiment, spec, seed=args.seed)
         save_partial(args.out, partial)
         count = sum(len(r) for r in partial["results"].values())
-        packed = " [packed]" if args.plan or os.environ.get(
-            "REPRO_SHARD_PLAN"
-        ) else ""
         print(
-            f"shard {spec} of {args.experiment}{packed}:"
+            f"shard {spec} of {args.experiment}:"
             f" {len(partial['owned'])}/{len(partial['graph'])} tasks,"
             f" {count} results, {partial['wall_seconds']:.2f}s"
-            f" -> {args.out}"
-        )
-        return 0
-
-    if args.command == "plan":
-        if args.plan:
-            plan = load_plan(args.plan)
-            if plan.experiment != args.experiment or plan.count != args.shards:
-                print(
-                    f"PLAN MISMATCH: {args.plan} is"
-                    f" {plan.experiment} x{plan.count}, asked for"
-                    f" {args.experiment} x{args.shards}"
-                )
-                return 1
-        else:
-            plan = build_plan(
-                args.experiment, args.shards, seed=args.seed
-            )
-        observed = None
-        if args.observed:
-            loaded, skipped = _load_partials_tolerant(args.observed)
-            if not loaded:
-                print("PLAN REPORT FAILED: no readable observed partials")
-                return 1
-            if skipped:
-                print(f"({len(skipped)} observed partial(s) unreadable)")
-            observed = [partial for _, partial in loaded]
-        report = plan_report(plan, observed)
-        _print_plan_report(plan, report)
-        if args.out:
-            save_plan(args.out, plan)
-            print(f"plan -> {args.out}")
-        if args.report_out:
-            Path(args.report_out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.report_out).write_text(
-                json.dumps(report, indent=2) + "\n"
-            )
-            print(f"report -> {args.report_out}")
-        return 0
-
-    if args.command == "pack":
-        if args.plan:
-            plan = load_plan(args.plan)
-            # Same loud up-front validation as `run --plan`: a stale or
-            # mismatched plan (experiment, shard count, graph) must fail
-            # before a single task runs, not at merge time hours later.
-            try:
-                plan_shard_tasks(
-                    plan,
-                    ShardSpec(0, args.shards),
-                    get_experiment(args.experiment).tasks(),
-                    args.experiment,
-                )
-            except ValueError as err:
-                print(f"PACK FAILED: {err}")
-                return 1
-        else:
-            plan = build_plan(
-                args.experiment, args.shards, seed=args.seed
-            )
-        if args.plan_out:
-            save_plan(args.plan_out, plan)
-        _print_plan_report(plan, plan_report(plan))
-        partials = []
-        for index in range(plan.count):
-            partial = run_shard(
-                args.experiment,
-                ShardSpec(index, plan.count),
-                seed=args.seed,
-                owned=plan.shards[index],
-            )
-            partials.append(partial)
-            print(
-                f"  shard {index}/{plan.count}:"
-                f" {len(partial['owned'])} tasks,"
-                f" {partial['wall_seconds']:.2f}s"
-            )
-        merged = merge_partials(partials)
-        save_partial(args.out, merged)
-        if args.table:
-            Path(args.table).write_text(render_tables(merged) + "\n")
-        report = plan_report(plan, partials)
-        _print_observed_report(report)
-        if args.report_out:
-            Path(args.report_out).parent.mkdir(parents=True, exist_ok=True)
-            Path(args.report_out).write_text(
-                json.dumps(report, indent=2) + "\n"
-            )
-            print(f"report -> {args.report_out}")
-        count = sum(len(r) for r in merged["results"].values())
-        print(
-            f"packed {plan.count} shard(s) of {plan.experiment}:"
-            f" {len(merged['graph'])} tasks, {count} results"
             f" -> {args.out}"
         )
         return 0
@@ -1795,65 +1180,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     return 2  # pragma: no cover - argparse enforces the choices
-
-
-def _print_plan_report(plan: PackedPlan, report: dict) -> None:
-    predicted = report["predicted"]
-    sources = ", ".join(
-        f"{name}={count}" for name, count in sorted(plan.sources.items())
-    ) or "none"
-    print(
-        f"plan: {plan.experiment} x{plan.count} shards"
-        f" (strategy {plan.strategy}, scale {plan.scale},"
-        f" cost sources: {sources})"
-    )
-    for index, (shard, seconds) in enumerate(
-        zip(plan.shards, plan.predicted)
-    ):
-        print(
-            f"  shard {index}/{plan.count}: {len(shard)} tasks,"
-            f" predicted {seconds:.2f}s"
-        )
-    print(
-        f"  predicted makespan {predicted['makespan_seconds']:.2f}s"
-        f" (round-robin {predicted['round_robin_makespan_seconds']:.2f}s),"
-        f" balance ratio {_ratio_text(predicted['balance_ratio'])}"
-        f" vs round-robin"
-        f" {_ratio_text(predicted['round_robin_balance_ratio'])}"
-    )
-    if "observed" in report:
-        _print_observed_report(report)
-
-
-def _print_observed_report(report: dict) -> None:
-    observed = report.get("observed")
-    if not observed:
-        return
-    packed = _ratio_text(observed["balance_ratio"])
-    round_robin = _ratio_text(observed["round_robin_balance_ratio"])
-    print(
-        f"observed: packed shards {observed['per_shard_task_seconds']}"
-        f" (makespan {observed['makespan_seconds']:.2f}s,"
-        f" max/min {packed})"
-    )
-    print(
-        "          round-robin counterfactual"
-        f" {observed['round_robin_per_shard_task_seconds']}"
-        f" (makespan {observed['round_robin_makespan_seconds']:.2f}s,"
-        f" max/min {round_robin})"
-    )
-    error = observed["prediction_error"]["mean_abs_pct_error"]
-    if error is not None:
-        print(f"          per-shard prediction error: {error:.2f}% mean")
-    if observed["tasks_missing"]:
-        print(
-            f"          ({observed['tasks_missing']} task(s) without"
-            " observed timings)"
-        )
-
-
-def _ratio_text(ratio: float | None) -> str:
-    return "inf (idle shard)" if ratio is None else f"{ratio:.2f}"
 
 
 def _load_partials_tolerant(

@@ -62,8 +62,21 @@ from repro.serve.router import Router, load_catalog, peek_digest
 # constants shape the store daemon's drain).
 _POLL_SECONDS = 0.2
 _DRAIN_SECONDS = 10.0
+# How long a connection answered for a bad head keeps discarding what
+# the client still sends: closing a socket with unread bytes makes the
+# kernel send RST, which can destroy the answer before the client reads
+# it.
+_LINGER_SECONDS = 1.0
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
+
+
+class _BadHead(Exception):
+    """A request head the server answers with ``status`` and then closes."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
 
 
 @dataclass
@@ -189,7 +202,20 @@ class ServeApp:
         self._writers.add(writer)
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _BadHead as bad:
+                    # The stream position is unknown after a bad head, so
+                    # answer and close instead of reading the next one.
+                    await self._respond(
+                        writer, bad.status, _error(str(bad)), close=True
+                    )
+                    writer.write_eof()
+                    with contextlib.suppress(asyncio.TimeoutError):
+                        await asyncio.wait_for(
+                            _discard_until_eof(reader), _LINGER_SECONDS
+                        )
+                    return
                 if request is None:
                     return
                 method, path, body = request
@@ -211,7 +237,9 @@ class ServeApp:
 
         Header reads poll in short slices so an idle keep-alive
         connection notices a drain promptly; a request whose bytes have
-        started arriving is always read to the end and answered.
+        started arriving is always read to the end and answered.  A head
+        longer than the reader's limit or a ``Content-Length`` that is
+        not a non-negative integer raises :class:`_BadHead`.
         """
         while True:
             try:
@@ -223,6 +251,8 @@ class ServeApp:
                 if self.draining:
                     return None
                 continue
+            except asyncio.LimitOverrunError:
+                raise _BadHead(431, "request head too large") from None
             except (asyncio.IncompleteReadError, ConnectionError, OSError):
                 return None
         request_line, _, header_block = head.partition(b"\r\n")
@@ -239,12 +269,18 @@ class ServeApp:
                 try:
                     length = int(value.strip())
                 except ValueError:
-                    raise ConnectionError("bad Content-Length") from None
+                    length = -1
+                if length < 0:
+                    raise _BadHead(400, "bad Content-Length")
         body = await reader.readexactly(length) if length else b""
         return method, path.split("?", 1)[0], body
 
     async def _respond(
-        self, writer: asyncio.StreamWriter, status: int, payload: bytes
+        self,
+        writer: asyncio.StreamWriter,
+        status: int,
+        payload: bytes,
+        close: bool = False,
     ) -> None:
         phrase = {
             200: "OK",
@@ -252,10 +288,11 @@ class ServeApp:
             404: "Not Found",
             405: "Method Not Allowed",
             429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error",
             503: "Service Unavailable",
         }.get(status, "OK")
-        connection = "close" if self.draining else "keep-alive"
+        connection = "close" if close or self.draining else "keep-alive"
         retry = "Retry-After: 1\r\n" if status in (429, 503) else ""
         writer.write(
             (
@@ -467,6 +504,11 @@ def serve_port_default(port: int | None) -> int:
     from repro.serve import serve_port
 
     return serve_port() if port is None else port
+
+
+async def _discard_until_eof(reader: asyncio.StreamReader) -> None:
+    while await reader.read(1 << 16):
+        pass
 
 
 def _json(value: dict) -> bytes:

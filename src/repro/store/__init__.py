@@ -19,10 +19,10 @@ Two harness-level kinds ride the same machinery: ``program``/``corpus``
 entries (see :mod:`repro.harness.runner`) make warm runs skip training
 and generation, and ``timing`` entries (per-task wall-clock EWMAs keyed
 by experiment, ``REPRO_SCALE`` and canonical task — see
-:mod:`repro.harness.costmodel`) feed the predictive shard packer.
+:mod:`repro.harness.costmodel`) order the work pool's claims.
 Timing keys deliberately include the experiment configuration: they
 describe *work*, not document content, and they are advisory — they
-shape shard assignment, never a score.
+shape claim order, never a score.
 
 Every key additionally folds in the *substrate* (``html`` / ``images``)
 and :data:`BLUEPRINT_ALGO_VERSION` — bump the latter whenever a

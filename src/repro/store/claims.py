@@ -33,7 +33,7 @@ identical) result.
 Record shape (one dict per task)::
 
     {"task": [...],        # the canonical TaskKey, as a list
-     "position": int,       # canonical position: claim order
+     "position": int,       # claim order: index in the first synced list
      "state": "pending" | "claimed" | "done",
      "worker": str | None,  # current/last claim holder
      "deadline": float,     # lease expiry (claimed state only)
@@ -142,7 +142,8 @@ def _sync(
     """Ensure a pending row exists per task; never downgrades existing.
 
     Idempotent by construction, so every worker of a fleet can sync the
-    same graph on startup without coordination.
+    same graph on startup without coordination.  A new row's position is
+    its index in ``tasks``, so the first sync fixes the claim order.
     """
     dirty: dict[str, dict] = {}
     for position, task in enumerate(args["tasks"]):

@@ -3,8 +3,7 @@
 The determinism contract: a forged corpus is a pure function of
 ``(provider, sizes, setting, seed)`` — byte-identical across processes
 and across differing ``PYTHONHASHSEED`` values — while different seeds
-produce visibly different providers.  The subprocess harness mirrors
-``tests/harness/test_packing.py``.
+produce visibly different providers.
 """
 
 import json

@@ -2,7 +2,7 @@
 
 The model must be boring in exactly the right ways: a warm model
 reproduces recorded timings verbatim, a cold one walks the documented
-fallback chain (experiment mean, global mean, uniform default), corrupt
+fallback chain (experiment mean, uniform default), corrupt
 or empty store rows read as "no history" instead of raising, timings
 recorded at one ``REPRO_SCALE`` are invisible at another, and a
 ``BLUEPRINT_ALGO_VERSION`` bump orphans every stale entry.
@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.core.store import BlueprintStore
+from repro.store import BlueprintStore
 from repro.harness import costmodel
 from repro.harness.costmodel import (
     DEFAULT_SECONDS,
@@ -42,11 +42,7 @@ class TestFallbacks:
     def test_cold_model_uses_uniform_default(self, store):
         model = load(store)
         for task in GRAPH_A:
-            assert model.predict_with_source("expA", task) == (
-                DEFAULT_SECONDS,
-                "default",
-            )
-        assert model.coverage("expA", GRAPH_A) == 0.0
+            assert model.predict("expA", task) == DEFAULT_SECONDS
 
     def test_warm_model_predicts_recorded_tasks_exactly(self, store):
         record_task_timings(
@@ -56,12 +52,8 @@ class TestFallbacks:
             store=store,
         )
         model = load(store)
-        assert model.predict_with_source("expA", GRAPH_A[0]) == (
-            2.0,
-            "exact",
-        )
+        assert model.predict("expA", GRAPH_A[0]) == 2.0
         assert model.predict("expA", GRAPH_A[1]) == 4.0
-        assert model.coverage("expA", GRAPH_A) == pytest.approx(2 / 3)
 
     def test_unrecorded_task_falls_back_to_experiment_mean(self, store):
         record_task_timings(
@@ -71,23 +63,7 @@ class TestFallbacks:
             store=store,
         )
         model = load(store)
-        assert model.predict_with_source("expA", GRAPH_A[2]) == (
-            3.0,
-            "experiment-mean",
-        )
-
-    def test_unrecorded_experiment_falls_back_to_global_mean(self, store):
-        record_task_timings(
-            "expA",
-            {GRAPH_A[0]: 2.0, GRAPH_A[1]: 4.0},
-            scale=0.15,
-            store=store,
-        )
-        model = load(store)
-        assert model.predict_with_source("expB", GRAPH_B[0]) == (
-            3.0,
-            "global-mean",
-        )
+        assert model.predict("expA", GRAPH_A[2]) == 3.0
 
     def test_disabled_store_predicts_defaults(self, tmp_path):
         disabled = BlueprintStore(
@@ -146,10 +122,7 @@ class TestFeedback:
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "shared"))
         record_task_timings("expA", {GRAPH_A[0]: 1.5}, scale=0.15)
         model = CostModel.load(GRAPHS, scale=0.15)
-        assert model.predict_with_source("expA", GRAPH_A[0]) == (
-            1.5,
-            "exact",
-        )
+        assert model.predict("expA", GRAPH_A[0]) == 1.5
 
 
 class TestDegradation:
@@ -179,10 +152,7 @@ class TestDegradation:
         )
         store.flush()
         model = load(store)
-        assert model.predict_with_source("expA", GRAPH_A[0]) == (
-            DEFAULT_SECONDS,
-            "default",
-        )
+        assert model.predict("expA", GRAPH_A[0]) == DEFAULT_SECONDS
 
     def test_corrupt_row_is_replaced_on_next_observation(self, store):
         key = timing_entry_key("expA", 0.15, GRAPH_A[0])
@@ -209,33 +179,23 @@ class TestKeying:
         )
         assert load(store, scale=0.15).predict("expA", GRAPH_A[0]) == 2.0
         cold = load(store, scale=1.0)
-        assert cold.predict_with_source("expA", GRAPH_A[0]) == (
-            DEFAULT_SECONDS,
-            "default",
-        )
+        assert cold.predict("expA", GRAPH_A[0]) == DEFAULT_SECONDS
 
     def test_experiments_never_mix_exactly(self, store):
         # Two experiments sharing a task tuple: the entry recorded for
-        # expA must not read as expB's own (only via the global-mean
-        # fallback).
+        # expA must not read as expB's own.
         shared = {"expA": [("x", "y")], "expB": [("x", "y")]}
         record_task_timings(
             "expA", {("x", "y"): 2.0}, scale=0.15, store=store
         )
         model = CostModel.load(shared, scale=0.15, store=store)
-        assert model.predict_with_source("expA", ("x", "y")) == (
-            2.0,
-            "exact",
-        )
-        assert model.predict_with_source("expB", ("x", "y")) == (
-            2.0,
-            "global-mean",
-        )
+        assert model.predict("expA", ("x", "y")) == 2.0
+        assert model.predict("expB", ("x", "y")) == DEFAULT_SECONDS
 
     def test_algo_version_bump_invalidates_stale_entries(
         self, store, monkeypatch
     ):
-        import repro.core.store as store_module
+        import repro.store as store_module
 
         record_task_timings(
             "expA", {GRAPH_A[0]: 2.0}, scale=0.15, store=store
@@ -247,7 +207,4 @@ class TestKeying:
             store_module.BLUEPRINT_ALGO_VERSION + 1,
         )
         stale = load(store)
-        assert stale.predict_with_source("expA", GRAPH_A[0]) == (
-            DEFAULT_SECONDS,
-            "default",
-        )
+        assert stale.predict("expA", GRAPH_A[0]) == DEFAULT_SECONDS

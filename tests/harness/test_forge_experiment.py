@@ -31,7 +31,6 @@ def tiny_forge(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE", "1")
     monkeypatch.setenv("REPRO_JOBS", "1")
     monkeypatch.delenv("REPRO_SHARD", raising=False)
-    monkeypatch.delenv("REPRO_SHARD_PLAN", raising=False)
     yield
     flush_corpus_store()
 

@@ -12,7 +12,7 @@ import math
 import pickle
 
 from repro.core.caching import DistanceCache, StageTimer, use_timer
-from repro.core.store import BlueprintStore, shared_store
+from repro.store import BlueprintStore, shared_store
 from repro.datasets import finance, m2h_images
 from repro.harness.images import (
     AfrMethod,

@@ -1,23 +1,25 @@
-"""Properties of the predictive packer (LPT over cost predictions).
+"""Properties of the work pool's packing: greedy claims in LPT order.
 
-Three invariants pin :func:`repro.harness.sharding.pack_tasks`:
+The pool packs tasks onto workers dynamically: the queue is seeded in
+:func:`repro.harness.queue.claim_order` (descending predicted seconds
+from the ``timing`` store kind, ties canonical) and each worker claims
+the next task the moment it is free.  These tests record random cost
+vectors as timing history, then replay the real claim protocol
+(:func:`repro.store.claims.apply`) with simulated clocks, so the per-worker
+task lists below are exactly what a pool of that size would run.
 
-* **coverage** — every task lands in exactly one shard, for random
-  graphs, random positive cost vectors and every shard count;
-* **never worse than round-robin** — the packed plan's predicted
-  makespan is <= the round-robin split's under the same costs (the
-  packer falls back to round-robin when the greedy loses);
-* **near-optimal** — on the classic LPT adversarial fixtures the packed
+* **coverage** — every task is claimed by exactly one worker, for random
+  graphs, random positive costs and every worker count;
+* **near-optimal** — on the classic LPT adversarial fixtures the pool's
   makespan respects Graham's bound (checked against the lower bound
   ``max(total/N, max-task)`` plus one max-task of slack).
 
-Determinism is checked the hard way: the same pack computed in two
-subprocesses pinned to different ``PYTHONHASHSEED`` values must emit
-byte-identical plan JSON.
+Determinism is checked the hard way: the same claim order computed in
+three subprocesses pinned to different ``PYTHONHASHSEED`` values must
+print byte-identical JSON.
 """
 
 import json
-import math
 import random
 import subprocess
 import sys
@@ -25,9 +27,20 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness import queue as work_queue
 from repro.harness import sharding
+from repro.harness.costmodel import record_task_timings
+from repro.harness.runner import scale
+from repro.store import claims
 
 REPO = Path(__file__).resolve().parent.parent.parent
+
+
+@pytest.fixture(autouse=True)
+def timing_store(monkeypatch, tmp_path):
+    # A store of its own: recorded costs must not leak between tests.
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "timing-store"))
+    monkeypatch.setenv("REPRO_STORE", "1")
 
 
 def random_case(seed: int, max_tasks: int = 40):
@@ -45,12 +58,47 @@ def random_case(seed: int, max_tasks: int = 40):
     return graph, costs
 
 
+def pool_schedule(experiment, graph, costs, count):
+    """Per-worker claimed tasks and makespan of a ``count``-worker pool.
+
+    The costs are recorded as timing history first, so the queue is
+    seeded in the order the real pool would use; then the earliest-free
+    worker claims next until the queue drains.
+    """
+    cost_of = dict(zip(graph, costs))
+    record_task_timings(experiment, cost_of, scale=scale())
+    records = {}
+    dirty, _ = claims.apply(
+        records,
+        "sync",
+        {"tasks": work_queue.claim_order(experiment, graph)},
+        0.0,
+    )
+    records.update(dirty)
+    shards = [[] for _ in range(count)]
+    free_at = [0.0] * count
+    while True:
+        worker = min(range(count), key=lambda w: (free_at[w], w))
+        args = {"worker": f"w{worker}", "lease": 1e9}
+        dirty, grant = claims.apply(records, "claim", args, free_at[worker])
+        if grant["status"] != "claimed":
+            break
+        records.update(dirty)
+        task = tuple(grant["record"]["task"])
+        shards[worker].append(task)
+        free_at[worker] += cost_of[task]
+        args["member"] = grant["member"]
+        dirty, _ = claims.apply(records, "complete", args, free_at[worker])
+        records.update(dirty)
+    return shards, max(free_at)
+
+
 class TestCoverage:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
     def test_every_task_exactly_once(self, seed, count):
         graph, costs = random_case(seed)
-        shards, _ = sharding.pack_tasks(graph, costs, count)
+        shards, _ = pool_schedule(f"cov{seed}", graph, costs, count)
         assert len(shards) == count
         flat = [task for shard in shards for task in shard]
         assert sorted(flat) == sorted(graph)
@@ -58,48 +106,35 @@ class TestCoverage:
 
     def test_more_shards_than_tasks_leaves_empty_shards(self):
         graph, costs = random_case(3, max_tasks=4)
-        shards, _ = sharding.pack_tasks(graph, costs, len(graph) + 5)
+        shards, _ = pool_schedule("wide", graph, costs, len(graph) + 5)
         assert sum(1 for shard in shards if shard) <= len(graph)
         flat = [task for shard in shards for task in shard]
         assert sorted(flat) == sorted(graph)
 
-    def test_shards_preserve_canonical_relative_order(self):
-        # Within a shard, tasks appear in canonical order — the serial
-        # drivers' one-live-corpus memo depends on provider contiguity.
-        graph, costs = random_case(11)
-        position = {task: i for i, task in enumerate(graph)}
-        shards, _ = sharding.pack_tasks(graph, costs, 3)
-        for shard in shards:
-            positions = [position[task] for task in shard]
-            assert positions == sorted(positions)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="count"):
-            sharding.lpt_pack([("a", "b")], [1.0], 0)
-        with pytest.raises(ValueError, match="costs"):
-            sharding.lpt_pack([("a", "b")], [1.0, 2.0], 2)
+    def test_rejects_bad_inputs(self, monkeypatch, tmp_path):
+        # Invalid observations never become predictions, so they cannot
+        # reorder the queue.
+        graph = [("p", "f0"), ("p", "f1"), ("p", "f2")]
+        record_task_timings(
+            "bad", dict(zip(graph, [-1.0, float("nan"), 0.0])), scale=scale()
+        )
+        assert work_queue.claim_order("bad", graph) == graph
+        # A pool needs at least one worker.
+        experiment = sharding.Experiment(
+            "bad",
+            settings=lambda: ("contemporary",),
+            tasks=lambda: list(graph),
+            methods=lambda: [],
+            run=lambda methods, tasks, seed: [],
+        )
+        monkeypatch.setitem(sharding.EXPERIMENTS, "bad", experiment)
+        with pytest.raises(ValueError, match="worker"):
+            work_queue.run_work_pool(
+                "bad", 0, out=tmp_path / "merged.pkl", echo=lambda _: None
+            )
 
 
 class TestMakespan:
-    @pytest.mark.parametrize("seed", range(12))
-    @pytest.mark.parametrize("count", [2, 3, 5])
-    def test_never_worse_than_round_robin(self, seed, count):
-        graph, costs = random_case(seed)
-        cost_of = {task: cost for task, cost in zip(graph, costs)}
-        shards, _ = sharding.pack_tasks(graph, costs, count)
-        packed = max(sharding.shard_loads(shards, cost_of), default=0.0)
-        round_robin = max(
-            sharding.shard_loads(
-                [
-                    sharding.assign(graph, sharding.ShardSpec(i, count))
-                    for i in range(count)
-                ],
-                cost_of,
-            ),
-            default=0.0,
-        )
-        assert packed <= round_robin
-
     # Classic LPT stress fixtures: Graham's worst case (2N+1 jobs of
     # sizes 2N-1..N), near-ties, one dominating task, uniform costs.
     ADVERSARIAL = [
@@ -114,43 +149,31 @@ class TestMakespan:
     @pytest.mark.parametrize("costs,count", ADVERSARIAL)
     def test_within_lpt_bound_on_adversarial_fixtures(self, costs, count):
         graph = [("p", f"f{i}") for i in range(len(costs))]
-        cost_of = {task: cost for task, cost in zip(graph, costs)}
-        shards, _ = sharding.pack_tasks(graph, costs, count)
-        makespan = max(sharding.shard_loads(shards, cost_of))
+        _, makespan = pool_schedule("adv", graph, costs, count)
         # OPT is unknown, but OPT >= max(total/N, max task); Graham
-        # guarantees LPT <= 4/3 * OPT, so a fortiori the packed makespan
+        # guarantees LPT <= 4/3 * OPT, so a fortiori the pool's makespan
         # must sit under 4/3 * lower-bound + one max task of slack.
         lower_bound = max(sum(costs) / count, max(costs))
         assert makespan <= (4.0 / 3.0) * lower_bound + max(costs)
-
-    def test_prefers_round_robin_when_greedy_loses(self):
-        # LPT on [5,5,3,3,3]x2 reaches makespan 11, but the canonical
-        # order [3,5,3,5,3] round-robins to 10 — the packer must notice.
-        graph = [
-            ("a", "f"), ("b", "f"), ("c", "f"), ("d", "f"), ("e", "f")
-        ]
-        costs = [3.0, 5.0, 3.0, 5.0, 3.0]
-        cost_of = {task: cost for task, cost in zip(graph, costs)}
-        shards, strategy = sharding.pack_tasks(graph, costs, 2)
-        assert strategy == "round-robin"
-        assert max(sharding.shard_loads(shards, cost_of)) == 10.0
 
 
 DETERMINISM_SNIPPET = """
 import json, random, sys
 sys.path.insert(0, {src!r})
-from repro.harness import sharding
+from repro.harness import queue
+from repro.harness.costmodel import record_task_timings
+from repro.harness.runner import scale
 
 rng = random.Random(2026)
 graph = [(f"p{{i % 9}}", f"f{{i}}") for i in range(37)]
 costs = [round(rng.uniform(0.01, 20.0), 6) for _ in graph]
-shards, strategy = sharding.pack_tasks(graph, costs, 4)
-print(json.dumps({{"strategy": strategy, "shards": shards}}))
+record_task_timings("det", dict(zip(graph, costs)), scale=scale())
+print(json.dumps(queue.claim_order("det", graph)))
 """
 
 
 class TestDeterminism:
-    def test_identical_across_hash_seeds(self):
+    def test_identical_across_hash_seeds(self, tmp_path):
         snippet = DETERMINISM_SNIPPET.format(src=str(REPO / "src"))
         outputs = []
         for hash_seed in ("0", "1", "31337"):
@@ -159,158 +182,33 @@ class TestDeterminism:
                 capture_output=True,
                 text=True,
                 check=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={
+                    "PYTHONHASHSEED": hash_seed,
+                    "PATH": "/usr/bin:/bin",
+                    "REPRO_STORE": "1",
+                    "REPRO_STORE_DIR": str(tmp_path / f"store-{hash_seed}"),
+                },
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
-        assert json.loads(outputs[0])["shards"]
+        order = json.loads(outputs[0])
+        assert len(order) == 37
+        # History present: the order is not the canonical one.
+        assert order != [[f"p{i % 9}", f"f{i}"] for i in range(37)]
 
     def test_repeat_calls_identical(self):
         graph, costs = random_case(5)
-        first = sharding.pack_tasks(graph, costs, 3)
-        second = sharding.pack_tasks(list(graph), list(costs), 3)
+        first = pool_schedule("rep", graph, costs, 3)
+        # Re-recording identical seconds leaves every prediction as is.
+        second = pool_schedule("rep", list(graph), list(costs), 3)
         assert first == second
 
     def test_equal_costs_tie_break_by_canonical_position(self):
         graph = [("p", f"f{i}") for i in range(6)]
-        shards, _ = sharding.pack_tasks(graph, [1.0] * 6, 2)
+        shards, _ = pool_schedule("tie", graph, [1.0] * 6, 2)
         # Uniform costs: heaviest-first degenerates to canonical order,
-        # alternating shards — exactly the round-robin split.
+        # alternating workers — exactly the round-robin split.
         assert shards == [
             sharding.assign(graph, sharding.ShardSpec(i, 2))
             for i in range(2)
         ]
-
-
-class TestPlanFiles:
-    def build(self, count=2):
-        graph = [("p", f"f{i}") for i in range(5)]
-        costs = [2.0, 9.0, 1.0, 4.0, 4.0]
-        cost_of = {task: cost for task, cost in zip(graph, costs)}
-        shards, strategy = sharding.pack_tasks(graph, costs, count)
-        round_robin = [
-            sharding.assign(graph, sharding.ShardSpec(i, count))
-            for i in range(count)
-        ]
-        return sharding.PackedPlan(
-            experiment="m2h",
-            seed=0,
-            scale=0.15,
-            graph=graph,
-            shards=shards,
-            predicted=sharding.shard_loads(shards, cost_of),
-            round_robin_predicted=sharding.shard_loads(
-                round_robin, cost_of
-            ),
-            strategy=strategy,
-            sources={"exact": 5},
-        )
-
-    def test_round_trip(self, tmp_path):
-        plan = self.build()
-        path = tmp_path / "plan.json"
-        sharding.save_plan(path, plan)
-        assert sharding.load_plan(path) == plan
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text("not json")
-        with pytest.raises(ValueError, match="cannot read"):
-            sharding.load_plan(path)
-        path.write_text(json.dumps({"schema": 99}))
-        with pytest.raises(ValueError, match="schema"):
-            sharding.load_plan(path)
-        path.write_text(json.dumps({"schema": 1, "experiment": "m2h"}))
-        with pytest.raises(ValueError, match="malformed"):
-            sharding.load_plan(path)
-
-    def test_plan_shard_tasks_validation(self):
-        plan = self.build()
-        spec = sharding.ShardSpec(0, 2)
-        assert (
-            sharding.plan_shard_tasks(plan, spec, plan.graph, "m2h")
-            == plan.shards[0]
-        )
-        with pytest.raises(ValueError, match="experiment"):
-            sharding.plan_shard_tasks(plan, spec, plan.graph, "finance")
-        with pytest.raises(ValueError, match="shard"):
-            sharding.plan_shard_tasks(
-                plan, sharding.ShardSpec(0, 3), plan.graph, "m2h"
-            )
-        with pytest.raises(ValueError, match="different task graph"):
-            sharding.plan_shard_tasks(
-                plan, spec, plan.graph[:-1], "m2h"
-            )
-
-    def test_env_plan(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_SHARD_PLAN", raising=False)
-        assert sharding.env_plan() is None
-        plan = self.build()
-        path = tmp_path / "plan.json"
-        sharding.save_plan(path, plan)
-        monkeypatch.setenv("REPRO_SHARD_PLAN", str(path))
-        assert sharding.env_plan() == plan
-        monkeypatch.setenv("REPRO_SHARD_PLAN", str(tmp_path / "nope.json"))
-        with pytest.raises(ValueError, match="cannot read"):
-            sharding.env_plan()
-
-    def test_balance_ratio(self):
-        assert sharding.balance_ratio([2.0, 2.0]) == 1.0
-        assert sharding.balance_ratio([4.0, 2.0]) == 2.0
-        assert math.isinf(sharding.balance_ratio([4.0, 0.0]))
-        assert sharding.balance_ratio([]) == 1.0
-
-    def test_plan_report_walls_for_identical_owned_sets(self):
-        # Two empty shards share an owned set; walls must still report
-        # per shard index, not collide on the owned-tuple key.
-        graph = [("p", "f0"), ("p", "f1")]
-        cost_of = {task: 1.0 for task in graph}
-        shards, _ = sharding.pack_tasks(graph, [1.0, 1.0], 4)
-        assert sum(1 for shard in shards if not shard) == 2
-        plan = sharding.PackedPlan(
-            experiment="m2h",
-            seed=0,
-            scale=0.15,
-            graph=graph,
-            shards=shards,
-            predicted=sharding.shard_loads(shards, cost_of),
-            round_robin_predicted=sharding.shard_loads(
-                sharding.round_robin_split(graph, 4), cost_of
-            ),
-        )
-        partials = [
-            {
-                "shard": (index, 4),
-                "owned": shard,
-                "task_seconds": {task: 1.0 for task in shard},
-                "wall_seconds": 10.0 + index,
-            }
-            for index, shard in enumerate(shards)
-        ]
-        report = sharding.plan_report(plan, partials)
-        assert report["observed"]["per_shard_wall_seconds"] == [
-            10.0, 11.0, 12.0, 13.0
-        ]
-
-    def test_plan_report_observed_counterfactual(self):
-        plan = self.build()
-        observed = {task: 1.0 + i for i, task in enumerate(plan.graph)}
-        partials = [
-            {
-                "owned": shard,
-                "task_seconds": {
-                    task: observed[task] for task in shard
-                },
-                "wall_seconds": sum(observed[task] for task in shard),
-            }
-            for shard in plan.shards
-        ]
-        report = sharding.plan_report(plan, partials)
-        packed = report["observed"]["per_shard_task_seconds"]
-        round_robin = report["observed"][
-            "round_robin_per_shard_task_seconds"
-        ]
-        assert sum(packed) == pytest.approx(sum(round_robin))
-        assert report["observed"]["tasks_missing"] == 0
-        # JSON-serializable end to end (CI uploads it).
-        json.dumps(report)

@@ -3,7 +3,7 @@
 import math
 
 from repro.core.caching import StageTimer, use_timer
-from repro.core.store import shared_store
+from repro.store import shared_store
 from repro.harness.runner import (
     LrsynHtmlMethod,
     NdsynMethod,

@@ -6,11 +6,13 @@ the daemon run), lease expiry and stealing, completion CAS losers
 dropping their results, heartbeats keeping slow workers alive, and the
 worker pull loop (:func:`repro.harness.queue.work_shard`) merging
 byte-identical to a single-worker run no matter how tasks were raced,
-stolen, or re-executed.  Subprocess orchestration and daemon restarts
-are covered by ``benchmarks/chaos_recovery_check.py`` and the store
-concurrency tests.
+stolen, or re-executed, and the claim order (longest recorded seconds
+first, canonical without history).  Subprocess orchestration and daemon
+restarts are covered by ``benchmarks/chaos_recovery_check.py`` and the
+store concurrency tests.
 """
 
+import random
 import threading
 import time
 
@@ -18,8 +20,10 @@ import pytest
 
 from repro.harness import queue as work_queue
 from repro.harness import sharding
+from repro.harness.costmodel import record_task_timings
 from repro.harness.queue import ClaimQueue, QueueUnavailableError
 from repro.harness.runner import FieldResult
+from repro.store import claims
 from repro.store.claims import member_id
 from repro.store.memory import MemoryBackend
 
@@ -216,7 +220,11 @@ def _toy_run(methods, tasks, seed):
 
 
 @pytest.fixture()
-def toyq(monkeypatch):
+def toyq(monkeypatch, tmp_path):
+    # A store of its own: timings one test records must not reorder
+    # another test's claims.
+    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "toyq-store"))
+    monkeypatch.setenv("REPRO_STORE", "1")
     experiment = sharding.Experiment(
         "toyq",
         settings=lambda: ("contemporary",),
@@ -232,6 +240,12 @@ def _drain(queue, worker, out=None, **kwargs):
     return work_queue.work_shard("toyq", worker, queue, out=out, **kwargs)
 
 
+def _record_toy_history(seconds):
+    from repro.harness.runner import scale
+
+    record_task_timings("toyq", dict(zip(TASKS, seconds)), scale=scale())
+
+
 class TestWorkShard:
     def test_single_worker_covers_the_graph(self, toyq, backend, tmp_path):
         out = tmp_path / "solo.pkl"
@@ -244,6 +258,16 @@ class TestWorkShard:
     def test_two_workers_tile_the_graph_and_merge_identical(
         self, toyq, backend, tmp_path
     ):
+        self._race_two_workers(backend, tmp_path)
+
+    def test_two_workers_tile_the_graph_with_timing_history(
+        self, toyq, backend, tmp_path
+    ):
+        _record_toy_history([1.0, 3.0, 1.0, 2.0])
+        self._race_two_workers(backend, tmp_path)
+
+    @staticmethod
+    def _race_two_workers(backend, tmp_path):
         baseline = _drain(ClaimQueue("base", backend), "solo")
         queues = [ClaimQueue("race", backend) for _ in range(2)]
         partials = [None, None]
@@ -341,6 +365,80 @@ class TestWorkShard:
         )
         assert sorted(tuple(t) for t in survivor["owned"]) == sorted(TASKS)
         assert ClaimQueue("chaos", backend).snapshot()["reclaims"] == 1
+
+
+class TestClaimOrder:
+    def test_history_orders_longest_first_ties_canonical(
+        self, toyq, backend
+    ):
+        _record_toy_history([1.0, 3.0, 1.0, 2.0])
+        expected = [TASKS[1], TASKS[3], TASKS[0], TASKS[2]]
+        assert work_queue.claim_order("toyq", TASKS) == expected
+        partial = _drain(ClaimQueue("lpt", backend), "solo")
+        assert [tuple(t) for t in partial["owned"]] == expected
+        records = ClaimQueue("lpt", backend).snapshot()["records"]
+        assert [tuple(r["task"]) for r in records] == expected
+
+    def test_no_history_keeps_canonical_order(self, toyq, backend):
+        assert work_queue.claim_order("toyq", TASKS) == TASKS
+        partial = _drain(ClaimQueue("cold", backend), "solo")
+        assert [tuple(t) for t in partial["owned"]] == TASKS
+
+    def test_disabled_store_keeps_canonical_order(self, toyq, monkeypatch):
+        _record_toy_history([1.0, 3.0, 1.0, 2.0])
+        monkeypatch.setenv("REPRO_STORE", "0")
+        assert work_queue.claim_order("toyq", TASKS) == TASKS
+
+    def test_first_sync_fixes_the_order(self, toyq, backend):
+        queue = ClaimQueue("fixed", backend)
+        queue.sync(work_queue.claim_order("toyq", TASKS))
+        _record_toy_history([1.0, 3.0, 1.0, 2.0])
+        partial = _drain(queue, "solo")
+        assert [tuple(t) for t in partial["owned"]] == TASKS
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_greedy_claims_reach_the_lpt_makespan(self, toyq, workers):
+        """Workers that each claim the next task the moment they are free
+        give Graham's LPT schedule: the same makespan as packing
+        heaviest-first onto the least loaded worker."""
+        from repro.harness.runner import scale
+
+        rng = random.Random(workers)
+        graph = [(f"t{i:02d}",) for i in range(12)]
+        for trial in range(10):
+            experiment = f"sim{workers}-{trial}"
+            costs = {
+                task: rng.choice([0.5, 1.0, 2.0, 3.5]) for task in graph
+            }
+            record_task_timings(experiment, costs, scale=scale())
+            records = {}
+            dirty, _ = claims.apply(
+                records,
+                "sync",
+                {"tasks": work_queue.claim_order(experiment, graph)},
+                0.0,
+            )
+            records.update(dirty)
+            free_at = [0.0] * workers
+            while True:
+                worker = min(range(workers), key=lambda w: (free_at[w], w))
+                args = {"worker": f"w{worker}", "lease": 1e9}
+                dirty, grant = claims.apply(
+                    records, "claim", args, free_at[worker]
+                )
+                if grant["status"] != "claimed":
+                    break
+                records.update(dirty)
+                free_at[worker] += costs[tuple(grant["record"]["task"])]
+                args["member"] = grant["member"]
+                dirty, _ = claims.apply(
+                    records, "complete", args, free_at[worker]
+                )
+                records.update(dirty)
+            loads = [0.0] * workers
+            for task in sorted(graph, key=lambda t: -costs[t]):
+                loads[loads.index(min(loads))] += costs[task]
+            assert max(free_at) == max(loads)
 
 
 class TestOrchestrationHelpers:

@@ -197,6 +197,25 @@ class TestMergeEquivalence:
         assert sharding.diff_partials(merged, baseline) is None
 
 
+class TestTaskTimingsInPartials:
+    def test_partials_record_per_task_seconds(self):
+        tasks = graph()
+        partial = make_partial(sharding.ShardSpec(0, 2), owned=tasks[:3])
+        assert set(partial["task_seconds"]) == set(tasks[:3])
+        assert all(
+            seconds > 0 for seconds in partial["task_seconds"].values()
+        )
+
+    def test_merge_unions_task_seconds(self):
+        tasks = graph()
+        partials = [
+            make_partial(sharding.ShardSpec(0, 2), owned=tasks[:2]),
+            make_partial(sharding.ShardSpec(1, 2), owned=tasks[2:]),
+        ]
+        merged = sharding.merge_partials(partials)
+        assert set(merged["task_seconds"]) == set(tasks)
+
+
 class TestMergeValidation:
     def test_empty_merge_rejected(self):
         with pytest.raises(ValueError, match="no partials"):

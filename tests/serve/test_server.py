@@ -247,3 +247,54 @@ def test_keep_alive_connection_reuse(run_app, sample_docs):
             writer.close()
 
     run_app(scenario)
+
+
+async def _raw_status_line(port: int, head: bytes) -> bytes:
+    """Send raw request bytes; return the status line, then expect EOF."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(head)
+        await writer.drain()
+        response = await asyncio.wait_for(reader.read(), timeout=5.0)
+    finally:
+        writer.close()
+    return response.partition(b"\r\n")[0]
+
+
+def _assert_answered_then_healthy(run_app, head, status_line):
+    async def scenario(app):
+        assert await _raw_status_line(app.port, head) == status_line
+        status, health, _ = await http_request(app.port, "GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
+        _, metrics, _ = await http_request(app.port, "GET", "/metrics")
+        code = status_line.split(b" ")[1].decode()
+        assert metrics["counters"][f"http.{code}"] == 1
+
+    run_app(scenario)
+
+
+def test_negative_content_length_gets_400(run_app):
+    _assert_answered_then_healthy(
+        run_app,
+        b"POST /extract HTTP/1.1\r\nContent-Length: -5\r\n\r\n",
+        b"HTTP/1.1 400 Bad Request",
+    )
+
+
+def test_non_numeric_content_length_gets_400(run_app):
+    _assert_answered_then_healthy(
+        run_app,
+        b"POST /extract HTTP/1.1\r\nContent-Length: lots\r\n\r\n",
+        b"HTTP/1.1 400 Bad Request",
+    )
+
+
+def test_oversized_head_gets_431(run_app):
+    # Far past asyncio.StreamReader's 64 KiB limit, so bytes are still
+    # unread when the server answers.
+    padding = b"X-Pad: " + b"a" * (2 << 20) + b"\r\n"
+    _assert_answered_then_healthy(
+        run_app,
+        b"GET /healthz HTTP/1.1\r\n" + padding + b"\r\n",
+        b"HTTP/1.1 431 Request Header Fields Too Large",
+    )
