@@ -9,9 +9,8 @@ round-robin so machine drift hits every arm equally:
   acceptance criteria compare against);
 * **cold** — cache + parallel harness on, persistent store enabled but
   pointing at a *fresh* directory every round;
-* **warm** — same knobs, store directory pre-populated by two untimed
-  priming runs (corpus warming is progressive: the first run snapshots
-  clean corpora, the second bakes their memos — see
+* **warm** — same knobs, store directory pre-populated by one untimed
+  priming run (it stores programs and its memo-laden corpora — see
   ``repro.harness.runner.cached_corpora``).
 
 For each run the experiment wall-clock is read from the ``m2h`` entry the
@@ -117,8 +116,7 @@ def main(argv: list[str] | None = None) -> int:
         },
     }
 
-    print(f"priming warm store in {warm_dir} (two passes) ...", flush=True)
-    run_benches(arms["warm"])
+    print(f"priming warm store in {warm_dir} ...", flush=True)
     run_benches(arms["warm"])
 
     walls: dict[str, list[float]] = {arm: [] for arm in arms}

@@ -425,23 +425,17 @@ def _run_field_job(
 # ----------------------------------------------------------------------
 # Corpus generation is deterministic in (dataset, provider, sizes, seed),
 # so generated corpora are persisted in the blueprint store and warm runs
-# skip generation + HTML parsing entirely.  Warming is *progressive*: a
-# cold run snapshots the clean corpus at generation time (a small, cheap
-# pickle, so populating the store barely costs the cold run anything);
-# the first warm run that loads it re-stores the corpus *after* its
-# experiment, with the accumulated content-derived memos (text content,
-# landmark query results) baked in; every later run then starts where the
-# priming run's scoring left off.  Bump the version when a dataset
-# generator or the parser changes observable output.
-CORPUS_GENERATOR_VERSION = 1
+# skip generation + HTML parsing entirely.  A cold run snapshots each
+# corpus it built at flush time, after its experiment, with the
+# content-derived memos the experiment accumulated (text content, landmark
+# query results) baked in, so a warm run starts where the cold run's
+# scoring left off.  The flush is inside the benchmark's timed window.
+# Bump the version when a dataset generator, the parser or the stored row
+# shape changes observable output.
+CORPUS_GENERATOR_VERSION = 2
 
-# Corpora loaded this run whose entry lacks baked memos; upgraded at
-# flush_corpus_store() time.
-_upgradable_corpora: list[tuple[str, Any]] = []
-# Corpora generated this run and not yet persisted, with their builders;
-# the builder is invoked again at flush time to snapshot a clean copy off
-# the critical path (workers snapshot the live object instead).
-_unsnapshotted_corpora: list[tuple[str, Callable[[], Any], Any]] = []
+# Corpora built this run and not yet persisted.
+_unsnapshotted_corpora: list[tuple[str, Any]] = []
 
 
 def corpus_store_generation() -> str:
@@ -483,8 +477,7 @@ def _note_corpus_ref(dataset: str, corpus_key: str) -> None:
 def cached_corpora(dataset: str, build: Callable[[], Any], **params):
     """Build (or load) corpora through the persistent corpus cache.
 
-    Stored values are ``(memos_baked, corpora)`` pairs; see the module
-    comment above for the progressive-warming protocol.
+    See the module comment above for when the corpora are written.
     """
     key = _corpus_store_key(dataset, **params)
     if key is None:
@@ -494,61 +487,32 @@ def cached_corpora(dataset: str, build: Callable[[], Any], **params):
     stored = store.get("corpus", key)
     if stored is not store.MISS:
         active_timer().count("store.corpus.hit")
-        baked, corpora = stored
-        if not baked:
-            _upgradable_corpora.append((key, corpora))
-        return corpora
+        return stored
     active_timer().count("store.corpus.miss")
     corpora = build()
     # Don't serialize anything here: generation sits on the experiment's
-    # critical path.  The builder is deterministic, so flush time can
-    # regenerate a clean copy to snapshot (see flush_corpus_store).
-    _unsnapshotted_corpora.append((key, build, corpora))
+    # critical path, and the flush snapshots the memo-laden corpora.
+    _unsnapshotted_corpora.append((key, corpora))
     return corpora
 
 
 def flush_corpus_store() -> None:
-    """Write-behind persistence for corpora.
+    """Write-behind persistence for the corpora built this run.
 
-    Corpus serialization is the heaviest store write, so all of it runs
-    *behind* the experiment — the benchmark drivers call this after
-    stopping their timers, and an ``atexit`` hook covers ad-hoc callers —
-    rather than on the critical path.  Two cases:
-
-    * corpora *generated* this run: the deterministic builder runs again
-      to produce a clean copy (the live one is memo-laden by now), which
-      seeds the store;
-    * corpora *loaded* clean this run: re-stored with the experiment's
-      accumulated memos baked in, completing the progressive warm-up.
-
-    Harness workers call this before returning results (their process may
-    be recycled), which is likewise off the parent's critical path.
+    Each corpus is stored as it is now, memos included, so nothing is
+    built twice.  The flush runs after the experiment but inside the
+    benchmark drivers' timed window (perfsuite's ``wall_s`` includes it);
+    an ``atexit`` hook covers ad-hoc callers, and harness workers call it
+    before returning results, since their process may be recycled.
     """
     store = shared_store()
-    for key, build, corpora in _unsnapshotted_corpora:
-        if store.get("corpus", key) is not store.MISS:
-            continue
-        if parallel.in_worker():
-            # A worker flushes inside the parent's timed window, so
-            # regenerating a clean copy would bill corpus generation to
-            # the measured run; snapshot the live (partially memo-laden)
-            # corpora directly and mark them baked.
+    for key, corpora in _unsnapshotted_corpora:
+        if store.get("corpus", key) is store.MISS:
             store.put(
-                "corpus", key, "corpus", (True, corpora), eager=True,
-                generation=corpus_store_generation(),
-            )
-        else:
-            store.put(
-                "corpus", key, "corpus", (False, build()), eager=True,
+                "corpus", key, "corpus", corpora, eager=True,
                 generation=corpus_store_generation(),
             )
     _unsnapshotted_corpora.clear()
-    for key, corpora in _upgradable_corpora:
-        store.put(
-            "corpus", key, "corpus", (True, corpora), overwrite=True,
-            generation=corpus_store_generation(),
-        )
-    _upgradable_corpora.clear()
     store.flush()
 
 

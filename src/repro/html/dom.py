@@ -214,17 +214,11 @@ def lowest_common_ancestor(nodes: Sequence[DomNode]) -> DomNode:
     return lca
 
 
-def tree_distance(a: DomNode, b: DomNode, lca: DomNode | None = None) -> int:
-    """Number of edges on the tree path between two nodes.
-
-    ``lca`` may be supplied when the caller has already computed the
-    lowest common ancestor (landmark scoring shares it with
-    ``enclosing_region``).
-    """
+def tree_distance(a: DomNode, b: DomNode) -> int:
+    """Number of edges on the tree path between two nodes."""
     if a is b:
         return 0
-    if lca is None:
-        lca = lowest_common_ancestor([a, b])
+    lca = lowest_common_ancestor([a, b])
     return (a.depth - lca.depth) + (b.depth - lca.depth)
 
 
@@ -244,6 +238,18 @@ class HtmlDocument:
         self._short_texts: frozenset[str] | None = None
         self._leaf_texts: frozenset[str] | None = None
         self._fingerprint: str | None = None
+
+    def __getstate__(self) -> dict:
+        # ``_order`` maps id(element) -> index, and ids are process-local:
+        # an unpickled copy carrying the original map would report order 0
+        # for every node.  Leave it out; it is rebuilt lazily on first use.
+        state = dict(self.__dict__)
+        state["_order"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._order = None
 
     def fingerprint(self) -> str:
         """Stable content hash of the document (persistent-store key).

@@ -22,13 +22,7 @@ from typing import Iterable, Sequence
 from repro.core import bitset, parallel
 from repro.core.caching import cache_enabled
 from repro.core.document import ScoredLandmark, TrainingExample
-from repro.html.dom import (
-    DomNode,
-    HtmlDocument,
-    lowest_common_ancestor,
-    tree_distance,
-)
-from repro.html.region import enclosing_region
+from repro.html.dom import DomNode, HtmlDocument
 
 MAX_NGRAM = 5
 
@@ -124,40 +118,69 @@ def shared_ngrams(docs: Sequence[HtmlDocument]) -> set[str]:
     return {gram for gram in grams if not _is_stopword_gram(gram)}
 
 
+def _pair_cost(
+    order: dict[int, int], occurrence: DomNode, value: DomNode
+) -> float:
+    """Weighted cost of one (landmark occurrence, value node) pair.
+
+    One climb to the lowest common ancestor, by depth, counts the path
+    edges (a) and keeps the LCA's child on each side.  The smallest
+    sibling span enclosing both (b) is then a contiguous run of the
+    pre-order element index ``order``: it starts at the earlier child and
+    ends after the later child's subtree.  When one node is the ancestor
+    of the other the span is that ancestor's subtree, and a root LCA
+    spans all of the root's children (``enclosing_region``'s cases).
+    """
+    a, b = occurrence, value
+    a_child = b_child = None
+    a_depth, b_depth = a.depth, b.depth
+    while a_depth > b_depth:
+        a_child, a = a, a.parent
+        a_depth -= 1
+    while b_depth > a_depth:
+        b_child, b = b, b.parent
+        b_depth -= 1
+    while a is not b:
+        a_child, a = a, a.parent
+        b_child, b = b, b.parent
+        a_depth -= 1
+    path_nodes = occurrence.depth + value.depth - 2 * a_depth
+    if a.parent is None:
+        region_size = a.element_count() - 1
+    elif a_child is None or b_child is None:
+        region_size = a.element_count()
+    else:
+        first, last = a_child, b_child
+        if order[id(first)] > order[id(last)]:
+            first, last = last, first
+        region_size = (
+            order[id(last)] + last.element_count() - order[id(first)]
+        )
+    occurrence_order = order[id(occurrence)]
+    value_order = order[id(value)]
+    cost = (
+        WEIGHT_PATH * path_nodes
+        + WEIGHT_REGION * region_size
+        + WEIGHT_ORDER * abs(occurrence_order - value_order)
+    )
+    if occurrence_order > value_order:
+        cost += WEIGHT_FOLLOWS
+    return cost
+
+
 def _candidate_cost(
     doc: HtmlDocument,
     occurrences: Sequence[DomNode],
     value_locations: Sequence[DomNode],
 ) -> float:
     """Average weighted cost between values and their nearest occurrence."""
-    costs = []
-    for value_node in value_locations:
-        best = None
-        for occurrence in occurrences:
-            lca = lowest_common_ancestor([occurrence, value_node])
-            path_nodes = tree_distance(occurrence, value_node, lca=lca)
-            region = enclosing_region([occurrence, value_node], lca=lca)
-            # Counting via the cached subtree sizes; materializing
-            # region.locations() here dominated scoring wall-clock.
-            region_size = sum(
-                root.element_count() for root in region.roots()
-            )
-            order_distance = abs(
-                doc.document_order(occurrence) - doc.document_order(value_node)
-            )
-            cost = (
-                WEIGHT_PATH * path_nodes
-                + WEIGHT_REGION * region_size
-                + WEIGHT_ORDER * order_distance
-            )
-            if doc.document_order(occurrence) > doc.document_order(value_node):
-                cost += WEIGHT_FOLLOWS
-            if best is None or cost < best:
-                best = cost
-        if best is not None:
-            costs.append(best)
-    if not costs:
+    if not occurrences or not value_locations:
         return float("inf")
+    order = doc.order_index()
+    costs = [
+        min(_pair_cost(order, occurrence, value) for occurrence in occurrences)
+        for value in value_locations
+    ]
     return sum(costs) / len(costs)
 
 

@@ -51,19 +51,11 @@ class HtmlRegion(Region):
         return " ".join(root.text_content() for root in self.roots())
 
 
-def enclosing_region(
-    locations: Sequence[DomNode], lca: DomNode | None = None
-) -> HtmlRegion:
-    """``EncRgn``: the smallest sibling span containing all ``locations``.
-
-    ``lca`` may be supplied when the caller has already computed the
-    lowest common ancestor (landmark scoring needs it for the tree
-    distance too).
-    """
+def enclosing_region(locations: Sequence[DomNode]) -> HtmlRegion:
+    """``EncRgn``: the smallest sibling span containing all ``locations``."""
     if not locations:
         raise ValueError("enclosing_region of no locations")
-    if lca is None:
-        lca = lowest_common_ancestor(list(locations))
+    lca = lowest_common_ancestor(list(locations))
     if any(loc is lca for loc in locations) or lca.parent is None:
         # Some location *is* the common ancestor (or the ancestor is the
         # root): the smallest span is the ancestor itself within its parent.

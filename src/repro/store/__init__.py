@@ -404,7 +404,7 @@ class BlueprintStore:
         ``eager`` pickles the value immediately (snapshotting its current
         state) instead of at flush time — used for corpus entries, whose
         documents keep accumulating memos after the put.  ``overwrite``
-        replaces an existing entry (the corpus memo-upgrade path).
+        replaces an existing entry (timing estimates, serving catalogs).
         ``generation`` overrides the row's generation stamp (default
         :func:`default_generation`) for kinds with extra versioned inputs.
         """

@@ -3,7 +3,7 @@
 import math
 
 from repro.core.caching import StageTimer, use_timer
-from repro.store import shared_store
+from repro.store import BlueprintStore, shared_store
 from repro.harness.runner import (
     LrsynHtmlMethod,
     NdsynMethod,
@@ -90,3 +90,65 @@ class TestWarmRunsIdentical:
         )
         assert_identical(stored, warm)
         assert_identical(stored, uncached)
+
+
+def landmark_rows(store_dir):
+    store = BlueprintStore(directory=store_dir, enabled=True)
+    rows = dict(store._hydrate("landmark"))
+    store.close()
+    return rows
+
+
+class TestWarmRetrain:
+    def test_retraining_on_stored_corpora_matches_cold(
+        self, tmp_path, monkeypatch
+    ):
+        """A warm run that must retrain scores landmarks on unpickled
+        documents exactly as the cold run did on the live ones."""
+        flush_corpus_store()  # drain earlier tests' write-behind queue
+        store_dir = tmp_path / "store"
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        methods = [LrsynHtmlMethod()]
+
+        def run():
+            return run_m2h_experiment(
+                methods, providers=["delta"], train_size=4, test_size=6
+            )
+
+        cold = run()
+        flush_corpus_store()
+        cold_landmarks = landmark_rows(store_dir)
+        assert cold_landmarks
+
+        store = BlueprintStore(directory=store_dir, enabled=True)
+        with store._connect() as db:
+            db.execute(
+                "DELETE FROM entries WHERE kind IN ('program', 'landmark')"
+            )
+        store.close()
+        # A fresh store front: the rerun reads everything from sqlite.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "rotate"))
+        shared_store()
+        monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+
+        written = []
+        put = BlueprintStore.put
+
+        def recording_put(self, kind, *args, **kwargs):
+            written.append(kind)
+            return put(self, kind, *args, **kwargs)
+
+        monkeypatch.setattr(BlueprintStore, "put", recording_put)
+        warm_timer = StageTimer()
+        with use_timer(warm_timer):
+            warm = run()
+        flush_corpus_store()
+        assert warm_timer.counters.get("store.corpus.hit", 0) > 0
+        assert warm_timer.counters.get("store.program.miss", 0) > 0
+        assert warm_timer.counters.get("store.landmark.miss", 0) > 0
+        assert "corpus" not in written
+        assert_identical(cold, warm)
+        assert landmark_rows(store_dir) == cold_landmarks

@@ -1,8 +1,12 @@
 """Tests for the DOM model (repro.html.dom)."""
 
+import pickle
+import random
+
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.datasets import m2h
 from repro.html.dom import DomNode, lowest_common_ancestor, tree_distance
 from repro.html.parser import parse_html
 
@@ -87,6 +91,21 @@ class TestTextContent:
         air = find(doc, "AIR")
         depart = find(doc, "Depart:")
         assert doc.document_order(air) < doc.document_order(depart)
+
+
+class TestPickle:
+    def test_order_survives_round_trip_after_use(self):
+        """The id()-keyed order index is rebuilt, not carried over stale."""
+        doc = m2h.generate_document(
+            "delta", random.Random(3), m2h.CONTEMPORARY
+        ).doc
+        before = [doc.document_order(node) for node in doc.elements()]
+        assert doc._order is not None
+        copy = pickle.loads(pickle.dumps(doc))
+        after = [copy.document_order(node) for node in copy.elements()]
+        assert after == before == list(range(len(before)))
+        by_id = copy.order_index()
+        assert [by_id[id(node)] for node in copy.elements()] == before
 
 
 class TestLcaAndDistance:

@@ -21,7 +21,7 @@ def corpus_gen():
 
 def put_corpus(store, key, payload="corpus-data"):
     store.put(
-        "corpus", key, "corpus", (True, [payload] * 20), eager=True,
+        "corpus", key, "corpus", [payload] * 20, eager=True,
         generation=corpus_gen(),
     )
 
