@@ -21,9 +21,7 @@ Everything routes through the harness layer (:func:`cached_corpora`,
 pool, ``REPRO_SHARD``), so the L1/L2 caches and the shard scheduler
 apply — including whichever :mod:`repro.store` backend
 ``shared_store()`` resolves (``REPRO_STORE_BACKEND`` /
-``REPRO_STORE_URL``) — before PR 4 the bench built corpora and trained
-by hand, caught bare ``Exception`` around training, and bypassed all of
-it.
+``REPRO_STORE_URL``).
 
 (The third prose mechanism, layout-conditional synthesis, is exercised on
 a purpose-built synthetic corpus directly in the bench: it has no dataset
@@ -33,21 +31,18 @@ generator to cache and completes in milliseconds.)
 from __future__ import annotations
 
 import dataclasses
-import functools
 from typing import Sequence
 
-from repro.core.caching import active_timer
 from repro.datasets.base import Corpus
 from repro.harness.images import IMAGE_CONFIG, LrsynImageMethod, image_corpus
 from repro.harness.runner import (
     FieldResult,
     LrsynHtmlMethod,
     Method,
-    evaluate_on_corpus,
-    jobs,
+    labelled_task,
     m2h_contemporary_corpus,
     resolve_tasks,
-    run_field_jobs,
+    run_field_tasks,
     scaled,
 )
 
@@ -152,58 +147,15 @@ def run_ablations_experiment(
     shrinking); default sizes are per mechanism.
     """
     del methods  # the variant set is the experiment definition
-    run_tasks = resolve_tasks(ablation_tasks(), shard, tasks)
-    if jobs() > 1:
-        return run_field_jobs(
-            _ablation_field_task,
-            [
-                (mechanism, provider, field, train_size, test_size, seed)
-                for mechanism, provider, field in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpus: Corpus | None = None
-    current: tuple[str, str] | None = None
-    for mechanism, provider, field in run_tasks:
-        with active_timer().task((mechanism, provider, field)):
-            sizes = _mechanism_sizes(mechanism, train_size, test_size)
-            if (mechanism, provider) != current:
-                corpus = _ablation_corpus(mechanism, provider, *sizes, seed)
-                current = (mechanism, provider)
-            for method in _mechanism_variants(mechanism):
-                results.append(
-                    evaluate_on_corpus(
-                        method, corpus, provider, field, mechanism
-                    )
-                )
-    return results
-
-
-def _ablation_field_task(
-    mechanism: str,
-    provider: str,
-    field: str,
-    train_size: int | None,
-    test_size: int | None,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of :func:`run_ablations_experiment`."""
-    with active_timer().task((mechanism, provider, field)):
-        sizes = _mechanism_sizes(mechanism, train_size, test_size)
-        corpus = _worker_ablation_corpus(mechanism, provider, *sizes, seed)
-        return [
-            evaluate_on_corpus(method, corpus, provider, field, mechanism)
-            for method in _mechanism_variants(mechanism)
-        ]
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_ablation_corpus(
-    mechanism: str,
-    provider: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> Corpus:
-    """Per-worker corpus memo (see ``_worker_m2h_corpora``)."""
-    return _ablation_corpus(mechanism, provider, train_size, test_size, seed)
+    return run_field_tasks(
+        labelled_task,
+        [
+            ((mechanism, provider, field),
+             _mechanism_variants(mechanism), provider, field, mechanism,
+             _ablation_corpus, mechanism, provider,
+             *_mechanism_sizes(mechanism, train_size, test_size), seed)
+            for mechanism, provider, field in resolve_tasks(
+                ablation_tasks(), shard, tasks
+            )
+        ],
+    )

@@ -41,6 +41,7 @@ from repro.harness.runner import (
     ForgivingXPathsMethod,
     _program_store_key,
     m2h_contemporary_corpus,
+    m2h_tasks,
     scaled,
     train_method,
 )
@@ -157,13 +158,9 @@ METHOD_FACTORIES: dict[str, Callable[[], Method]] = {
 
 
 def _forge_tasks() -> list[tuple[str, str]]:
-    from repro.datasets import forge
+    from repro.harness.forge import forge_html_tasks
 
-    return [
-        (provider, field)
-        for provider in forge.forge_providers()
-        for field in forge.fields_for(provider)
-    ]
+    return forge_html_tasks()
 
 
 def _forge_training_corpus(provider: str, train_size, test_size, seed):
@@ -179,16 +176,6 @@ def _forge_training_corpus(provider: str, train_size, test_size, seed):
     )[CONTEMPORARY]
 
 
-def _m2h_tasks() -> list[tuple[str, str]]:
-    from repro.datasets import m2h
-
-    return [
-        (provider, field)
-        for provider in m2h.PROVIDERS
-        for field in m2h.fields_for(provider)
-    ]
-
-
 def _m2h_training_corpus(provider: str, train_size, test_size, seed):
     return m2h_contemporary_corpus(
         provider,
@@ -201,7 +188,7 @@ def _m2h_training_corpus(provider: str, train_size, test_size, seed):
 # dataset -> (task enumerator, contemporary-training-corpus loader).
 EXPORTABLE: dict[str, tuple[Callable, Callable]] = {
     "forge_html": (_forge_tasks, _forge_training_corpus),
-    "m2h": (_m2h_tasks, _m2h_training_corpus),
+    "m2h": (m2h_tasks, _m2h_training_corpus),
 }
 
 

@@ -2,24 +2,22 @@
 
 from __future__ import annotations
 
-import functools
 from typing import Sequence
 
 from repro.baselines.afr import train_afr
-from repro.core.caching import active_timer
 from repro.core.document import TrainingExample
 from repro.core.dsl import Extractor, ProgramExtractor
 from repro.core.synthesis import LrsynConfig, lrsyn
 from repro.datasets import finance, m2h_images
+from repro.datasets.base import Corpus
 from repro.harness.runner import (
     FieldResult,
     Method,
     cached_corpora,
-    evaluate_method,
-    jobs,
     resolve_tasks,
-    run_field_jobs,
+    run_field_tasks,
     scaled,
+    table_task,
 )
 from repro.images.domain import ImageDomain
 
@@ -64,6 +62,28 @@ class AfrMethod(Method):
         return train_afr(examples)
 
 
+def finance_tasks(
+    doc_types: Sequence[str] = finance.DOC_TYPES,
+) -> list[tuple[str, str]]:
+    """Canonical Finance task graph: ``(doc_type, field)``."""
+    return [
+        (doc_type, field_name)
+        for doc_type in doc_types
+        for field_name in finance.FINANCE_FIELDS[doc_type]
+    ]
+
+
+def m2h_images_tasks(
+    providers: Sequence[str] = m2h_images.IMAGE_PROVIDERS,
+) -> list[tuple[str, str]]:
+    """Canonical M2H-Images task graph: ``(provider, field)``."""
+    return [
+        (provider, field_name)
+        for provider in providers
+        for field_name in m2h_images.fields_for(provider)
+    ]
+
+
 def run_finance_experiment(
     methods: Sequence[Method],
     doc_types: Sequence[str] = finance.DOC_TYPES,
@@ -75,117 +95,11 @@ def run_finance_experiment(
 ) -> list[FieldResult]:
     """Table 3: the Finance dataset (34 field tasks, 10 training images)."""
     test_size = test_size if test_size is not None else scaled(160, minimum=25)
-    run_tasks = resolve_tasks(
-        [
-            (doc_type, field_name)
-            for doc_type in doc_types
-            for field_name in finance.FINANCE_FIELDS[doc_type]
-        ],
-        shard,
-        tasks,
+    return run_image_tasks(
+        "finance", methods,
+        resolve_tasks(finance_tasks(doc_types), shard, tasks),
+        train_size, test_size, seed,
     )
-    return _run_image_tasks("finance", methods, run_tasks,
-                            train_size, test_size, seed)
-
-
-def _run_image_tasks(
-    dataset: str,
-    methods: Sequence[Method],
-    run_tasks: Sequence[tuple[str, str]],
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """Shared serial/parallel driver for both image experiments."""
-    if jobs() > 1:
-        return run_field_jobs(
-            _image_field_task,
-            [
-                (dataset, list(methods), provider, field_name,
-                 train_size, test_size, seed)
-                for provider, field_name in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpora: dict | None = None
-    current_provider: str | None = None
-    for provider, field_name in run_tasks:
-        # The timing window includes the corpus build the task triggers
-        # (same attribution as the HTML serial loop).
-        with active_timer().task((provider, field_name)):
-            if provider != current_provider:
-                corpus = image_corpus(
-                    dataset, provider, train_size, test_size, seed
-                )
-                corpora = {corpus.train[0].setting: corpus}
-                current_provider = provider
-            for method in methods:
-                results.extend(
-                    evaluate_method(method, corpora, provider, field_name)
-                )
-    return results
-
-
-def image_corpus(
-    dataset: str, provider: str, train_size: int, test_size: int, seed: int
-):
-    """Generate (or load from the persistent store) one image corpus.
-
-    Shared by the table drivers here and the blueprint-check ablation
-    (:mod:`repro.harness.ablations`), so both hit the same corpus-store
-    entries — against whichever backend ``shared_store()`` resolved
-    (local sqlite, or a ``repro-store serve`` daemon via
-    ``REPRO_STORE_URL``), and with the liveness markers ``repro-store
-    gc`` needs written along the way.
-    """
-    generate = (
-        finance.generate_corpus
-        if dataset == "finance"
-        else m2h_images.generate_corpus
-    )
-    return cached_corpora(
-        dataset,
-        lambda: generate(
-            provider, train_size=train_size, test_size=test_size, seed=seed
-        ),
-        provider=provider,
-        train_size=train_size,
-        test_size=test_size,
-        seed=seed,
-    )
-
-
-def _image_field_task(
-    dataset: str,
-    methods: Sequence[Method],
-    provider: str,
-    field_name: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of the image experiments (seeded corpus rebuild)."""
-    with active_timer().task((provider, field_name)):
-        corpus = _worker_image_corpus(
-            dataset, provider, train_size, test_size, seed
-        )
-        corpora = {corpus.train[0].setting: corpus}
-        results: list[FieldResult] = []
-        for method in methods:
-            results.extend(
-                evaluate_method(method, corpora, provider, field_name)
-            )
-    return results
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_image_corpus(
-    dataset: str, provider: str, train_size: int, test_size: int, seed: int
-):
-    """Per-worker corpus memo (see ``_worker_m2h_corpora`` for the exact
-    guarantee): consecutive field tasks of one provider hit the memo
-    instead of regenerating the seeded corpus."""
-    return image_corpus(dataset, provider, train_size, test_size, seed)
 
 
 def run_m2h_images_experiment(
@@ -199,14 +113,68 @@ def run_m2h_images_experiment(
 ) -> list[FieldResult]:
     """Table 4: the M2H-Images dataset (print + scan + OCR pipeline)."""
     test_size = test_size if test_size is not None else scaled(120, minimum=25)
-    run_tasks = resolve_tasks(
-        [
-            (provider, field_name)
-            for provider in providers
-            for field_name in m2h_images.fields_for(provider)
-        ],
-        shard,
-        tasks,
+    return run_image_tasks(
+        "m2h_images", methods,
+        resolve_tasks(m2h_images_tasks(providers), shard, tasks),
+        train_size, test_size, seed,
     )
-    return _run_image_tasks("m2h_images", methods, run_tasks,
-                            train_size, test_size, seed)
+
+
+def run_image_tasks(
+    dataset: str,
+    methods: Sequence[Method],
+    run_tasks: Sequence[tuple[str, str]],
+    train_size: int,
+    test_size: int,
+    seed: int,
+) -> list[FieldResult]:
+    """Run ``(provider, field)`` tasks of an image dataset (one setting)."""
+    methods = list(methods)
+    return run_field_tasks(
+        table_task,
+        [
+            (methods, provider, field_name,
+             image_corpora, dataset, provider, train_size, test_size, seed)
+            for provider, field_name in run_tasks
+        ],
+    )
+
+
+def image_corpus(
+    dataset: str, provider: str, train_size: int, test_size: int, seed: int
+) -> Corpus:
+    """Generate (or load from the persistent store) one image corpus.
+
+    Shared by the table drivers here and the blueprint-check ablation
+    (:mod:`repro.harness.ablations`), so both hit the same corpus-store
+    entries — against whichever backend ``shared_store()`` resolved
+    (local sqlite, or a ``repro-store serve`` daemon via
+    ``REPRO_STORE_URL``), and with the liveness markers ``repro-store
+    gc`` needs written along the way.  ``forge_images`` is the forge's
+    degraded-scan corpus.
+    """
+    if dataset == "forge_images":
+        from repro.datasets.forge import generate_image_corpus as generate
+    elif dataset == "finance":
+        generate = finance.generate_corpus
+    else:
+        generate = m2h_images.generate_corpus
+    return cached_corpora(
+        dataset,
+        lambda: generate(
+            provider, train_size=train_size, test_size=test_size, seed=seed
+        ),
+        provider=provider,
+        train_size=train_size,
+        test_size=test_size,
+        seed=seed,
+    )
+
+
+def image_corpora(
+    dataset: str, provider: str, train_size: int, test_size: int, seed: int
+) -> dict[str, Corpus]:
+    """:func:`image_corpus` as the one-setting dict :func:`table_task`
+    scores."""
+    corpus = image_corpus(dataset, provider, train_size, test_size, seed)
+    return {corpus.train[0].setting: corpus}

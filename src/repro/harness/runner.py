@@ -16,12 +16,14 @@ Environment knobs
 
 ``REPRO_JOBS``
     Number of worker processes for the experiment drivers (default ``1`` =
-    serial).  Field tasks are independent — each ``(provider, field)`` pair
-    trains and scores every method in isolation — so the drivers fan them
-    out over a ``concurrent.futures.ProcessPoolExecutor``.  Results are
-    collected in submission order, making the output ordering (and hence
-    every rendered table) identical to a serial run.  Workers rebuild their
-    corpora from the experiment seed, so scores are bit-identical too.
+    in-process).  Every driver is a canonical task graph plus one task
+    function, run by :func:`run_field_tasks`: in order in-process at one
+    job, otherwise fanned out over a process pool.  Field tasks are
+    independent — each trains and scores every method in isolation — and
+    results are collected in submission order, so the output ordering
+    (and hence every rendered table) is identical either way.  Workers
+    rebuild their corpora from the experiment seed, so scores are
+    bit-identical too.
 
 ``REPRO_CACHE``
     Set to ``0`` to disable every memoization layer — the
@@ -55,7 +57,6 @@ Environment knobs
 from __future__ import annotations
 
 import atexit
-import functools
 import math
 import os
 import pickle
@@ -377,33 +378,47 @@ def _transportable(result: FieldResult) -> FieldResult:
     return result
 
 
-def run_field_jobs(
-    job: Callable[..., list[FieldResult]],
+def run_field_tasks(
+    task: Callable[..., list[FieldResult]],
     argument_tuples: Sequence[tuple],
 ) -> list[FieldResult]:
-    """Fan independent field-task jobs across ``jobs()`` worker processes.
+    """Run one experiment's field tasks, ``task(*arguments)`` per tuple.
 
-    Futures are consumed in submission order, so the concatenated results
-    are ordered exactly as the serial loop would produce them.  Each worker
-    runs under its own :class:`StageTimer`; the snapshot travels back with
-    the results and is merged into the parent's active timer, so stage
-    timings and cache counters aggregate across processes.
+    With one job the tasks run in-process, in order.  Otherwise they
+    fan out across ``jobs()`` worker processes; futures are consumed in
+    submission order, so the concatenated results are ordered exactly as
+    the in-process run orders them.  Each worker runs under its own
+    :class:`StageTimer`; the snapshot travels back with the results and is
+    merged into the parent's active timer, so stage timings and cache
+    counters aggregate across processes.  The :func:`held` slot is emptied
+    before and after, so every call loads its corpora through the corpus
+    cache afresh.
     """
-    with ProcessPoolExecutor(max_workers=jobs()) as pool:
-        futures = [
-            pool.submit(_run_field_job, job, arguments)
-            for arguments in argument_tuples
-        ]
-        results: list[FieldResult] = []
-        for future in futures:
-            job_results, timer_snapshot = future.result()
-            active_timer().merge(timer_snapshot)
-            results.extend(job_results)
-    return results
+    _held.clear()
+    try:
+        if jobs() == 1:
+            return [
+                result
+                for arguments in argument_tuples
+                for result in task(*arguments)
+            ]
+        with ProcessPoolExecutor(max_workers=jobs()) as pool:
+            futures = [
+                pool.submit(_run_field_task, task, arguments)
+                for arguments in argument_tuples
+            ]
+            results: list[FieldResult] = []
+            for future in futures:
+                task_results, timer_snapshot = future.result()
+                active_timer().merge(timer_snapshot)
+                results.extend(task_results)
+        return results
+    finally:
+        _held.clear()
 
 
-def _run_field_job(
-    job: Callable[..., list[FieldResult]], arguments: tuple
+def _run_field_task(
+    task: Callable[..., list[FieldResult]], arguments: tuple
 ) -> tuple[list[FieldResult], dict]:
     """Worker entry point: run one field task under an isolated timer.
 
@@ -415,9 +430,75 @@ def _run_field_job(
     parallel.mark_worker()
     timer = StageTimer()
     with use_timer(timer):
-        results = [_transportable(result) for result in job(*arguments)]
+        results = [_transportable(result) for result in task(*arguments)]
     flush_corpus_store()
     return results, timer.snapshot()
+
+
+# The last value held() loaded in this process, keyed by (load, key).
+_held: dict[tuple, Any] = {}
+
+
+def held(load: Callable[..., Any], *key) -> Any:
+    """``load(*key)`` through a one-slot, per-process holder.
+
+    Every canonical task graph is corpus-major, and a pool worker takes
+    its tasks in submission order, so each process sees its corpora
+    consecutively: the slot turns a corpus's repeat loads into lookups
+    and never holds more than one corpus.  A different ``(load, key)``
+    drops the held value before loading.
+    """
+    slot = (load, key)
+    if slot not in _held:
+        _held.clear()
+        _held[slot] = load(*key)
+    return _held[slot]
+
+
+def table_task(
+    methods: Sequence[Method],
+    provider: str,
+    field: str,
+    load: Callable[..., dict[str, Corpus]],
+    *load_key,
+) -> list[FieldResult]:
+    """One ``(provider, field)`` task of a table experiment.
+
+    Scores every method on the settings → corpus dict ``load(*load_key)``,
+    obtained through :func:`held`.  The task's timing window includes the
+    corpus load it triggers: a shard that draws tasks from k providers
+    really does pay k loads, and the cost model should see that.
+    """
+    with active_timer().task((provider, field)):
+        corpora = held(load, *load_key)
+        return [
+            result
+            for method in methods
+            for result in evaluate_method(method, corpora, provider, field)
+        ]
+
+
+def labelled_task(
+    task_key: tuple[str, ...],
+    methods: Sequence[Method],
+    provider: str,
+    field: str,
+    label: str,
+    load: Callable[..., Corpus],
+    *load_key,
+) -> list[FieldResult]:
+    """One task of an experiment whose setting axis is a label.
+
+    Like :func:`table_task`, but scores on the single corpus
+    ``load(*load_key)`` and labels every result ``label`` (see
+    :func:`evaluate_on_corpus`).
+    """
+    with active_timer().task(task_key):
+        corpus = held(load, *load_key)
+        return [
+            evaluate_on_corpus(method, corpus, provider, field, label)
+            for method in methods
+        ]
 
 
 # ----------------------------------------------------------------------
@@ -565,6 +646,17 @@ def resolve_tasks(
     return sharding.assign(all_tasks, sharding.resolve_shard(shard))
 
 
+def m2h_tasks(
+    providers: Sequence[str] = m2h.PROVIDERS,
+) -> list[tuple[str, str]]:
+    """Canonical M2H task graph: ``(provider, field)``, provider-major."""
+    return [
+        (provider, field)
+        for provider in providers
+        for field in m2h.fields_for(provider)
+    ]
+
+
 def run_m2h_experiment(
     methods: Sequence[Method],
     providers: Sequence[str] = m2h.PROVIDERS,
@@ -587,80 +679,17 @@ def run_m2h_experiment(
     """
     train_size = train_size if train_size is not None else scaled(60)
     test_size = test_size if test_size is not None else scaled(520, minimum=30)
-    run_tasks = resolve_tasks(
+    methods = list(methods)
+    return run_field_tasks(
+        table_task,
         [
-            (provider, field)
-            for provider in providers
-            for field in m2h.fields_for(provider)
+            (methods, provider, field,
+             m2h_corpora, provider, train_size, test_size, seed)
+            for provider, field in resolve_tasks(
+                m2h_tasks(providers), shard, tasks
+            )
         ],
-        shard,
-        tasks,
     )
-    if jobs() > 1:
-        return run_field_jobs(
-            _m2h_field_task,
-            [
-                (list(methods), provider, field, train_size, test_size, seed)
-                for provider, field in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpora: dict[str, Corpus] | None = None
-    current_provider: str | None = None
-    for provider, field in run_tasks:
-        # Round-robin assignment keeps a provider's tasks consecutive, so
-        # one live corpora set at a time suffices — same footprint as the
-        # provider-major loop this replaces.  The per-task timing window
-        # includes the corpus build its task triggers: a shard that draws
-        # tasks from k providers really does pay k builds, and the cost
-        # model should see that.
-        with active_timer().task((provider, field)):
-            if provider != current_provider:
-                corpora = m2h_corpora(provider, train_size, test_size, seed)
-                current_provider = provider
-            for method in methods:
-                results.extend(
-                    evaluate_method(method, corpora, provider, field)
-                )
-    return results
-
-
-def _m2h_field_task(
-    methods: Sequence[Method],
-    provider: str,
-    field: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of :func:`run_m2h_experiment`.
-
-    Rebuilds the provider's corpora inside the worker (generation is seeded
-    and therefore identical to the parent's) so only small, picklable
-    arguments cross the process boundary.
-    """
-    with active_timer().task((provider, field)):
-        corpora = _worker_m2h_corpora(provider, train_size, test_size, seed)
-        results: list[FieldResult] = []
-        for method in methods:
-            results.extend(evaluate_method(method, corpora, provider, field))
-    return results
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_m2h_corpora(
-    provider: str, train_size: int, test_size: int, seed: int
-) -> dict[str, Corpus]:
-    """Per-worker corpus memo.
-
-    Tasks are submitted provider-major, so the consecutive field tasks a
-    worker receives usually share a provider; the memo turns those repeats
-    into lookups.  A provider's fields can still scatter across the pool
-    (any idle worker takes the next task), so a corpus may be generated up
-    to ``min(jobs, fields)`` times — the memo is a bound on per-worker
-    rework, not a global once-per-provider guarantee.  ``maxsize=2`` keeps
-    a worker's footprint near what the serial loop holds."""
-    return m2h_corpora(provider, train_size, test_size, seed)
 
 
 def m2h_contemporary_corpus(
@@ -714,9 +743,8 @@ def robustness_tasks(
     """Canonical robustness task graph: ``(provider, field, seed label)``.
 
     Enumerated provider-major, then seed, then field, so the tasks
-    sharing one ``(provider, seed)`` corpus stay consecutive — the serial
-    loop (and a shard's task list) keeps a single live corpus, like the
-    table experiments.
+    sharing one ``(provider, seed)`` corpus stay consecutive and
+    :func:`held` keeps a single live corpus, like the table experiments.
     """
     return [
         (provider, field, f"s{seed}")
@@ -744,9 +772,7 @@ def run_m2h_robustness_experiment(
     seed label lands in ``FieldResult.setting`` so the per-seed scores of
     one field task stay distinguishable.  Routed through the harness
     layer — :func:`cached_corpora`, :func:`train_method`, the
-    ``REPRO_JOBS`` pool and ``REPRO_SHARD`` — unlike the pre-PR-4 bench,
-    which generated corpora and called ``method.train`` directly and
-    therefore bypassed every cache.
+    ``REPRO_JOBS`` pool and ``REPRO_SHARD``.
     """
     methods = list(methods) if methods is not None else [LrsynHtmlMethod()]
     train_size = train_size if train_size is not None else scaled(
@@ -755,62 +781,17 @@ def run_m2h_robustness_experiment(
     test_size = test_size if test_size is not None else scaled(
         267, minimum=20
     )
-    run_tasks = resolve_tasks(
-        robustness_tasks(providers, fields, seeds), shard, tasks
+    return run_field_tasks(
+        labelled_task,
+        [
+            ((provider, field, label), methods, provider, field, label,
+             m2h_contemporary_corpus, provider, train_size, test_size,
+             seed + int(label[1:]))
+            for provider, field, label in resolve_tasks(
+                robustness_tasks(providers, fields, seeds), shard, tasks
+            )
+        ],
     )
-    if jobs() > 1:
-        return run_field_jobs(
-            _robustness_field_task,
-            [
-                (list(methods), provider, field, label,
-                 train_size, test_size, seed)
-                for provider, field, label in run_tasks
-            ],
-        )
-    results: list[FieldResult] = []
-    corpus: Corpus | None = None
-    current: tuple[str, int] | None = None
-    for provider, field, label in run_tasks:
-        with active_timer().task((provider, field, label)):
-            corpus_seed = seed + int(label[1:])
-            if (provider, corpus_seed) != current:
-                corpus = m2h_contemporary_corpus(
-                    provider, train_size, test_size, corpus_seed
-                )
-                current = (provider, corpus_seed)
-            for method in methods:
-                results.append(
-                    evaluate_on_corpus(method, corpus, provider, field, label)
-                )
-    return results
-
-
-def _robustness_field_task(
-    methods: Sequence[Method],
-    provider: str,
-    field: str,
-    label: str,
-    train_size: int,
-    test_size: int,
-    seed: int,
-) -> list[FieldResult]:
-    """One parallel unit of :func:`run_m2h_robustness_experiment`."""
-    with active_timer().task((provider, field, label)):
-        corpus = _worker_robustness_corpus(
-            provider, train_size, test_size, seed + int(label[1:])
-        )
-        return [
-            evaluate_on_corpus(method, corpus, provider, field, label)
-            for method in methods
-        ]
-
-
-@functools.lru_cache(maxsize=2)
-def _worker_robustness_corpus(
-    provider: str, train_size: int, test_size: int, corpus_seed: int
-) -> Corpus:
-    """Per-worker corpus memo (see ``_worker_m2h_corpora``)."""
-    return m2h_contemporary_corpus(provider, train_size, test_size, corpus_seed)
 
 
 def average(values: Sequence[float]) -> float:

@@ -3,7 +3,7 @@
 PR 1 made the experiment drivers fan ``(provider, field)`` tasks over a
 process pool; this module splits the same task graph across *jobs or
 machines*.  A shard is ``REPRO_SHARD=i/N``: the canonical task list of an
-experiment (exactly the order the unsharded serial loop visits) is
+experiment (exactly the order an unsharded run visits) is
 partitioned deterministically, shard ``i`` runs every task whose
 canonical position is ``i (mod N)``, and the per-shard partial results
 serialize to a file.  ``repro-shard merge`` reassembles partials into the
@@ -66,6 +66,7 @@ byte-identical to an unsharded run.
 from __future__ import annotations
 
 import hashlib
+import importlib
 import math
 import os
 import pickle
@@ -148,8 +149,8 @@ def assign(tasks: Sequence[TaskKey], shard: ShardSpec) -> list[TaskKey]:
     the task's place in the canonical enumeration, never of runtime state —
     so every shard of a split agrees on ownership without coordination,
     shards are balanced to within one task, and a provider's owned tasks
-    stay consecutive (the serial loop's one-provider corpus memo still
-    applies inside a shard).  ``count > len(tasks)`` simply leaves the
+    stay consecutive (the one-corpus ``runner.held`` slot still applies
+    inside a shard).  ``count > len(tasks)`` simply leaves the
     surplus shards empty.
     """
     return [task for i, task in enumerate(tasks) if shard.owns(i)]
@@ -193,20 +194,30 @@ class Experiment:
     config: Callable[[], str] = _no_extra_config
 
 
-def _m2h_tasks() -> list[TaskKey]:
-    from repro.datasets import m2h
+def _lazy(path: str) -> Callable:
+    """The callable ``module:name``, imported on first call, so loading
+    the registry imports no experiment code."""
+    module_name, _, name = path.partition(":")
 
-    return [
-        (provider, field)
-        for provider in m2h.PROVIDERS
-        for field in m2h.fields_for(provider)
-    ]
+    def call(*args, **kwargs):
+        module = importlib.import_module(module_name)
+        return getattr(module, name)(*args, **kwargs)
+
+    return call
 
 
-def _m2h_settings() -> tuple[str, ...]:
-    from repro.datasets.base import SETTINGS
+def _constant(path: str) -> Callable[[], Any]:
+    """A zero-argument getter for the constant ``module:name``."""
+    module_name, _, name = path.partition(":")
+    return lambda: getattr(importlib.import_module(module_name), name)
 
-    return SETTINGS
+
+def _driver(path: str) -> Callable[[list, list[TaskKey], int], list]:
+    """``run(methods, tasks, seed)`` for a driver ``module:function``."""
+    driver = _lazy(path)
+    return lambda methods, tasks, seed: driver(
+        methods, seed=seed, tasks=tasks
+    )
 
 
 def _m2h_methods() -> list:
@@ -219,66 +230,10 @@ def _m2h_methods() -> list:
     return [ForgivingXPathsMethod(), NdsynMethod(), LrsynHtmlMethod()]
 
 
-def _m2h_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.runner import run_m2h_experiment
-
-    return run_m2h_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _finance_tasks() -> list[TaskKey]:
-    from repro.datasets import finance
-
-    return [
-        (doc_type, field)
-        for doc_type in finance.DOC_TYPES
-        for field in finance.FINANCE_FIELDS[doc_type]
-    ]
-
-
-def _image_settings() -> tuple[str, ...]:
-    from repro.datasets.base import CONTEMPORARY
-
-    return (CONTEMPORARY,)
-
-
 def _image_methods() -> list:
     from repro.harness.images import AfrMethod, LrsynImageMethod
 
     return [AfrMethod(), LrsynImageMethod()]
-
-
-def _finance_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.images import run_finance_experiment
-
-    return run_finance_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _m2h_images_tasks() -> list[TaskKey]:
-    from repro.datasets import m2h_images
-
-    return [
-        (provider, field)
-        for provider in m2h_images.IMAGE_PROVIDERS
-        for field in m2h_images.fields_for(provider)
-    ]
-
-
-def _m2h_images_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.images import run_m2h_images_experiment
-
-    return run_m2h_images_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _robustness_settings() -> tuple[str, ...]:
-    from repro.harness.runner import ROBUSTNESS_SETTINGS
-
-    return ROBUSTNESS_SETTINGS
-
-
-def _robustness_tasks() -> list[TaskKey]:
-    from repro.harness.runner import robustness_tasks
-
-    return robustness_tasks()
 
 
 def _robustness_methods() -> list:
@@ -287,39 +242,9 @@ def _robustness_methods() -> list:
     return [LrsynHtmlMethod()]
 
 
-def _robustness_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.runner import run_m2h_robustness_experiment
-
-    return run_m2h_robustness_experiment(methods, seed=seed, tasks=tasks)
-
-
 def _robustness_result_key(result) -> TaskKey:
     # The seed label travels in the setting slot.
     return (result.provider, result.field, result.setting)
-
-
-def _ablation_settings() -> tuple[str, ...]:
-    from repro.harness.ablations import ABLATION_SETTINGS
-
-    return ABLATION_SETTINGS
-
-
-def _ablation_tasks() -> list[TaskKey]:
-    from repro.harness.ablations import ablation_tasks
-
-    return ablation_tasks()
-
-
-def _ablation_methods() -> list:
-    from repro.harness.ablations import ablation_methods
-
-    return ablation_methods()
-
-
-def _ablation_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.ablations import run_ablations_experiment
-
-    return run_ablations_experiment(seed=seed, tasks=tasks)
 
 
 def _ablation_result_key(result) -> TaskKey:
@@ -327,78 +252,60 @@ def _ablation_result_key(result) -> TaskKey:
     return (result.setting, result.provider, result.field)
 
 
-def _forge_config() -> str:
-    from repro.datasets import forge
+def _contemporary_only() -> tuple[str, ...]:
+    from repro.datasets.base import CONTEMPORARY
 
-    return forge.config_fingerprint()
-
-
-def _forge_html_tasks() -> list[TaskKey]:
-    from repro.harness.forge import forge_html_tasks
-
-    return forge_html_tasks()
-
-
-def _forge_html_methods() -> list:
-    from repro.harness.forge import forge_html_methods
-
-    return forge_html_methods()
-
-
-def _forge_html_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.forge import run_forge_html_experiment
-
-    return run_forge_html_experiment(methods, seed=seed, tasks=tasks)
-
-
-def _forge_images_tasks() -> list[TaskKey]:
-    from repro.harness.forge import forge_image_tasks
-
-    return forge_image_tasks()
-
-
-def _forge_images_methods() -> list:
-    from repro.harness.forge import forge_image_methods
-
-    return forge_image_methods()
-
-
-def _forge_images_run(methods: list, tasks: list[TaskKey], seed: int) -> list:
-    from repro.harness.forge import run_forge_images_experiment
-
-    return run_forge_images_experiment(methods, seed=seed, tasks=tasks)
+    return (CONTEMPORARY,)
 
 
 EXPERIMENTS: dict[str, Experiment] = {
     "m2h": Experiment(
-        "m2h", _m2h_settings, _m2h_tasks, _m2h_methods, _m2h_run
+        "m2h", _constant("repro.datasets.base:SETTINGS"),
+        _lazy("repro.harness.runner:m2h_tasks"), _m2h_methods,
+        _driver("repro.harness.runner:run_m2h_experiment"),
     ),
     "finance": Experiment(
-        "finance", _image_settings, _finance_tasks, _image_methods,
-        _finance_run,
+        "finance", _contemporary_only,
+        _lazy("repro.harness.images:finance_tasks"), _image_methods,
+        _driver("repro.harness.images:run_finance_experiment"),
     ),
     "m2h_images": Experiment(
-        "m2h_images", _image_settings, _m2h_images_tasks, _image_methods,
-        _m2h_images_run,
+        "m2h_images", _contemporary_only,
+        _lazy("repro.harness.images:m2h_images_tasks"), _image_methods,
+        _driver("repro.harness.images:run_m2h_images_experiment"),
     ),
     "robustness": Experiment(
-        "robustness", _robustness_settings, _robustness_tasks,
-        _robustness_methods, _robustness_run, _robustness_result_key,
+        "robustness",
+        _constant("repro.harness.runner:ROBUSTNESS_SETTINGS"),
+        _lazy("repro.harness.runner:robustness_tasks"),
+        _robustness_methods,
+        _driver("repro.harness.runner:run_m2h_robustness_experiment"),
+        _robustness_result_key,
     ),
     "ablations": Experiment(
-        "ablations", _ablation_settings, _ablation_tasks,
-        _ablation_methods, _ablation_run, _ablation_result_key,
+        "ablations",
+        _constant("repro.harness.ablations:ABLATION_SETTINGS"),
+        _lazy("repro.harness.ablations:ablation_tasks"),
+        _lazy("repro.harness.ablations:ablation_methods"),
+        _driver("repro.harness.ablations:run_ablations_experiment"),
+        _ablation_result_key,
     ),
     # The synthetic document forge (repro.datasets.forge): as many
     # providers as REPRO_FORGE_PROVIDERS asks for, corpus sizes from
     # REPRO_FORGE_DOCS — the store/scheduler stress workloads.
     "forge_html": Experiment(
-        "forge_html", _m2h_settings, _forge_html_tasks,
-        _forge_html_methods, _forge_html_run, config=_forge_config,
+        "forge_html", _constant("repro.datasets.base:SETTINGS"),
+        _lazy("repro.harness.forge:forge_html_tasks"),
+        _lazy("repro.harness.forge:forge_html_methods"),
+        _driver("repro.harness.forge:run_forge_html_experiment"),
+        config=_lazy("repro.datasets.forge:config_fingerprint"),
     ),
     "forge_images": Experiment(
-        "forge_images", _image_settings, _forge_images_tasks,
-        _forge_images_methods, _forge_images_run, config=_forge_config,
+        "forge_images", _contemporary_only,
+        _lazy("repro.harness.forge:forge_image_tasks"),
+        _lazy("repro.harness.forge:forge_image_methods"),
+        _driver("repro.harness.forge:run_forge_images_experiment"),
+        config=_lazy("repro.datasets.forge:config_fingerprint"),
     ),
 }
 

@@ -385,11 +385,18 @@ class ServeApp:
                 )
                 self.metrics.count("batches")
                 self.metrics.count("batched_requests", len(batch))
-                for pending, outcome in zip(batch, results):
-                    if not pending.future.done():
-                        pending.future.set_result(outcome)
+            except Exception as exc:  # noqa: BLE001 - answer, keep serving
+                self.metrics.count("failed_requests", len(batch))
+                failure = (
+                    500,
+                    _error(f"internal error: {type(exc).__name__}: {exc}"),
+                )
+                results = [failure] * len(batch)
             finally:
                 self._inflight -= len(batch)
+            for pending, outcome in zip(batch, results):
+                if not pending.future.done():
+                    pending.future.set_result(outcome)
 
     def _process_batch(
         self, batch: list[_Pending], claimed: float
@@ -421,6 +428,11 @@ class ServeApp:
             method = request.get("method")
             if not isinstance(html, str) or not isinstance(field, str):
                 raise ValueError("'html' and 'field' must be strings")
+            if not all(
+                value is None or isinstance(value, str)
+                for value in (provider, method)
+            ):
+                raise ValueError("'provider' and 'method' must be strings")
         except (ValueError, KeyError, UnicodeDecodeError) as exc:
             return 400, _error(f"bad request: {exc}")
         try:

@@ -1,9 +1,14 @@
 """Parallel experiment runner: REPRO_JOBS fan-out must not change results."""
 
 import math
+from collections import Counter
 
 import pytest
 
+from repro.core.caching import StageTimer, use_timer
+from repro.datasets import m2h
+from repro.datasets.base import SETTINGS
+from repro.harness import runner, sharding
 from repro.harness.images import (
     AfrMethod,
     LrsynImageMethod,
@@ -14,6 +19,7 @@ from repro.harness.runner import (
     LrsynHtmlMethod,
     NdsynMethod,
     _transportable,
+    flush_corpus_store,
     jobs,
     run_m2h_experiment,
 )
@@ -73,6 +79,78 @@ class TestParallelMatchesSerial:
             methods, doc_types=["AccountsInvoice"], train_size=3, test_size=4
         )
         assert_identical(serial, parallel)
+
+    @pytest.mark.parametrize("name", sorted(sharding.EXPERIMENTS))
+    def test_registry_experiment_identical(self, name, monkeypatch):
+        """Every registry driver runs through the one task loop: the pool
+        reproduces the in-process scores and times the same tasks."""
+        monkeypatch.setenv("REPRO_STORE", "0")
+        monkeypatch.setenv("REPRO_SCALE", "0.05")
+        monkeypatch.setenv("REPRO_FORGE_PROVIDERS", "2")
+        monkeypatch.setenv("REPRO_FORGE_DOCS", "24")
+        experiment = sharding.EXPERIMENTS[name]
+        tasks = task_subset(experiment.tasks())
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        serial_scores, serial_tasks = run_registered(experiment, tasks)
+        monkeypatch.setenv("REPRO_JOBS", "2")
+        parallel_scores, parallel_tasks = run_registered(experiment, tasks)
+        assert parallel_scores == serial_scores
+        assert serial_tasks == parallel_tasks == set(tasks)
+
+
+def task_subset(graph):
+    """The first two tasks (one shared corpus) plus the last (another)."""
+    return list(dict.fromkeys(graph[:2] + graph[-1:]))
+
+
+def run_registered(experiment, tasks):
+    """Canonical scores and timed task keys of one registry run."""
+    timer = StageTimer()
+    with use_timer(timer):
+        results = experiment.run(experiment.methods(), tasks, 0)
+    return sharding.canonical_scores(results), set(timer.tasks)
+
+
+class TestHeld:
+    def test_each_corpus_generated_once_and_released(
+        self, tmp_path, monkeypatch
+    ):
+        flush_corpus_store()  # drain earlier tests' write-behind queue
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        generated = Counter()
+        generate = m2h.generate_corpus
+
+        def counting(provider, **kwargs):
+            generated[provider, kwargs["setting"]] += 1
+            return generate(provider, **kwargs)
+
+        monkeypatch.setattr(m2h, "generate_corpus", counting)
+        providers = ["delta", "getthere"]
+
+        def run(store_dir):
+            monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+            timer = StageTimer()
+            with use_timer(timer):
+                results = run_m2h_experiment(
+                    [NdsynMethod()], providers=providers,
+                    train_size=3, test_size=4,
+                )
+            flush_corpus_store()
+            return sharding.canonical_scores(results), timer.counters
+
+        first, counters = run(tmp_path / "first")
+        assert generated == {(p, s): 1 for p in providers for s in SETTINGS}
+        assert counters["store.corpus.miss"] == len(providers)
+        assert runner._held == {}
+        # A second run in this process, against a fresh store, loads its
+        # corpora through the corpus cache again.
+        second, counters = run(tmp_path / "second")
+        assert counters["store.corpus.miss"] == len(providers)
+        assert generated == {(p, s): 2 for p in providers for s in SETTINGS}
+        assert runner._held == {}
+        assert second == first
 
 
 class TestTransportable:

@@ -67,6 +67,64 @@ def test_bad_requests_get_400(run_app):
     run_app(scenario)
 
 
+def _valid_extract(sample_docs) -> dict:
+    docs = sample_docs["forge000"]
+    return {"html": docs.training[0].source, "field": docs.field}
+
+
+def test_non_string_provider_gets_400_and_server_keeps_serving(
+    run_app, sample_docs
+):
+    async def scenario(app):
+        for bad in ({"provider": ["x"]}, {"method": {"m": 1}}):
+            status, body, _ = await http_request(
+                app.port, "POST", "/extract",
+                {"html": "<p>x</p>", "field": "F", **bad},
+            )
+            assert status == 400 and "must be strings" in body["error"]
+        status, _, _ = await asyncio.wait_for(
+            http_request(
+                app.port, "POST", "/extract", _valid_extract(sample_docs)
+            ),
+            timeout=10,
+        )
+        assert status == 200
+
+    run_app(scenario)
+
+
+def test_batch_that_raises_gets_500_and_server_keeps_serving(
+    run_app, sample_docs, monkeypatch
+):
+    from repro.serve.router import Router
+
+    real_route = Router.route
+
+    def route(self, field, blueprint, method):
+        if field == "boom":
+            raise RuntimeError("routing exploded")
+        return real_route(self, field, blueprint, method)
+
+    monkeypatch.setattr(Router, "route", route)
+
+    async def scenario(app):
+        status, body, _ = await http_request(
+            app.port, "POST", "/extract", {"html": "<p>x</p>", "field": "boom"}
+        )
+        assert status == 500 and "routing exploded" in body["error"]
+        status, _, _ = await asyncio.wait_for(
+            http_request(
+                app.port, "POST", "/extract", _valid_extract(sample_docs)
+            ),
+            timeout=10,
+        )
+        assert status == 200
+        status, metrics, _ = await http_request(app.port, "GET", "/metrics")
+        assert metrics["counters"]["failed_requests"] == 1
+
+    run_app(scenario)
+
+
 def test_batch_vs_single_byte_identical(run_app, sample_docs):
     """The same request returns the same *bytes* alone or in a burst."""
     requests = [
