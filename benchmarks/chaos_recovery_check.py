@@ -1,8 +1,8 @@
 """CI chaos-recovery gate: a work-stealing run absorbs seeded faults.
 
 Runs ``repro-shard work`` with three workers pulling from one claim
-queue behind a shared ``repro-store serve`` daemon, with a seeded fault
-per worker (``REPRO_CHAOS_W<i>``):
+queue in a shared sqlite store (one ``REPRO_STORE_DIR``), with a seeded
+fault per worker (``REPRO_CHAOS_W<i>``):
 
 * worker 0 is SIGKILLed immediately after winning its second claim —
   it dies *holding a live lease*, which must expire and be stolen
@@ -10,21 +10,15 @@ per worker (``REPRO_CHAOS_W<i>``):
 * worker 1 is SIGKILLed inside its first partial flush, leaving a torn
   file — the merge must skip it and the recovery round must re-execute
   the lost tasks (``requeues``);
-* worker 2 has a daemon connection dropped mid-run and must retry
-  through the reconnect path.
-
-On top of the per-worker faults, the daemon itself is stopped
-(SIGTERM, draining in-flight frames) and restarted on the same port
-mid-run: queue rows live in its sqlite backing store, so the restarted
-daemon resumes the same queue and the workers' reconnect grace rides
-out the gap.
+* worker 2 runs fault-free, so a survivor is left in round 1 to steal
+  worker 0's expired lease.
 
 The gate: the orchestrator must exit 0 with **zero manual
 intervention**, the recovered merge must be byte-identical (scores and
-rendered tables) to a single-job sqlite-backed baseline, and the queue
-stats must show at least one reclaimed lease and one requeued task —
-the visible trace that recovery actually happened rather than the
-faults silently not firing.
+rendered tables) to a single-job baseline, and the queue stats must
+show at least one reclaimed lease and one requeued task — the visible
+trace that recovery actually happened rather than the faults silently
+not firing.
 
 Usage::
 
@@ -38,7 +32,6 @@ import argparse
 import json
 import os
 import pathlib
-import signal
 import subprocess
 import sys
 import tempfile
@@ -53,7 +46,6 @@ TRAJECTORY = REPO / "benchmarks" / "results" / "BENCH_synthesis_speed.json"
 WORKER_CHAOS = {
     "REPRO_CHAOS_W0": "kill_claim=2",
     "REPRO_CHAOS_W1": "truncate_partial=1",
-    "REPRO_CHAOS_W2": "drop_conn=2",
 }
 
 
@@ -63,65 +55,6 @@ def _base_env() -> dict[str, str]:
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
     return env
-
-
-def start_daemon(
-    directory: pathlib.Path, addr_file: pathlib.Path, port: int = 0
-) -> tuple[subprocess.Popen, str]:
-    """Start ``repro-store serve``; returns ``(proc, url)``."""
-    addr_file.unlink(missing_ok=True)
-    proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro.store",
-            "--dir", str(directory),
-            "serve", "--port", str(port), "--addr-file", str(addr_file),
-        ],
-        env=_base_env(),
-        cwd=REPO,
-    )
-    deadline = time.monotonic() + 30.0
-    while not addr_file.exists():
-        if proc.poll() is not None:
-            raise RuntimeError("store daemon exited before binding")
-        if time.monotonic() > deadline:
-            proc.kill()
-            raise RuntimeError("store daemon did not publish its address")
-        time.sleep(0.05)
-    return proc, addr_file.read_text().strip()
-
-
-def restart_daemon_mid_run(
-    daemon: subprocess.Popen,
-    orchestrator: subprocess.Popen,
-    directory: pathlib.Path,
-    addr_file: pathlib.Path,
-    url: str,
-    first_partial_glob: str,
-    out_dir: pathlib.Path,
-) -> subprocess.Popen:
-    """SIGTERM the daemon once work has visibly started; restart on the
-    same port.  Returns the replacement daemon process."""
-    deadline = time.monotonic() + 120.0
-    while not list(out_dir.glob(first_partial_glob)):
-        if orchestrator.poll() is not None:
-            raise RuntimeError(
-                "work pool exited before any partial appeared"
-                f" (exit {orchestrator.returncode})"
-            )
-        if time.monotonic() > deadline:
-            raise RuntimeError("no worker partial appeared within 120s")
-        time.sleep(0.1)
-    if orchestrator.poll() is not None:
-        print("  WARNING: run finished before the daemon restart landed")
-    port = int(url.rpartition(":")[2])
-    print(f"  restarting daemon on port {port} mid-run (SIGTERM, drain)")
-    daemon.send_signal(signal.SIGTERM)
-    code = daemon.wait(timeout=60)
-    if code != 0:
-        raise RuntimeError(f"daemon SIGTERM exit was {code}, expected 0")
-    replacement, new_url = start_daemon(directory, addr_file, port=port)
-    assert new_url == url, f"daemon rebound to {new_url}, expected {url}"
-    return replacement
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,134 +68,115 @@ def main(argv: list[str] | None = None) -> int:
     from benchmarks.common import run_shard_subprocess
     from repro.harness import sharding
     from repro.harness.reporting import record_synthesis_speed
-    from repro.store.remote import RemoteBackend
 
     failures = []
     with tempfile.TemporaryDirectory(prefix="chaos-recovery-") as tmp:
         tmp_path = pathlib.Path(tmp)
-        addr_file = tmp_path / "addr"
-        daemon, url = start_daemon(tmp_path / "served", addr_file)
+        shared = tmp_path / "shared"
         print(
             f"chaos-recovery: {args.experiment} at scale {args.scale},"
-            f" {args.workers} workers on {url}"
+            f" {args.workers} workers sharing the sqlite store {shared}"
         )
         print(f"  seeded faults: {WORKER_CHAOS}")
-        try:
-            # Baseline arm: one job, plain sqlite store, no chaos.
-            baseline_path = tmp_path / "baseline.pkl"
-            run_shard_subprocess(
-                args.experiment, "0/1", args.seed, args.scale, baseline_path,
-                extra_env={
-                    "REPRO_STORE": "1",
-                    "REPRO_STORE_BACKEND": "sqlite",
-                    "REPRO_STORE_URL": "",
-                    "REPRO_STORE_DIR": str(tmp_path / "local"),
-                },
-            )
 
-            # Chaos arm: the work-stealing pool against the daemon.
-            merged_path = tmp_path / "merged.pkl"
-            stats_path = tmp_path / "stats.json"
-            env = _base_env()
-            env.update(
-                {
-                    "REPRO_SCALE": args.scale,
-                    "REPRO_STORE": "1",
-                    "REPRO_STORE_BACKEND": "remote",
-                    "REPRO_STORE_URL": url,
-                    "REPRO_STORE_DIR": str(tmp_path / "client"),
-                    # Short lease so the killed worker's claim is stolen
-                    # in seconds, and enough grace to ride out the
-                    # daemon restart.
-                    "REPRO_QUEUE_GRACE": "60",
-                    **WORKER_CHAOS,
-                }
-            )
-            start = time.perf_counter()
-            orchestrator = subprocess.Popen(
-                [
-                    sys.executable, "-m", "repro.harness.sharding", "work",
-                    "--experiment", args.experiment,
-                    "--seed", str(args.seed),
-                    "--workers", str(args.workers),
-                    "--lease", "3", "--poll", "0.2", "--fresh",
-                    "--out", str(merged_path),
-                    "--stats-out", str(stats_path),
-                ],
-                env=env,
-                cwd=REPO,
-            )
-            daemon = restart_daemon_mid_run(
-                daemon, orchestrator, tmp_path / "served", addr_file, url,
-                "merged.r1w*.pkl", tmp_path,
-            )
-            code = orchestrator.wait(timeout=1200)
-            wall = time.perf_counter() - start
-            if code != 0:
-                failures.append(f"work pool exited {code}")
+        # Baseline arm: one job, its own sqlite store, no chaos.
+        baseline_path = tmp_path / "baseline.pkl"
+        run_shard_subprocess(
+            args.experiment, "0/1", args.seed, args.scale, baseline_path,
+            extra_env={
+                "REPRO_STORE": "1",
+                "REPRO_STORE_BACKEND": "sqlite",
+                "REPRO_STORE_DIR": str(tmp_path / "local"),
+            },
+        )
 
-            if merged_path.exists():
-                merged = sharding.load_partial(merged_path)
-                baseline = sharding.load_partial(baseline_path)
-                diff = sharding.diff_partials(merged, baseline)
-                tables_ok = sharding.render_tables(
-                    merged
-                ) == sharding.render_tables(baseline)
-                if diff is not None:
-                    failures.append(f"recovered merge diverged: {diff}")
-                if not tables_ok:
-                    failures.append("rendered tables differ from baseline")
-                print(
-                    f"  recovered merge {wall:.2f}s |"
-                    f" {'IDENTICAL' if diff is None and tables_ok else 'MISMATCH'}"
-                    " vs sqlite single-job baseline"
+        # Chaos arm: the work-stealing pool on one shared sqlite store.
+        merged_path = tmp_path / "merged.pkl"
+        stats_path = tmp_path / "stats.json"
+        env = _base_env()
+        env.update(
+            {
+                "REPRO_SCALE": args.scale,
+                "REPRO_STORE": "1",
+                "REPRO_STORE_BACKEND": "sqlite",
+                "REPRO_STORE_DIR": str(shared),
+                **WORKER_CHAOS,
+            }
+        )
+        start = time.perf_counter()
+        # Short lease so the killed worker's claim is stolen in seconds.
+        code = subprocess.run(
+            [
+                sys.executable, "-m", "repro.harness.sharding", "work",
+                "--experiment", args.experiment,
+                "--seed", str(args.seed),
+                "--workers", str(args.workers),
+                "--lease", "3", "--poll", "0.2", "--fresh",
+                "--out", str(merged_path),
+                "--stats-out", str(stats_path),
+            ],
+            env=env,
+            cwd=REPO,
+            timeout=1200,
+        ).returncode
+        wall = time.perf_counter() - start
+        if code != 0:
+            failures.append(f"work pool exited {code}")
+
+        if merged_path.exists():
+            merged = sharding.load_partial(merged_path)
+            baseline = sharding.load_partial(baseline_path)
+            diff = sharding.diff_partials(merged, baseline)
+            tables_ok = sharding.render_tables(
+                merged
+            ) == sharding.render_tables(baseline)
+            if diff is not None:
+                failures.append(f"recovered merge diverged: {diff}")
+            if not tables_ok:
+                failures.append("rendered tables differ from baseline")
+            print(
+                f"  recovered merge {wall:.2f}s |"
+                f" {'IDENTICAL' if diff is None and tables_ok else 'MISMATCH'}"
+                " vs single-job baseline"
+            )
+        else:
+            merged = None
+            failures.append("work pool produced no merged partial")
+
+        if stats_path.exists():
+            stats = json.loads(stats_path.read_text())
+            print(
+                f"  queue stats: attempts {stats['attempts']},"
+                f" reclaims {stats['reclaims']},"
+                f" requeues {stats['requeues']},"
+                f" heartbeats {stats['heartbeats']}"
+            )
+            if stats["reclaims"] < 1:
+                failures.append(
+                    "no reclaimed lease recorded — the kill_claim fault"
+                    " cannot have fired"
                 )
-            else:
-                merged = None
-                failures.append("work pool produced no merged partial")
-
-            if stats_path.exists():
-                stats = json.loads(stats_path.read_text())
-                print(
-                    f"  queue stats: attempts {stats['attempts']},"
-                    f" reclaims {stats['reclaims']},"
-                    f" requeues {stats['requeues']},"
-                    f" heartbeats {stats['heartbeats']}"
+            if stats["requeues"] < 1:
+                failures.append(
+                    "no requeued task recorded — the torn-partial fault"
+                    " cannot have fired"
                 )
-                if stats["reclaims"] < 1:
-                    failures.append(
-                        "no reclaimed lease recorded — the kill_claim fault"
-                        " cannot have fired"
-                    )
-                if stats["requeues"] < 1:
-                    failures.append(
-                        "no requeued task recorded — the torn-partial fault"
-                        " cannot have fired"
-                    )
-                if stats["states"].get("done") != stats["total"]:
-                    failures.append("queue did not drain to all-done")
-            else:
-                failures.append("work pool wrote no queue stats")
+            if stats["states"].get("done") != stats["total"]:
+                failures.append("queue did not drain to all-done")
+        else:
+            failures.append("work pool wrote no queue stats")
 
-            if merged is not None and not failures:
-                record_synthesis_speed(
-                    TRAJECTORY,
-                    f"chaos_recovery_{args.experiment}",
-                    wall,
-                    merged["timer"],
-                    scale=float(args.scale),
-                    workers=args.workers,
-                    reclaims=stats["reclaims"],
-                    requeues=stats["requeues"],
-                )
-        finally:
-            shutter = RemoteBackend(url)
-            try:
-                shutter.shutdown_server()
-            except Exception:
-                daemon.kill()
-            shutter.close()
-            daemon.wait(timeout=30)
+        if merged is not None and not failures:
+            record_synthesis_speed(
+                TRAJECTORY,
+                f"chaos_recovery_{args.experiment}",
+                wall,
+                merged["timer"],
+                scale=float(args.scale),
+                workers=args.workers,
+                reclaims=stats["reclaims"],
+                requeues=stats["requeues"],
+            )
 
     if failures:
         for failure in failures:
@@ -270,7 +184,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     print(
         "PASS: the chaotic work-stealing run recovered every seeded fault"
-        " (worker kills, torn partial, dropped connection, daemon restart)"
+        " (worker kill holding a lease, torn partial)"
         " and merged byte-identical to the unsharded baseline"
     )
     return 0

@@ -36,7 +36,7 @@ Environment knobs:
   recomputes); default on.  Disabling L1 also bypasses L2, which is what
   the uncached-equivalence baselines expect.
 * ``REPRO_STORE`` / ``REPRO_STORE_DIR`` (and backend selection via
-  ``REPRO_STORE_BACKEND`` / ``REPRO_STORE_URL``) — see :mod:`repro.store`.
+  ``REPRO_STORE_BACKEND``) — see :mod:`repro.store`.
 """
 
 from __future__ import annotations

@@ -20,8 +20,7 @@ Everything routes through the harness layer (:func:`cached_corpora`,
 :func:`train_method` via :func:`evaluate_on_corpus`, the ``REPRO_JOBS``
 pool, ``REPRO_SHARD``), so the L1/L2 caches and the shard scheduler
 apply — including whichever :mod:`repro.store` backend
-``shared_store()`` resolves (``REPRO_STORE_BACKEND`` /
-``REPRO_STORE_URL``).
+``shared_store()`` resolves (``REPRO_STORE_BACKEND``).
 
 (The third prose mechanism, layout-conditional synthesis, is exercised on
 a purpose-built synthetic corpus directly in the bench: it has no dataset

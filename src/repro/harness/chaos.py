@@ -5,8 +5,8 @@ turns "a worker died mid-run" into a *seeded, replayable* event.  The
 ``REPRO_CHAOS`` knob is a comma-separated list of ``site=N`` pairs —
 the Nth arrival (1-based) at that site trips the fault, exactly once::
 
-    REPRO_CHAOS="kill_task=2"                # SIGKILL self after task 2
-    REPRO_CHAOS="drop_conn=3,commit_slow=1"  # two independent faults
+    REPRO_CHAOS="kill_task=2"                     # SIGKILL self after task 2
+    REPRO_CHAOS="kill_claim=3,truncate_partial=1" # two independent faults
 
 Sites wired into the stack:
 
@@ -18,18 +18,6 @@ Sites wired into the stack:
     SIGKILL immediately after *claiming* the Nth task, before running
     it: the worker dies holding a live lease, which must expire and be
     stolen by a survivor — the reclaim path.
-``drop_conn``
-    :class:`repro.store.remote.RemoteBackend` severs its daemon socket
-    and fails the Nth request's first attempt, exercising the
-    reconnect/retry/backoff path as if the daemon connection was lost.
-``commit_fail``
-    The Nth *commit* request's first attempt raises, exercising retry
-    on the coalesced-flush path specifically.
-``commit_slow``
-    The Nth commit stalls for ``REPRO_CHAOS`` site value interpreted as
-    N (trip point); the stall itself is a fixed ``_SLOW_SECONDS`` —
-    long enough to overlap other workers' traffic, short enough for
-    tests.
 ``truncate_partial``
     :func:`repro.harness.sharding.save_partial` writes a torn file —
     the first half of the pickled bytes, bypassing the atomic
@@ -56,15 +44,13 @@ import signal
 import sys
 import threading
 
-_SLOW_SECONDS = 0.5
-
 _lock = threading.Lock()
 _spec: dict[str, int] | None = None
 _counts: dict[str, int] = {}
 
 
 def parse_spec(raw: str) -> dict[str, int]:
-    """``"kill_task=2,drop_conn=1"`` -> ``{"kill_task": 2, ...}``."""
+    """``"kill_task=2,kill_claim=1"`` -> ``{"kill_task": 2, ...}``."""
     spec: dict[str, int] = {}
     for item in raw.split(","):
         item = item.strip()
@@ -139,8 +125,3 @@ def kill() -> None:
     losing the test process.
     """
     os.kill(os.getpid(), signal.SIGKILL)
-
-
-def slow_seconds() -> float:
-    """Stall duration for the ``commit_slow`` site."""
-    return _SLOW_SECONDS

@@ -206,8 +206,8 @@ def export_experiment(
     Rides the warm store: providers already trained by a harness run cost
     one program-store hit per field, a cold store trains for real.
     Returns a report ``{"experiment", "entries": [...], "counts":
-    {status: n}}`` and flushes the store so another process (the serving
-    daemon) sees the rows immediately.
+    {status: n}}`` and flushes the store so another process (the
+    server) sees the rows immediately.
     """
     if experiment not in EXPORTABLE:
         raise ValueError(

@@ -147,11 +147,9 @@ def image_corpus(
 
     Shared by the table drivers here and the blueprint-check ablation
     (:mod:`repro.harness.ablations`), so both hit the same corpus-store
-    entries — against whichever backend ``shared_store()`` resolved
-    (local sqlite, or a ``repro-store serve`` daemon via
-    ``REPRO_STORE_URL``), and with the liveness markers ``repro-store
-    gc`` needs written along the way.  ``forge_images`` is the forge's
-    degraded-scan corpus.
+    entries — against whichever backend ``shared_store()`` resolved —
+    and with the liveness markers ``repro-store gc`` needs written along
+    the way.  ``forge_images`` is the forge's degraded-scan corpus.
     """
     if dataset == "forge_images":
         from repro.datasets.forge import generate_image_corpus as generate

@@ -5,8 +5,8 @@ a killed or straggling worker strands its whole slice until someone
 runs ``repro-shard retry``.  This module is the dynamic alternative: N
 workers pull tasks one at a time from a shared **claim queue** — a
 ``queue``-kind table in the blueprint store (:mod:`repro.store.claims`),
-riding whichever backend the run already uses (sqlite file-lock,
-memory, or a ``repro-store serve`` daemon).
+riding whichever backend the run already uses (sqlite file-lock or
+memory).
 
 The protocol per worker::
 
@@ -25,7 +25,7 @@ timing history every prediction is equal and the order is canonical.
 
 Crash safety falls out of three properties:
 
-* **Leases expire.**  A worker that dies (SIGKILL, OOM, lost daemon)
+* **Leases expire.**  A worker that dies (SIGKILL, OOM, lost store)
   stops renewing; once its deadline passes, any survivor's ``claim``
   steals the task (``reclaims`` counts it) and re-executes.
 * **Completion is a compare-and-swap.**  If a slow-but-alive worker is
@@ -51,7 +51,7 @@ machinery.
 Knobs: ``REPRO_QUEUE_LEASE`` (seconds a claim stays exclusive without
 renewal, default 30), ``REPRO_QUEUE_POLL`` (idle claim retry interval,
 default 0.5), ``REPRO_QUEUE_GRACE`` (how long a worker keeps retrying a
-lost store/daemon before giving up, default 60).  Fault injection for
+lost store before giving up, default 60).  Fault injection for
 all of this lives in :mod:`repro.harness.chaos` (``REPRO_CHAOS``).
 """
 
@@ -85,7 +85,7 @@ DEFAULT_GRACE_SECONDS = 60.0
 DEFAULT_MAX_ROUNDS = 4
 
 # How long the reconnect loop sleeps between attempts to rebuild a lost
-# backend (daemon restarting, store briefly unwritable).
+# backend (store briefly unreadable or unwritable).
 _RECONNECT_POLL_SECONDS = 0.5
 
 
@@ -115,7 +115,7 @@ def poll_seconds() -> float:
 
 
 def grace_seconds() -> float:
-    """``REPRO_QUEUE_GRACE``: how long to outwait a lost store/daemon."""
+    """``REPRO_QUEUE_GRACE``: how long to outwait a lost store."""
     return _env_seconds("REPRO_QUEUE_GRACE", DEFAULT_GRACE_SECONDS)
 
 
@@ -166,13 +166,13 @@ class ClaimQueue:
     """Client for one claim queue, with reconnect-on-loss.
 
     A ``None`` from :meth:`~repro.store.backend.StoreBackend.queue_op`
-    means the backend lost coordination (daemon gone, store degraded).
-    The remote backend latches itself off permanently after its retries
-    — correct for a cache, fatal for a coordination table — so this
-    client *rebuilds* the backend from its spec and keeps trying until
-    ``grace`` runs out.  A daemon restarted on the same address within
-    the grace window is transparent: queue rows live in the daemon's
-    backing store, so they survive the restart.
+    means the backend lost coordination (a degraded store, or a sqlite
+    error mid-op).  The sqlite backend latches itself off after its
+    first failed open — correct
+    for a cache, fatal for a coordination table — so this client
+    *rebuilds* the backend from its spec and keeps trying until
+    ``grace`` runs out.  Queue rows live in the store itself, so they
+    survive the rebuild.
     """
 
     def __init__(
@@ -182,7 +182,6 @@ class ClaimQueue:
         *,
         spec: str | None = None,
         directory: str | os.PathLike | None = None,
-        url: str | None = None,
         grace: float | None = None,
     ) -> None:
         from repro.store import make_backend
@@ -190,13 +189,11 @@ class ClaimQueue:
         self.queue = queue
         self._spec = spec
         self._directory = directory
-        self._url = url
         # An explicitly provided backend instance cannot be rebuilt;
         # spec-configured (or env-configured) queues can.
         self._rebuildable = backend is None
         self._backend = (
-            backend if backend is not None
-            else make_backend(spec, directory, url)
+            backend if backend is not None else make_backend(spec, directory)
         )
         self.grace = grace_seconds() if grace is None else grace
         self._lock = threading.Lock()
@@ -210,13 +207,13 @@ class ClaimQueue:
             self._backend.close()
         except Exception:  # noqa: BLE001 - the old backend is already lost
             pass
-        self._backend = make_backend(self._spec, self._directory, self._url)
+        self._backend = make_backend(self._spec, self._directory)
 
     def _op(self, op: str, args: dict, grace: float | None = None) -> Any:
         """One queue op, retried through backend loss.
 
         ``grace=0`` is the non-blocking form (the heartbeat thread uses
-        it so a dead daemon cannot pin the lock for the full window);
+        it so a lost store cannot pin the lock for the full window);
         the default retries until :attr:`grace` expires, then raises
         :class:`QueueUnavailableError`.
         """
@@ -277,9 +274,9 @@ class ClaimQueue:
 class _Heartbeat:
     """Renews one claim on a background thread while the task runs.
 
-    Renewal uses the queue's non-blocking path: a missed beat (daemon
-    briefly gone) is recorded and retried at the next interval instead
-    of wedging — the lease just drifts closer to expiry, which is the
+    Renewal uses the queue's non-blocking path: a missed beat (store
+    briefly unavailable) is recorded and retried at the next interval
+    instead of wedging — the lease just drifts closer to expiry, which is the
     designed signal that this worker *might* be dead.  The CAS on
     ``complete`` settles the truth either way.
     """

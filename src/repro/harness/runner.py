@@ -47,11 +47,9 @@ Environment knobs
     it; ``REPRO_STORE_DIR`` overrides ``~/.cache/repro``.  See
     ``docs/performance.md``.
 
-``REPRO_STORE_BACKEND`` / ``REPRO_STORE_URL``
-    Store backend selection (``sqlite``/``memory``/``remote``) and the
-    ``repro-store serve`` daemon address for the remote backend, so N
-    shard jobs can share one multi-writer warm cache.  Setting
-    ``REPRO_STORE_URL`` alone implies the remote backend.
+``REPRO_STORE_BACKEND``
+    Store backend selection (``sqlite``/``memory``).  Shard jobs on one
+    machine share one warm cache by sharing the sqlite file.
 """
 
 from __future__ import annotations

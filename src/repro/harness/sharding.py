@@ -34,11 +34,10 @@ tasks are heterogeneous, the work-stealing pool (:mod:`repro.harness.queue`,
 a time, longest-predicted-first from the recorded per-task timings, so
 a straggling task never strands a whole slice.  Every shard run records
 its observed per-task seconds back into the timing store
-(:mod:`repro.harness.costmodel`).  The store itself is pluggable
-(:mod:`repro.store`): point every shard of a fleet at one ``repro-store
-serve`` daemon via ``REPRO_STORE_URL`` and they share a single warm
-cache — blueprints, corpora, programs and timings discovered by one
-shard are hits for the rest.  The merge contract below is
+(:mod:`repro.harness.costmodel`).  Shards on one machine that share a
+``REPRO_STORE_DIR`` share a single warm sqlite store (:mod:`repro.store`)
+— blueprints, corpora, programs and timings discovered by one shard are
+hits for the rest.  The merge contract below is
 assignment-agnostic, so pool partials merge byte-identical to
 round-robin and unsharded runs.
 

@@ -20,8 +20,8 @@ only) that
   with a diagnostic 404 (:mod:`repro.serve.router`);
 * exposes per-stage latency metrics (queue / decode / route / extract /
   encode) on ``GET /metrics`` and drains gracefully on SIGTERM — every
-  admitted request is answered before the process exits, mirroring the
-  store daemon's drain.
+  admitted request is answered before the process exits, so a stop or
+  restart loses no request the server already accepted.
 
 Environment knobs (flags override; see ``docs/serving.md``)
 -----------------------------------------------------------

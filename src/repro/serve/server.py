@@ -28,11 +28,12 @@ rebuilds the router when the serving rows — or the live
 attribute assignment; in-flight batches keep the router they started
 with.  ``POST /reload`` forces the same path synchronously.
 
-Graceful drain mirrors the store daemon's: SIGTERM/SIGINT stops the
-listener, every *admitted* request is still extracted and answered,
-idle keep-alive connections notice the drain within a poll slice and
-close, and only connections still open past the drain deadline are
-severed.  New ``/extract`` requests arriving mid-drain get 503.
+Graceful drain, so that stopping the server loses no request it already
+accepted: SIGTERM/SIGINT stops the listener, every *admitted* request
+is still extracted and answered, idle keep-alive connections notice the
+drain within a poll slice and close, and only connections still open
+past the drain deadline are severed.  New ``/extract`` requests
+arriving mid-drain get 503.
 """
 
 from __future__ import annotations
@@ -57,9 +58,10 @@ from repro.serve.metrics import StageMetrics
 from repro.serve.queue import AdmissionQueue
 from repro.serve.router import Router, load_catalog, peek_digest
 
-# Drain-poll slice for idle keep-alive connections, and how long the
-# shutdown path waits for stragglers before severing them (the same
-# constants shape the store daemon's drain).
+# Drain-poll slice for idle keep-alive connections (short, so an idle
+# connection notices a drain within a fraction of a second), and how long
+# the shutdown path waits for stragglers before severing them (bounded,
+# so one stuck client cannot keep a stopping server alive).
 _POLL_SECONDS = 0.2
 _DRAIN_SECONDS = 10.0
 # How long a connection answered for a bad head keeps discarding what
@@ -67,6 +69,12 @@ _DRAIN_SECONDS = 10.0
 # kernel send RST, which can destroy the answer before the client reads
 # it.
 _LINGER_SECONDS = 1.0
+# Largest request body the server buffers; a larger Content-Length gets
+# 413 before any body byte is read.  The largest /extract body any
+# dataset's document makes at REPRO_SCALE=1.0 is ~2.9 KB (an m2h email
+# wrapped in its JSON envelope; forge pages are smaller), so 1 MiB is
+# over 300x headroom.
+_MAX_BODY_BYTES = 1 << 20
 
 _JSON_HEADERS = "Content-Type: application/json\r\n"
 
@@ -238,8 +246,9 @@ class ServeApp:
         Header reads poll in short slices so an idle keep-alive
         connection notices a drain promptly; a request whose bytes have
         started arriving is always read to the end and answered.  A head
-        longer than the reader's limit or a ``Content-Length`` that is
-        not a non-negative integer raises :class:`_BadHead`.
+        longer than the reader's limit, a request line that is not
+        ``METHOD PATH VERSION``, or a ``Content-Length`` that is not an
+        integer in ``[0, _MAX_BODY_BYTES]`` raises :class:`_BadHead`.
         """
         while True:
             try:
@@ -261,7 +270,7 @@ class ServeApp:
                 request_line.decode("latin-1").split(" ", 2)
             )
         except ValueError:
-            raise ConnectionError("malformed request line") from None
+            raise _BadHead(400, "malformed request line") from None
         length = 0
         for line in header_block.split(b"\r\n"):
             name, _, value = line.partition(b":")
@@ -272,6 +281,8 @@ class ServeApp:
                     length = -1
                 if length < 0:
                     raise _BadHead(400, "bad Content-Length")
+                if length > _MAX_BODY_BYTES:
+                    raise _BadHead(413, "request body too large")
         body = await reader.readexactly(length) if length else b""
         return method, path.split("?", 1)[0], body
 
@@ -287,6 +298,7 @@ class ServeApp:
             400: "Bad Request",
             404: "Not Found",
             405: "Method Not Allowed",
+            413: "Payload Too Large",
             429: "Too Many Requests",
             431: "Request Header Fields Too Large",
             500: "Internal Server Error",

@@ -35,30 +35,27 @@ how the experiment around it is configured.
 Since v4 the storage medium is **pluggable**: this class is the front —
 key derivation, pickling, per-kind in-memory tables, write batching and
 the touched-key working set — over a narrow row-oriented backend
-protocol (:mod:`repro.store.backend`) with three implementations:
+protocol (:mod:`repro.store.backend`) with two implementations:
 
 * ``sqlite`` (:mod:`repro.store.sqlite`, the default) — one database
   under ``~/.cache/repro`` (``REPRO_STORE_DIR`` overrides), batched
   writes under an advisory file lock, LRU eviction against the
   ``REPRO_STORE_MAX_MB`` budget, zlib compression for large kinds;
 * ``memory`` (:mod:`repro.store.memory`) — process-local, for tests and
-  ephemeral runs;
-* ``remote`` (:mod:`repro.store.remote`) — a client for the
-  ``repro-store serve`` daemon (:mod:`repro.store.daemon`), so N shard
-  jobs share one warm multi-writer cache instead of each rebuilding a
-  private one.
+  ephemeral runs.
 
 Selection is environment-driven: ``REPRO_STORE_BACKEND`` picks the
-implementation (default ``sqlite``; defaulting to ``remote`` when
-``REPRO_STORE_URL`` is set), ``REPRO_STORE=0`` disables the store
-entirely.  Values round-trip through :mod:`pickle`, so runs served from
-any backend stay byte-identical to cold runs.
+implementation (default ``sqlite``), ``REPRO_STORE=0`` disables the
+store entirely.  Processes on one machine share a warm cache by sharing
+the sqlite file (``REPRO_STORE_DIR``).  Values round-trip through
+:mod:`pickle`, so runs served from any backend stay byte-identical to
+cold runs.
 
 Every row also records its **generation** (``algo=N``, plus the corpus
 generator version for corpus-shaped kinds), which is what
 ``repro-store gc`` (:mod:`repro.store.gc`) uses to drop entries stranded
 by a version bump — see the CLI (:mod:`repro.store.cli`) for ``stats``
-/ ``evict`` / ``clear`` / ``gc`` / ``serve``.
+/ ``evict`` / ``clear`` / ``gc``.
 """
 
 from __future__ import annotations
@@ -102,7 +99,6 @@ __all__ = [
     "store_codec",
     "store_dir",
     "store_enabled",
-    "store_url",
 ]
 
 # Bump whenever a blueprint, blueprint-distance or landmark-scoring
@@ -134,15 +130,11 @@ def store_dir() -> Path:
     return base / "repro"
 
 
-_BACKEND_NAMES = ("sqlite", "memory", "remote")
+_BACKEND_NAMES = ("sqlite", "memory")
 
 
 def store_backend_name() -> str:
-    """Backend selection (``REPRO_STORE_BACKEND`` env knob).
-
-    Defaults to ``sqlite``; setting ``REPRO_STORE_URL`` without an
-    explicit backend implies ``remote``.
-    """
+    """Backend selection (``REPRO_STORE_BACKEND``, default ``sqlite``)."""
     raw = os.environ.get("REPRO_STORE_BACKEND", "").strip().lower()
     if raw:
         if raw not in _BACKEND_NAMES:
@@ -151,19 +143,12 @@ def store_backend_name() -> str:
                 f" {'/'.join(_BACKEND_NAMES)}, got {raw!r}"
             )
         return raw
-    return "remote" if store_url() else "sqlite"
-
-
-def store_url() -> str | None:
-    """Daemon address for the remote backend (``REPRO_STORE_URL``)."""
-    raw = os.environ.get("REPRO_STORE_URL", "").strip()
-    return raw or None
+    return "sqlite"
 
 
 def make_backend(
     spec: str | StoreBackend | None = None,
     directory: str | os.PathLike | None = None,
-    url: str | None = None,
 ) -> StoreBackend:
     """Resolve a backend instance from an explicit spec or the env knobs."""
     if isinstance(spec, StoreBackend):
@@ -176,16 +161,6 @@ def make_backend(
         from repro.store.memory import MemoryBackend
 
         return MemoryBackend(directory)
-    if name == "remote":
-        from repro.store.remote import RemoteBackend
-
-        target = url or store_url()
-        if not target:
-            raise ValueError(
-                "remote store backend needs an address: set REPRO_STORE_URL"
-                " (e.g. tcp://127.0.0.1:7463) or pass url="
-            )
-        return RemoteBackend(target)
     raise ValueError(f"unknown store backend {name!r}")
 
 
@@ -250,11 +225,10 @@ class BlueprintStore:
     Entries are hydrated into an in-memory table on first access per kind,
     so warm lookups are dictionary gets, not backend queries.  ``put`` is
     buffered; :meth:`flush` ships the batch as one coalesced backend
-    commit (one locked transaction for sqlite, one network round trip for
-    the daemon client).  The store is fork-aware: a child process
-    inherits the object but not the backend's OS resources, which are
-    transparently reopened (and the parent's pending batch dropped — the
-    parent flushes its own writes).
+    commit (one locked transaction for sqlite).  The store is fork-aware:
+    a child process inherits the object but not the backend's OS
+    resources, which are transparently reopened (and the parent's pending
+    batch dropped — the parent flushes its own writes).
     """
 
     def __init__(
@@ -262,13 +236,11 @@ class BlueprintStore:
         directory: str | os.PathLike | None = None,
         enabled: bool | None = None,
         backend: str | StoreBackend | None = None,
-        url: str | None = None,
     ) -> None:
         self.directory = Path(directory) if directory else store_dir()
         self.enabled = store_enabled() if enabled is None else enabled
         self.path = self.directory / DB_NAME
         self._backend_spec = backend
-        self._url = url
         self._backend: StoreBackend | None = None
         self._pid = os.getpid()
         self._mem: dict[str, dict[str, Any]] = {}
@@ -299,9 +271,7 @@ class BlueprintStore:
             return None
         self._check_fork()
         if self._backend is None:
-            self._backend = make_backend(
-                self._backend_spec, self.directory, self._url
-            )
+            self._backend = make_backend(self._backend_spec, self.directory)
         return self._backend
 
     def _check_fork(self) -> None:
@@ -568,16 +538,15 @@ def shared_store() -> BlueprintStore:
     """The process-wide store, rebuilt when the env configuration changes.
 
     The rebuild key covers every knob that changes which backend (or
-    which data) the store front resolves to — enabled flag, directory,
-    backend name and daemon URL — so tests and drivers that switch
-    backends mid-process never silently keep talking to the previous one.
+    which data) the store front resolves to — enabled flag, directory
+    and backend name — so tests and drivers that switch backends
+    mid-process never silently keep talking to the previous one.
     """
     global _shared, _shared_config
     config = (
         store_enabled(),
         str(store_dir()),
         store_backend_name() if store_enabled() else "none",
-        store_url() or "",
     )
     if _shared is None or _shared_config != config:
         if _shared is not None:

@@ -11,16 +11,13 @@ narrow surface the front needs:
 ``clear`` — plus the GC extension (``scan`` / ``delete_many``) and the
 lifecycle hooks (``close`` / ``reopen``).  ``commit`` is the coalesced
 flush — put + touch + budget enforcement in one call — with a default
-composition that concrete backends (the remote client, which turns it
-into a single network round trip; sqlite, which runs it under one file
-lock) override.
+composition that sqlite overrides to run it under one file lock.
 
-Three implementations ship: :class:`repro.store.sqlite.SqliteBackend`
-(the historical on-disk behavior), :class:`repro.store.memory.MemoryBackend`
-(ephemeral, for tests and short-lived runs) and
-:class:`repro.store.remote.RemoteBackend` (a client for the
-``repro-store serve`` daemon).  Selection is environment-driven —
-``REPRO_STORE_BACKEND`` / ``REPRO_STORE_URL`` — and resolved by
+Two implementations ship: :class:`repro.store.sqlite.SqliteBackend`
+(the historical on-disk behavior) and
+:class:`repro.store.memory.MemoryBackend` (ephemeral, for tests and
+short-lived runs).  Selection is environment-driven —
+``REPRO_STORE_BACKEND`` — and resolved by
 :func:`repro.store.shared_store`.
 
 This module also hosts the low-level helpers the front and every
@@ -144,7 +141,7 @@ class StoreBackend:
     (cold-path recompute) — it never kills the experiment using it.
     """
 
-    #: Human-readable backend identity (``sqlite`` / ``memory`` / ``remote``).
+    #: Human-readable backend identity (``sqlite`` / ``memory``).
     name = "abstract"
 
     # -- reads -----------------------------------------------------------
@@ -178,10 +175,8 @@ class StoreBackend:
     ) -> None:
         """One coalesced flush: writes + LRU stamps + budget enforcement.
 
-        The default composes the fine-grained methods; backends override
-        it to exploit their transport — sqlite runs the whole thing under
-        a single file lock, the remote client ships it as one framed
-        request instead of three.
+        The default composes the fine-grained methods; sqlite overrides
+        it to run the whole thing under a single file lock.
         """
         if rows:
             self.put_many(rows)
@@ -200,12 +195,11 @@ class StoreBackend:
         semantics live in :mod:`repro.store.claims`.  Each backend runs
         load → :func:`repro.store.claims.apply` → store-back under its
         own exclusion mechanism (sqlite: the advisory file lock; memory:
-        the instance lock; remote: the daemon's dispatch lock), which
-        makes every op — ``claim``, ``renew``, ``complete``, ... — an
-        atomic compare-and-swap regardless of transport.
+        the instance lock), which makes every op — ``claim``, ``renew``,
+        ``complete``, ... — an atomic compare-and-swap.
 
         Returns the op's result dict, or ``None`` when the backend is
-        unavailable (degraded store, unreachable daemon) — callers must
+        unavailable (degraded store) — callers must
         treat ``None`` as "coordination lost", never as an answer.
         """
         raise NotImplementedError

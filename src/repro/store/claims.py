@@ -2,33 +2,29 @@
 
 A *claim queue* is a new ``queue`` store kind: one row per canonical
 task, living in the ordinary entries table of whichever backend holds
-the store (sqlite file, memory dict, or the ``repro-store serve``
-daemon's backing store), so queue state rides every transport the store
-already has — including surviving a daemon restart, because the rows
-are persisted like any other kind.
+the store (sqlite file or memory dict), so queue state is persisted
+like any other kind and survives a worker that dies holding it.
 
 This module is the *pure* half: given the decoded records of one queue
 and an operation, :func:`apply` returns the mutated records and the
 operation's result.  It never touches storage or locks — each backend
 implements :meth:`repro.store.backend.StoreBackend.queue_op` by loading
 the queue's rows under its own exclusive mechanism (the sqlite advisory
-file lock, the memory backend's thread lock, the daemon's dispatch
-lock), applying this function, and writing the dirty rows back.  That
-makes every operation an atomic compare-and-swap no matter which
-backend coordinates it.
+file lock or the memory backend's thread lock), applying this function,
+and writing the dirty rows back.  That makes every operation an atomic
+compare-and-swap no matter which backend coordinates it.
 
 Lease semantics: a claim carries ``deadline = now + lease`` stamped
-with the *coordinator's* clock (the daemon for remote queues, the
-claiming process for file-locked sqlite — either way, one clock per
-queue).  A worker renews its lease while running; each renewal bumps
-the ``heartbeats`` counter, and deadlines only ever move forward
-(``max(old, now + lease)``), so a clock stepping backwards can shorten
-no lease.  A claim whose deadline has passed is *expired*: any other
-worker's ``claim`` steals it (``reclaims`` increments — the visible
-trace of crash recovery) and ``complete`` from the original worker
-fails its compare-and-swap, so exactly one worker ever owns a task's
-result.  Completion losers simply drop their (idempotent, byte-
-identical) result.
+with the clock of the process applying the op (all of them on one
+machine, so one clock per queue).  A worker renews its lease while
+running; each renewal bumps the ``heartbeats`` counter, and deadlines
+only ever move forward (``max(old, now + lease)``), so a clock stepping
+backwards can shorten no lease.  A claim whose deadline has passed is
+*expired*: any other worker's ``claim`` steals it (``reclaims``
+increments — the visible trace of crash recovery) and ``complete`` from
+the original worker fails its compare-and-swap, so exactly one worker
+ever owns a task's result.  Completion losers simply drop their
+(idempotent, byte-identical) result.
 
 Record shape (one dict per task)::
 

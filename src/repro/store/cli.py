@@ -1,18 +1,15 @@
 """The ``repro-store`` console script.
 
-Hygiene and daemon entry points for the persistent blueprint store::
+Hygiene entry points for the persistent blueprint store::
 
     repro-store stats [--json]        # per-kind counts/bytes (+generations)
     repro-store clear                 # delete every entry
     repro-store evict --max-mb N      # LRU-trim to a size budget
     repro-store gc [--dry-run] [--json]   # drop stale generations +
                                           # unreferenced corpora
-    repro-store serve [--port N] [--addr-file F]   # multi-writer daemon
 
 Global flags pick the target: ``--dir`` (default ``REPRO_STORE_DIR`` /
-``~/.cache/repro``), ``--backend`` (``sqlite``/``memory``/``remote``)
-and ``--url`` (the daemon address, for ``--backend remote``) — so the
-same commands can inspect a local database or a running daemon.
+``~/.cache/repro``) and ``--backend`` (``sqlite``/``memory``).
 """
 
 from __future__ import annotations
@@ -25,8 +22,7 @@ def main(argv: list[str] | None = None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="repro-store",
-        description="Inspect, trim, collect or serve the persistent"
-        " blueprint store.",
+        description="Inspect, trim or collect the persistent blueprint store.",
     )
     parser.add_argument(
         "--dir",
@@ -35,16 +31,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--backend",
-        choices=["sqlite", "memory", "remote"],
+        choices=["sqlite", "memory"],
         default=None,
-        help="store backend (default: REPRO_STORE_BACKEND, or sqlite;"
-        " remote when REPRO_STORE_URL is set)",
-    )
-    parser.add_argument(
-        "--url",
-        default=None,
-        help="daemon address for the remote backend"
-        " (default: REPRO_STORE_URL)",
+        help="store backend (default: REPRO_STORE_BACKEND, or sqlite)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     stats = sub.add_parser(
@@ -78,49 +67,12 @@ def main(argv: list[str] | None = None) -> int:
     gc.add_argument(
         "--json", action="store_true", help="machine-readable report"
     )
-    serve = sub.add_parser(
-        "serve",
-        help="run the multi-writer store daemon (REPRO_STORE_URL clients)",
-    )
-    serve.add_argument(
-        "--host",
-        default="127.0.0.1",
-        help="bind address (default 127.0.0.1; the protocol is"
-        " unauthenticated — do not expose beyond the job boundary)",
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port (default 0 = pick a free port and print it)",
-    )
-    serve.add_argument(
-        "--addr-file",
-        default=None,
-        help="write the bound tcp://host:port address to this file",
-    )
     args = parser.parse_args(argv)
-
-    if args.command == "serve":
-        from repro.store.daemon import serve as serve_daemon
-        from repro.store import store_dir
-
-        backend_name = args.backend or "sqlite"
-        if backend_name == "remote":
-            parser.error("serve fronts a local backend: sqlite or memory")
-        directory = args.dir if args.dir is not None else store_dir()
-        return serve_daemon(
-            directory,
-            host=args.host,
-            port=args.port,
-            backend_name=backend_name,
-            addr_file=args.addr_file,
-        )
 
     from repro.store import BlueprintStore, store_budget_bytes
 
     store = BlueprintStore(
-        directory=args.dir, enabled=True, backend=args.backend, url=args.url
+        directory=args.dir, enabled=True, backend=args.backend
     )
     code = 0
     if args.command == "stats":

@@ -1,4 +1,4 @@
-"""The in-memory store backend (tests, ephemeral runs, daemon-embedded).
+"""The in-memory store backend (tests and ephemeral runs).
 
 Rows live in a process-local dict registry keyed by the *directory
 string* the store was configured with, so the ``shared_store()``
@@ -7,11 +7,6 @@ and back to force rehydration) still sees the same data a previous
 instance wrote.  Nothing touches disk; ``stats()['path']`` reports a
 ``memory://<dir>`` pseudo-path so humans can tell at a glance that the
 store will not outlive the process.
-
-This backend is also the storage engine inside ``repro-store serve``:
-the daemon front-ends either a :class:`MemoryBackend` (pure fan-in
-cache) or a :class:`~repro.store.sqlite.SqliteBackend` (shared *and*
-persistent) behind one lock.
 """
 
 from __future__ import annotations
@@ -78,10 +73,8 @@ class MemoryBackend(StoreBackend):
     def queue_op(self, queue: str, op: str, args: dict) -> object:
         """Load → apply → store-back under the instance lock.
 
-        The memory backend is either process-local (tests) or the
-        storage engine inside the daemon, where the dispatch lock
-        already serializes requests — this lock makes the op atomic in
-        both settings.
+        The lock makes the op atomic against other threads of this
+        process (a queue's heartbeat renewing while its worker claims).
         """
         import pickle
 

@@ -93,9 +93,11 @@ class SqliteBackend(StoreBackend):
         if self._conn is None:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                # check_same_thread=False: the daemon serves this backend
-                # from handler threads, serialized under one lock — the
-                # connection is shared, never used concurrently.
+                # check_same_thread=False: the claim queue's heartbeat
+                # thread and the server's threads reach this connection
+                # from threads other than the one that opened it; their
+                # callers serialize access, so it is shared, never used
+                # concurrently.
                 conn = sqlite3.connect(
                     self.path, timeout=30.0, check_same_thread=False
                 )

@@ -23,9 +23,9 @@ def clean_chaos(monkeypatch):
 class TestSpecParsing:
     def test_single_and_multiple_sites(self):
         assert chaos.parse_spec("kill_task=2") == {"kill_task": 2}
-        assert chaos.parse_spec(" drop_conn=3 , commit_slow=1 ") == {
-            "drop_conn": 3,
-            "commit_slow": 1,
+        assert chaos.parse_spec(" kill_claim=3 , truncate_partial=1 ") == {
+            "kill_claim": 3,
+            "truncate_partial": 1,
         }
 
     def test_empty_spec(self):
@@ -62,25 +62,21 @@ class TestTrip:
 
     def test_unconfigured_site_never_trips(self):
         chaos.reset("kill_task=1")
-        assert all(not chaos.trip("drop_conn") for _ in range(5))
+        assert all(not chaos.trip("kill_claim") for _ in range(5))
 
     def test_sites_count_independently(self):
-        chaos.reset("drop_conn=1,commit_fail=2")
-        assert chaos.trip("drop_conn") is True
-        assert chaos.trip("commit_fail") is False
-        assert chaos.trip("commit_fail") is True
+        chaos.reset("kill_claim=1,truncate_partial=2")
+        assert chaos.trip("kill_claim") is True
+        assert chaos.trip("truncate_partial") is False
+        assert chaos.trip("truncate_partial") is True
 
     def test_reset_clears_counters(self):
-        chaos.reset("drop_conn=1")
-        assert chaos.trip("drop_conn") is True
-        chaos.reset("drop_conn=1")
-        assert chaos.trip("drop_conn") is True
+        chaos.reset("kill_claim=1")
+        assert chaos.trip("kill_claim") is True
+        chaos.reset("kill_claim=1")
+        assert chaos.trip("kill_claim") is True
 
     def test_empty_spec_is_free(self):
         chaos.reset("")
         assert not chaos.trip("kill_task")
         assert not chaos.trip("truncate_partial")
-
-    def test_slow_seconds_is_bounded(self):
-        # Tests and CI lean on the stall being short but non-zero.
-        assert 0.0 < chaos.slow_seconds() <= 5.0

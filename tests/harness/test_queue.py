@@ -1,14 +1,14 @@
 """Work-stealing claim queue: leases, CAS ownership, crash recovery.
 
 The in-process half of the fault-tolerance story: ClaimQueue verbs over
-a real backend (memory — the same load/apply/store-back path sqlite and
-the daemon run), lease expiry and stealing, completion CAS losers
+a real backend (memory — the same load/apply/store-back path sqlite
+runs), lease expiry and stealing, completion CAS losers
 dropping their results, heartbeats keeping slow workers alive, and the
 worker pull loop (:func:`repro.harness.queue.work_shard`) merging
 byte-identical to a single-worker run no matter how tasks were raced,
 stolen, or re-executed, and the claim order (longest recorded seconds
-first, canonical without history).  Subprocess orchestration and daemon
-restarts are covered by ``benchmarks/chaos_recovery_check.py`` and the
+first, canonical without history).  Subprocess orchestration is
+covered by ``benchmarks/chaos_recovery_check.py`` and the
 store concurrency tests.
 """
 
@@ -166,8 +166,8 @@ class TestBackendLoss:
 
     def test_rebuild_recovers_spec_configured_queues(self, tmp_path):
         # Memory backends are directory-keyed within the process, so a
-        # rebuilt backend sees the same rows — the model of a daemon
-        # restarted on the same address.
+        # rebuilt backend sees the same rows — the model of a store
+        # reopened from the same directory.
         seeder = ClaimQueue(
             "q", spec="memory", directory=tmp_path / "shared", grace=5.0
         )
@@ -452,12 +452,12 @@ class TestOrchestrationHelpers:
 
     def test_worker_env_routes_chaos_to_round_one_only(self, monkeypatch):
         monkeypatch.setenv("REPRO_CHAOS", "kill_task=1")
-        monkeypatch.setenv("REPRO_CHAOS_W1", "drop_conn=2")
+        monkeypatch.setenv("REPRO_CHAOS_W1", "truncate_partial=2")
         monkeypatch.setenv("REPRO_SHARD", "0/2")
         env0 = work_queue._worker_env(0, 1)
         env1 = work_queue._worker_env(1, 1)
         assert env0["REPRO_CHAOS"] == "kill_task=1"  # plain knob -> worker 0
-        assert env1["REPRO_CHAOS"] == "drop_conn=2"
+        assert env1["REPRO_CHAOS"] == "truncate_partial=2"
         assert "REPRO_SHARD" not in env0
         # Recovery rounds are chaos-free, or the same fault re-trips
         # forever and recovery can never be observed converging.

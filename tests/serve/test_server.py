@@ -5,6 +5,8 @@ from __future__ import annotations
 import asyncio
 import json
 
+import pytest
+
 import repro.store as store_mod
 from tests.serve.conftest import http_request
 
@@ -355,4 +357,25 @@ def test_oversized_head_gets_431(run_app):
         run_app,
         b"GET /healthz HTTP/1.1\r\n" + padding + b"\r\n",
         b"HTTP/1.1 431 Request Header Fields Too Large",
+    )
+
+
+def test_oversized_body_gets_413(run_app):
+    # A terabyte body: the server must refuse on the head alone instead
+    # of waiting to buffer it.
+    _assert_answered_then_healthy(
+        run_app,
+        b"POST /extract HTTP/1.1\r\nContent-Length: 1000000000000\r\n\r\n",
+        b"HTTP/1.1 413 Payload Too Large",
+    )
+
+
+@pytest.mark.parametrize(
+    "request_line", [b"GET", b"GET /healthz"], ids=["one-token", "no-version"]
+)
+def test_malformed_request_line_gets_400(run_app, request_line):
+    _assert_answered_then_healthy(
+        run_app,
+        request_line + b"\r\n\r\n",
+        b"HTTP/1.1 400 Bad Request",
     )

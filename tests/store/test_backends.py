@@ -1,10 +1,10 @@
-"""Backend-protocol conformance across sqlite, memory and remote.
+"""Backend-protocol conformance across sqlite and memory.
 
 Every backend must serve the same front (:class:`BlueprintStore`)
 contract: round-trips (including ``None`` as a value), the MISS
 sentinel, large-kind point reads, LRU eviction with touched-key
 protection, per-generation stats — plus the env-driven selection
-(``REPRO_STORE_BACKEND`` / ``REPRO_STORE_URL``) and the
+(``REPRO_STORE_BACKEND``) and the
 ``shared_store()`` rebuild key that covers it.
 """
 
@@ -17,33 +17,19 @@ from repro.store import (
     shared_store,
     store_backend_name,
 )
-from repro.store.daemon import StoreDaemon
 from repro.store.memory import MemoryBackend
 from repro.store.sqlite import SqliteBackend
 
-BACKENDS = ["sqlite", "memory", "remote"]
+BACKENDS = ["sqlite", "memory"]
 
 
 @pytest.fixture(params=BACKENDS)
 def any_store(request, tmp_path):
-    daemon = None
-    if request.param == "remote":
-        daemon = StoreDaemon(SqliteBackend(tmp_path / "served"))
-        daemon.start()
-        store = BlueprintStore(
-            directory=tmp_path / "client",
-            enabled=True,
-            backend="remote",
-            url=daemon.url,
-        )
-    else:
-        store = BlueprintStore(
-            directory=tmp_path / "store", enabled=True, backend=request.param
-        )
+    store = BlueprintStore(
+        directory=tmp_path / "store", enabled=True, backend=request.param
+    )
     yield store
     store.close()
-    if daemon is not None:
-        daemon.stop()
 
 
 class TestConformance:
@@ -99,28 +85,18 @@ QUEUE_TASKS = [["p", "A"], ["p", "B"], ["q", "A"]]
 @pytest.fixture(params=BACKENDS)
 def any_backend(request, tmp_path):
     """A raw backend of each flavour (the queue_op substrate)."""
-    daemon = None
-    if request.param == "remote":
-        from repro.store.remote import RemoteBackend
-
-        daemon = StoreDaemon(SqliteBackend(tmp_path / "served"))
-        daemon.start()
-        backend = RemoteBackend(daemon.url)
-    elif request.param == "memory":
+    if request.param == "memory":
         backend = MemoryBackend(tmp_path / "store")
     else:
         backend = SqliteBackend(tmp_path / "store")
     yield backend
     backend.close()
-    if daemon is not None:
-        daemon.stop()
 
 
 class TestQueueOpConformance:
     """Every backend must serve the claim-queue verbs atomically and
     identically: the work-stealing workers cannot care whether their
-    coordination table lives behind a file lock, a thread lock, or a
-    daemon's dispatch lock."""
+    coordination table lives behind a file lock or a thread lock."""
 
     def test_full_claim_lifecycle(self, any_backend):
         op = lambda verb, **args: any_backend.queue_op("workq", verb, args)
@@ -209,17 +185,6 @@ class TestMemoryBackend:
 class TestSelection:
     def test_default_is_sqlite(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_STORE_URL", raising=False)
-        assert store_backend_name() == "sqlite"
-
-    def test_url_implies_remote(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        monkeypatch.setenv("REPRO_STORE_URL", "tcp://127.0.0.1:7463")
-        assert store_backend_name() == "remote"
-
-    def test_explicit_backend_wins_over_url(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "sqlite")
-        monkeypatch.setenv("REPRO_STORE_URL", "tcp://127.0.0.1:7463")
         assert store_backend_name() == "sqlite"
 
     def test_unknown_backend_rejected(self, monkeypatch):
@@ -231,11 +196,6 @@ class TestSelection:
         assert isinstance(make_backend("sqlite", tmp_path), SqliteBackend)
         assert isinstance(make_backend("memory", tmp_path), MemoryBackend)
 
-    def test_remote_without_url_errors(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_URL", raising=False)
-        with pytest.raises(ValueError, match="REPRO_STORE_URL"):
-            make_backend("remote", tmp_path)
-
     def test_shared_store_rebuilds_on_backend_change(
         self, monkeypatch, tmp_path
     ):
@@ -243,7 +203,6 @@ class TestSelection:
         not just (enabled, dir)."""
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "shared"))
         monkeypatch.delenv("REPRO_STORE_BACKEND", raising=False)
-        monkeypatch.delenv("REPRO_STORE_URL", raising=False)
         first = shared_store()
         assert first.backend.name == "sqlite"
         monkeypatch.setenv("REPRO_STORE_BACKEND", "memory")
@@ -252,11 +211,3 @@ class TestSelection:
         assert second.backend.name == "memory"
         # Same config again: no rebuild.
         assert shared_store() is second
-
-    def test_shared_store_rebuilds_on_url_change(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "shared"))
-        monkeypatch.setenv("REPRO_STORE_BACKEND", "memory")
-        first = shared_store()
-        monkeypatch.setenv("REPRO_STORE_URL", "tcp://127.0.0.1:1")
-        second = shared_store()
-        assert second is not first

@@ -1,17 +1,13 @@
-"""`repro-store` CLI: stats --json, gc, evict guard rails, serve."""
+"""`repro-store` CLI: stats --json, gc, evict guard rails, module entry."""
 
 import json
 import os
 import subprocess
 import sys
-import time
 from pathlib import Path
-
-import pytest
 
 from repro.store import BlueprintStore, default_generation
 from repro.store.cli import main
-from repro.store.remote import RemoteBackend
 
 
 def seeded_dir(tmp_path):
@@ -89,53 +85,21 @@ class TestEvictGuard:
         assert "no budget" in out
 
 
-class TestServe:
-    def test_serve_subprocess_round_trip(self, tmp_path):
-        addr_file = tmp_path / "addr"
+class TestModuleEntryPoint:
+    def test_module_stats_json_subprocess(self, tmp_path):
+        """``python -m repro.store`` runs the same CLI in a fresh process."""
+        directory = seeded_dir(tmp_path)
         env = dict(os.environ)
         src = str(Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        proc = subprocess.Popen(
+        proc = subprocess.run(
             [sys.executable, "-m", "repro.store",
-             "--dir", str(tmp_path / "served"),
-             "serve", "--port", "0", "--addr-file", str(addr_file)],
+             "--dir", str(directory), "stats", "--json"],
             env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
+            capture_output=True,
+            text=True,
+            timeout=60,
         )
-        try:
-            deadline = time.monotonic() + 30.0
-            while not addr_file.exists() and time.monotonic() < deadline:
-                assert proc.poll() is None, proc.stderr.read().decode()
-                time.sleep(0.05)
-            url = addr_file.read_text().strip()
-            assert url.startswith("tcp://")
-
-            client = BlueprintStore(
-                directory=tmp_path / "client", enabled=True,
-                backend="remote", url=url,
-            )
-            client.put("dist", "k", "html", 0.5)
-            client.flush()
-            assert client.get("dist", "k") == 0.5
-            client.close()
-
-            shutter = RemoteBackend(url)
-            shutter.shutdown_server()
-            shutter.close()
-            proc.wait(timeout=30)
-            assert proc.returncode == 0
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
-
-        # The daemon's directory is a plain sqlite store afterwards.
-        local = BlueprintStore(directory=tmp_path / "served", enabled=True)
-        assert local.get("dist", "k") == 0.5
-        local.close()
-
-    def test_serve_rejects_remote_backend(self, tmp_path, capsys):
-        with pytest.raises(SystemExit):
-            main(["--backend", "remote", "--dir", str(tmp_path), "serve"])
-        assert "serve fronts a local backend" in capsys.readouterr().err
+        assert proc.returncode == 0, proc.stderr
+        stats = json.loads(proc.stdout)
+        assert stats["entries"] == 3

@@ -1,9 +1,8 @@
 """Multi-writer concurrency: overlapping flushes lose nothing.
 
-Two real processes flush overlapping key ranges into the same backend —
-once against the sqlite file (serialized by the advisory file lock),
-once through the daemon (serialized by its dispatch lock) — and the
-store must end up with the union, with every fresh reader agreeing on
+Two real processes flush overlapping key ranges into the same sqlite
+file (serialized by the advisory file lock), and the store must end up
+with the union, with every fresh reader agreeing on
 ``stats()``.  A GC racing a warm reader must never remove
 current-generation keys the reader can reach.
 """
@@ -13,10 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import pytest
-
 from repro.store import BlueprintStore
-from repro.store.daemon import StoreDaemon
 from repro.store.sqlite import SqliteBackend
 from repro.store.gc import run_gc
 
@@ -24,24 +20,22 @@ WRITER = """
 import sys
 from repro.store import BlueprintStore
 
-directory, backend, url, start, count = sys.argv[1:6]
-store = BlueprintStore(
-    directory=directory, enabled=True, backend=backend, url=url or None
-)
+directory, backend, start, count = sys.argv[1:5]
+store = BlueprintStore(directory=directory, enabled=True, backend=backend)
 for i in range(int(start), int(start) + int(count)):
     store.put("dist", "k%d" % i, "html", float(i))
 store.close()
 """
 
 
-def run_writers(directory, backend, url=""):
+def run_writers(directory, backend):
     """Two concurrent processes writing overlapping ranges 0-49 and 25-74."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", WRITER, str(directory), backend, url,
+            [sys.executable, "-c", WRITER, str(directory), backend,
              str(start), "50"],
             env=env,
             stdout=subprocess.PIPE,
@@ -74,40 +68,12 @@ class TestSqliteMultiWriter:
         assert first["by_kind"] == second["by_kind"]
 
 
-class TestDaemonMultiWriter:
-    def test_overlapping_flushes_lose_no_entries(self, tmp_path):
-        daemon = StoreDaemon(SqliteBackend(tmp_path / "served"))
-        daemon.start()
-        try:
-            run_writers(tmp_path / "client", "remote", daemon.url)
-            reader = BlueprintStore(
-                directory=tmp_path / "reader", enabled=True,
-                backend="remote", url=daemon.url,
-            )
-            assert_union_present(reader)
-            via_daemon = reader.stats()
-            reader.close()
-        finally:
-            daemon.stop()
-        assert via_daemon["entries"] == 75
-        # The daemon's backing file holds the same union: nothing was
-        # dropped between the wire and the disk.
-        local = BlueprintStore(directory=tmp_path / "served", enabled=True)
-        assert_union_present(local)
-        on_disk = local.stats()
-        local.close()
-        assert on_disk["entries"] == 75
-        assert on_disk["by_kind"]["html/dist"] == via_daemon["by_kind"]["html/dist"]
-
-
 CLAIMER = """
 import sys, time
 from repro.harness.queue import ClaimQueue
 
-directory, backend, url, worker = sys.argv[1:5]
-queue = ClaimQueue(
-    "conc", spec=backend, directory=directory, url=url or None, grace=30.0
-)
+directory, backend, worker = sys.argv[1:4]
+queue = ClaimQueue("conc", spec=backend, directory=directory, grace=30.0)
 won = []
 while True:
     grant = queue.claim(worker, 30.0)
@@ -124,14 +90,14 @@ sys.stdout.write("\\n".join(won))
 """
 
 
-def run_claimers(directory, backend, url=""):
+def run_claimers(directory, backend):
     """Two processes race one 30-task queue; returns their won members."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", CLAIMER, str(directory), backend, url,
+            [sys.executable, "-c", CLAIMER, str(directory), backend,
              f"w{index}"],
             env=env,
             stdout=subprocess.PIPE,
@@ -170,55 +136,6 @@ class TestQueueClaimExclusivity:
         won = run_claimers(tmp_path / "shared", "sqlite")
         self.assert_tiled(won, backend)
         backend.close()
-
-    def test_daemon_dispatch_lock_serializes_claims(self, tmp_path):
-        daemon = StoreDaemon(SqliteBackend(tmp_path / "served"))
-        daemon.start()
-        try:
-            self._seed(daemon.backend)
-            won = run_claimers(tmp_path / "client", "remote", daemon.url)
-            self.assert_tiled(won, daemon.backend)
-        finally:
-            daemon.stop()
-
-
-class TestQueueSurvivesDaemonRestart:
-    def test_rows_persist_across_daemon_generations(self, tmp_path):
-        """Queue rows live in the daemon's backing store like any other
-        kind, so a restarted daemon resumes the queue mid-flight."""
-        from repro.store.remote import RemoteBackend
-
-        first = StoreDaemon(SqliteBackend(tmp_path / "served"))
-        first.start()
-        client = RemoteBackend(first.url)
-        client.queue_op(
-            "restartq", "sync", {"tasks": [["p", "A"], ["p", "B"]]}
-        )
-        grant = client.queue_op(
-            "restartq", "claim", {"worker": "w0", "lease": 30.0}
-        )
-        assert client.queue_op(
-            "restartq", "complete",
-            {"worker": "w0", "member": grant["member"]},
-        ) == {"ok": True}
-        client.close()
-        first.stop()
-
-        second = StoreDaemon(SqliteBackend(tmp_path / "served"))
-        second.start()
-        try:
-            client = RemoteBackend(second.url)
-            snapshot = client.queue_op("restartq", "snapshot", {})
-            assert snapshot["total"] == 2
-            assert snapshot["states"]["done"] == 1
-            # The surviving pending task is still claimable.
-            grant = client.queue_op(
-                "restartq", "claim", {"worker": "w1", "lease": 30.0}
-            )
-            assert grant["status"] == "claimed"
-            client.close()
-        finally:
-            second.stop()
 
 
 class TestGcVsWarmReader:
