@@ -70,12 +70,12 @@ class StageTimer:
     Besides the named pipeline stages, the timer records **per-task**
     wall-clock: each experiment driver wraps one canonical task (see
     :mod:`repro.harness.sharding`) in :meth:`task`, and the resulting
-    ``tasks`` table — keyed by the task's string tuple — is what the
-    work pool's claim order (:mod:`repro.harness.costmodel`) learns
-    from.  Task keys ride through :meth:`snapshot`/:meth:`merge` like
-    every other measurement, so per-task timings survive process
-    fan-out and shard merges (task sets are disjoint across workers and
-    partials, so summing on merge is exact).
+    ``tasks`` table — keyed by the task's string tuple — lands in every
+    shard partial as ``task_seconds``.  Task keys ride through
+    :meth:`snapshot`/:meth:`merge` like every other measurement, so
+    per-task timings survive process fan-out and shard merges (task sets
+    are disjoint across workers and partials, so summing on merge is
+    exact).
     """
 
     def __init__(self) -> None:

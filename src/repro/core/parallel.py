@@ -19,7 +19,7 @@ Guard rails:
 * ``REPRO_JOBS`` (the same knob the experiment harness uses) sets the
   worker count; the default of 1 keeps every kernel serial.
 * Kernels never nest: harness worker processes (and the kernels' own
-  workers) are marked via an environment flag, and :func:`kernel_jobs`
+  workers) are marked via a module-level flag, and :func:`kernel_jobs`
   reports 1 inside them, so a parallel harness run keeps its per-task
   pipelines serial instead of forking a pool per ``lrsyn`` call.
 * Platforms without a ``fork`` context (Windows) silently run serially —
@@ -37,7 +37,8 @@ from typing import Any, Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 
-_WORKER_ENV = "REPRO_WORKER"
+# Set by :func:`mark_worker` inside pool worker processes only.
+_IN_WORKER = False
 
 
 def jobs() -> int:
@@ -53,11 +54,12 @@ def jobs() -> int:
 
 def mark_worker() -> None:
     """Flag this process as a pool worker so kernels inside it stay serial."""
-    os.environ[_WORKER_ENV] = "1"
+    global _IN_WORKER
+    _IN_WORKER = True
 
 
 def in_worker() -> bool:
-    return os.environ.get(_WORKER_ENV) == "1"
+    return _IN_WORKER
 
 
 def fork_context():

@@ -17,9 +17,9 @@ missing index: a ``serving`` store kind whose rows map
 Rows carry the :data:`repro.store.BLUEPRINT_ALGO_VERSION` they were
 exported under; the serving loader treats a mismatch as *stale* and serves
 a diagnostic 404 instead of unpickling a program trained by incompatible
-code.  Like the ``timing`` kind, serving keys deliberately describe
-*work* (a provider/field identity), not document content — they index
-content-keyed rows rather than replacing them.
+code.  Serving keys deliberately describe *work* (a provider/field
+identity), not document content — they index content-keyed rows rather
+than replacing them.
 
 Run via ``repro-serve export --experiment forge_html`` (see
 :mod:`repro.serve.cli`) or call :func:`export_experiment` directly.

@@ -4,9 +4,9 @@
 both settings (drifted longitudinal test pages); ``forge_images`` runs the
 image method set over degraded scans.  Both are a task graph run by the
 table drivers' own task function (:func:`repro.harness.runner.table_task`)
-— corpus store, program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD`` /
-work-queue task resolution — so the forge doubles as a store/scheduler
-stress workload at whatever size ``REPRO_FORGE_PROVIDERS`` ×
+— corpus store, program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD``
+task resolution — so the forge doubles as a store/scheduler stress
+workload at whatever size ``REPRO_FORGE_PROVIDERS`` ×
 ``REPRO_FORGE_DOCS`` dials in.
 """
 

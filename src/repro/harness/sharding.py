@@ -28,18 +28,10 @@ merge is a deterministic reorder, never a reduction.  Inside a shard the
 ordinary ``REPRO_JOBS`` pools still apply, so a two-machine, eight-core
 run shards twice and forks eight ways.
 
-Round-robin assignment balances task *counts*, not seconds.  When the
-tasks are heterogeneous, the work-stealing pool (:mod:`repro.harness.queue`,
-``repro-shard work``) balances time instead: workers claim one task at
-a time, longest-predicted-first from the recorded per-task timings, so
-a straggling task never strands a whole slice.  Every shard run records
-its observed per-task seconds back into the timing store
-(:mod:`repro.harness.costmodel`).  Shards on one machine that share a
-``REPRO_STORE_DIR`` share a single warm sqlite store (:mod:`repro.store`)
-— blueprints, corpora, programs and timings discovered by one shard are
-hits for the rest.  The merge contract below is
-assignment-agnostic, so pool partials merge byte-identical to
-round-robin and unsharded runs.
+Round-robin assignment balances task *counts*, not seconds; it is the
+only scheduler.  Shards on one machine that share a ``REPRO_STORE_DIR``
+share a single warm sqlite store (:mod:`repro.store`) — blueprints,
+corpora and programs discovered by one shard are hits for the rest.
 
 Command line (installed as ``repro-shard``)::
 
@@ -47,7 +39,6 @@ Command line (installed as ``repro-shard``)::
     repro-shard tasks --experiment robustness --shards 3
     REPRO_SCALE=0.15 repro-shard run --experiment m2h --shard 0/3 \
         --out part0.pkl
-    repro-shard work --experiment robustness --workers 2 --out merged.pkl
     repro-shard merge part*.pkl --out merged.pkl --table table.txt \
         --timing-json benchmarks/results/BENCH_synthesis_speed.json
     repro-shard retry part0.pkl part2.pkl --out residual.pkl
@@ -385,13 +376,9 @@ def run_shard(
     with an explicit task set — ownership validation then happens at merge
     time, where the union over partials must cover the graph exactly once.
 
-    The partial records observed per-task wall-clock (``task_seconds``),
-    and — for cache-enabled, store-enabled runs — feeds those timings
-    back into the persistent timing store, which orders the work pool's
-    claims (:func:`repro.harness.queue.claim_order`).
+    The partial records observed per-task wall-clock (``task_seconds``).
     """
-    from repro.core.caching import StageTimer, cache_enabled, use_timer
-    from repro.harness.costmodel import record_task_timings
+    from repro.core.caching import StageTimer, use_timer
     from repro.harness.runner import flush_corpus_store, scale
 
     spec = resolve_shard(shard)
@@ -421,11 +408,6 @@ def run_shard(
         for task, seconds in timer.tasks.items()
         if task in grouped
     }
-    if cache_enabled():
-        # REPRO_CACHE=0 baselines run without any memo layer, so their
-        # wall-clock is not representative of a normal run — recording
-        # it would mis-order future work-pool claims.
-        record_task_timings(experiment, task_seconds, scale=scale())
     method_names = [method.name for method in methods]
     return {
         "schema": PARTIAL_SCHEMA,
@@ -451,13 +433,10 @@ def save_partial(path: "str | os.PathLike", partial: dict) -> None:
     """Serialize a partial, dropping non-picklable extractors first.
 
     The write is atomic (tmp + ``os.replace``), so a *live* writer never
-    exposes a torn file — the work-stealing worker rewrites its partial
-    after every completed task, and an interrupt between tasks must not
-    corrupt the previous snapshot.  A torn partial on disk therefore
-    always means a crashed writer; merge tolerates it and recovery
-    re-runs exactly the tasks it failed to carry.
+    exposes a torn file.  A torn partial on disk therefore always means a
+    crashed writer; merge skips it, reports the exact residual, and
+    ``retry`` reruns precisely the tasks it failed to carry.
     """
-    from repro.harness import chaos
     from repro.harness.runner import _transportable
 
     payload = dict(partial)
@@ -468,14 +447,6 @@ def save_partial(path: "str | os.PathLike", partial: dict) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     blob = pickle.dumps(payload)
-    if chaos.trip("truncate_partial"):
-        # Crash mid-flush: half the bytes land directly in the final
-        # path (no tmp/rename — this models dying inside write()), then
-        # the process is gone.
-        with open(path, "wb") as handle:
-            handle.write(blob[: max(1, len(blob) // 2)])
-        chaos.kill()
-        return  # reached only when tests stub chaos.kill
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     with open(tmp, "wb") as handle:
         handle.write(blob)
@@ -794,70 +765,6 @@ def main(argv: list[str] | None = None) -> int:
     run_cmd.add_argument("--seed", type=int, default=0)
     run_cmd.add_argument("--out", required=True)
 
-    work_cmd = sub.add_parser(
-        "work",
-        help=(
-            "work-stealing run: N workers pull tasks from a shared"
-            " leased claim queue; dead workers' claims are reclaimed"
-            " and the merge stays byte-identical"
-        ),
-    )
-    work_cmd.add_argument(
-        "--experiment", required=True, choices=sorted(EXPERIMENTS)
-    )
-    work_cmd.add_argument("--seed", type=int, default=0)
-    work_cmd.add_argument(
-        "--workers",
-        type=int,
-        default=2,
-        help="worker subprocesses to spawn (orchestrator mode)",
-    )
-    work_cmd.add_argument(
-        "--worker",
-        default=None,
-        help=(
-            "i/N: run a single worker loop in this process instead of"
-            " orchestrating (spawned internally by the orchestrator)"
-        ),
-    )
-    work_cmd.add_argument("--out", required=True)
-    work_cmd.add_argument(
-        "--fresh",
-        action="store_true",
-        help="reset the split's queue instead of resuming it",
-    )
-    work_cmd.add_argument(
-        "--keep-queue",
-        action="store_true",
-        help="keep the claim rows after a successful merge",
-    )
-    work_cmd.add_argument(
-        "--lease",
-        type=float,
-        default=None,
-        help="claim lease seconds (default: REPRO_QUEUE_LEASE)",
-    )
-    work_cmd.add_argument(
-        "--poll",
-        type=float,
-        default=None,
-        help="idle claim retry seconds (default: REPRO_QUEUE_POLL)",
-    )
-    work_cmd.add_argument(
-        "--max-rounds",
-        type=int,
-        default=None,
-        help="recovery rounds before giving up (default 4)",
-    )
-    work_cmd.add_argument(
-        "--table", default=None, help="also write rendered tables here"
-    )
-    work_cmd.add_argument(
-        "--stats-out",
-        default=None,
-        help="write the final queue snapshot (reclaims etc.) as JSON",
-    )
-
     merge_cmd = sub.add_parser(
         "merge", help="merge shard partials into one result file"
     )
@@ -920,66 +827,6 @@ def main(argv: list[str] | None = None) -> int:
             f" {len(partial['owned'])}/{len(partial['graph'])} tasks,"
             f" {count} results, {partial['wall_seconds']:.2f}s"
             f" -> {args.out}"
-        )
-        return 0
-
-    if args.command == "work":
-        from repro.harness import queue as work_queue
-
-        if args.worker is not None:
-            # Single-worker mode: one pull loop, spawned by the
-            # orchestrator (or run by hand against a live queue).
-            spec = parse_shard(args.worker)
-            digest = work_queue.experiment_digest(args.experiment, args.seed)
-            claim_queue = work_queue.ClaimQueue(work_queue.queue_id(digest))
-            try:
-                partial = work_queue.work_shard(
-                    args.experiment,
-                    work_queue.default_worker_name(spec.index),
-                    claim_queue,
-                    seed=args.seed,
-                    shard=spec,
-                    out=args.out,
-                    lease=args.lease,
-                    poll=args.poll,
-                )
-            finally:
-                claim_queue.close()
-            count = sum(len(r) for r in partial["results"].values())
-            print(
-                f"worker {spec} of {args.experiment}:"
-                f" {len(partial['owned'])}/{len(partial['graph'])} tasks won,"
-                f" {count} results, {partial['wall_seconds']:.2f}s"
-                f" -> {args.out}"
-            )
-            return 0
-        try:
-            merged = work_queue.run_work_pool(
-                args.experiment,
-                args.workers,
-                seed=args.seed,
-                out=args.out,
-                fresh=args.fresh,
-                keep_queue=args.keep_queue,
-                lease=args.lease,
-                poll=args.poll,
-                max_rounds=(
-                    args.max_rounds
-                    if args.max_rounds is not None
-                    else work_queue.DEFAULT_MAX_ROUNDS
-                ),
-                stats_out=args.stats_out,
-            )
-        except (RuntimeError, work_queue.QueueUnavailableError) as err:
-            print(f"WORK FAILED: {err}")
-            return 1
-        if args.table:
-            Path(args.table).write_text(render_tables(merged) + "\n")
-        count = sum(len(r) for r in merged["results"].values())
-        print(
-            f"work-stealing merge of {merged['experiment']}"
-            f" ({args.workers} workers, {merged['rounds']} round(s)):"
-            f" {len(merged['graph'])} tasks, {count} results -> {args.out}"
         )
         return 0
 

@@ -11,7 +11,10 @@ repo's no-deps stance.  The life of a ``POST /extract`` request:
    extraction thread: per request, **decode** (JSON + HTML parse +
    blueprint), **route** (:class:`repro.serve.router.Router` — one
    vectorized bitset-distance pass), **extract** (the synthesized
-   program), **encode** (canonical JSON bytes);
+   program), **encode** (canonical JSON bytes).  A request naming its
+   ``provider`` is routed by exact lookup *before* the HTML is parsed,
+   and skips the blueprint, so an unknown provider/field costs no
+   document decoding;
 3. the handler awaits the request's future and writes the prepared
    bytes.
 
@@ -247,8 +250,9 @@ class ServeApp:
         connection notices a drain promptly; a request whose bytes have
         started arriving is always read to the end and answered.  A head
         longer than the reader's limit, a request line that is not
-        ``METHOD PATH VERSION``, or a ``Content-Length`` that is not an
-        integer in ``[0, _MAX_BODY_BYTES]`` raises :class:`_BadHead`.
+        ``METHOD PATH VERSION``, a ``Content-Length`` that is not an
+        integer in ``[0, _MAX_BODY_BYTES]``, or a head or body cut short
+        by the client's EOF raises :class:`_BadHead`.
         """
         while True:
             try:
@@ -262,7 +266,11 @@ class ServeApp:
                 continue
             except asyncio.LimitOverrunError:
                 raise _BadHead(431, "request head too large") from None
-            except (asyncio.IncompleteReadError, ConnectionError, OSError):
+            except asyncio.IncompleteReadError as eof:
+                if eof.partial:
+                    raise _BadHead(400, "truncated request head") from None
+                return None
+            except (ConnectionError, OSError):
                 return None
         request_line, _, header_block = head.partition(b"\r\n")
         try:
@@ -283,7 +291,10 @@ class ServeApp:
                     raise _BadHead(400, "bad Content-Length")
                 if length > _MAX_BODY_BYTES:
                     raise _BadHead(413, "request body too large")
-        body = await reader.readexactly(length) if length else b""
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError:
+            raise _BadHead(400, "truncated request body") from None
         return method, path.split("?", 1)[0], body
 
     async def _respond(
@@ -428,7 +439,8 @@ class ServeApp:
     def _process_one(
         self, router: Router, pending: _Pending, timings: dict
     ) -> tuple[int, bytes]:
-        # decode: JSON envelope, HTML parse, document blueprint.
+        # decode: JSON envelope, HTML parse and, for routed requests, the
+        # document blueprint.
         started = time.monotonic()
         try:
             request = json.loads(pending.body)
@@ -445,30 +457,40 @@ class ServeApp:
                 for value in (provider, method)
             ):
                 raise ValueError("'provider' and 'method' must be strings")
-        except (ValueError, KeyError, UnicodeDecodeError) as exc:
+        except (ValueError, KeyError, RecursionError) as exc:
             return 400, _error(f"bad request: {exc}")
+        decoded = time.monotonic() - started
+
+        # route, explicit provider: a lookup that needs no document, so
+        # it runs before the parse and a miss costs no HTML decoding.
+        distance = None
+        if provider is not None:
+            started = time.monotonic()
+            entry, diagnostic = router.lookup(provider, field, method)
+            timings["route"] = time.monotonic() - started
+            if entry is None:
+                return 404, _json({"error": "no program", **diagnostic})
+
+        started = time.monotonic()
         try:
             from repro.html.parser import parse_html
 
             doc = parse_html(html)
-            blueprint = self._domain.document_blueprint(doc)
+            if provider is None:
+                blueprint = self._domain.document_blueprint(doc)
         except Exception as exc:  # noqa: BLE001 - answer, don't die
             return 400, _error(f"unparseable document: {exc}")
-        timings["decode"] = time.monotonic() - started
+        timings["decode"] = decoded + time.monotonic() - started
 
-        # route: explicit provider is a lookup; otherwise best provider
-        # by bitset blueprint distance.
-        started = time.monotonic()
-        distance = None
-        if provider is not None:
-            entry, diagnostic = router.lookup(provider, field, method)
-        else:
+        # route, no provider: best provider by bitset blueprint distance.
+        if provider is None:
+            started = time.monotonic()
             entry, distance, diagnostic = router.route(
                 field, blueprint, method
             )
-        timings["route"] = time.monotonic() - started
-        if entry is None:
-            return 404, _json({"error": "no program", **diagnostic})
+            timings["route"] = time.monotonic() - started
+            if entry is None:
+                return 404, _json({"error": "no program", **diagnostic})
 
         # extract: the synthesized program.
         started = time.monotonic()

@@ -15,14 +15,9 @@ expensive computations survive across processes and runs:
 * landmark-candidate lists, keyed by the ordered example fingerprints
   (side-effect-free domains only).
 
-Two harness-level kinds ride the same machinery: ``program``/``corpus``
+Harness-level kinds ride the same machinery: ``program``/``corpus``
 entries (see :mod:`repro.harness.runner`) make warm runs skip training
-and generation, and ``timing`` entries (per-task wall-clock EWMAs keyed
-by experiment, ``REPRO_SCALE`` and canonical task — see
-:mod:`repro.harness.costmodel`) order the work pool's claims.
-Timing keys deliberately include the experiment configuration: they
-describe *work*, not document content, and they are advisory — they
-shape claim order, never a score.
+and generation.
 
 Every key additionally folds in the *substrate* (``html`` / ``images``)
 and :data:`BLUEPRINT_ALGO_VERSION` — bump the latter whenever a
@@ -374,7 +369,7 @@ class BlueprintStore:
         ``eager`` pickles the value immediately (snapshotting its current
         state) instead of at flush time — used for corpus entries, whose
         documents keep accumulating memos after the put.  ``overwrite``
-        replaces an existing entry (timing estimates, serving catalogs).
+        replaces an existing entry (serving catalogs).
         ``generation`` overrides the row's generation stamp (default
         :func:`default_generation`) for kinds with extra versioned inputs.
         """

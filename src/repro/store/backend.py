@@ -186,24 +186,6 @@ class StoreBackend:
         if rows and budget is not None:
             self.evict(budget, protected)
 
-    # -- claim queues ----------------------------------------------------
-    def queue_op(self, queue: str, op: str, args: dict) -> Any:
-        """Atomically apply one claim-queue operation.
-
-        Claim queues (the work-stealing shard mode's coordination
-        tables) are rows of the ``queue`` kind; the operations and their
-        semantics live in :mod:`repro.store.claims`.  Each backend runs
-        load → :func:`repro.store.claims.apply` → store-back under its
-        own exclusion mechanism (sqlite: the advisory file lock; memory:
-        the instance lock), which makes every op — ``claim``, ``renew``,
-        ``complete``, ... — an atomic compare-and-swap.
-
-        Returns the op's result dict, or ``None`` when the backend is
-        unavailable (degraded store) — callers must
-        treat ``None`` as "coordination lost", never as an answer.
-        """
-        raise NotImplementedError
-
     # -- hygiene ---------------------------------------------------------
     def evict(
         self,

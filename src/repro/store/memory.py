@@ -69,48 +69,6 @@ class MemoryBackend(StoreBackend):
                 if row is not None:
                     row[7] = now
 
-    # -- claim queues ----------------------------------------------------
-    def queue_op(self, queue: str, op: str, args: dict) -> object:
-        """Load → apply → store-back under the instance lock.
-
-        The lock makes the op atomic against other threads of this
-        process (a queue's heartbeat renewing while its worker claims).
-        """
-        import pickle
-
-        from repro.store import claims
-
-        prefix = claims.queue_prefix(queue)
-        with self._lock:
-            now = time.time()
-            records = {
-                key[len(prefix):]: pickle.loads(row[2])
-                for key, row in self._rows.items()
-                if row[0] == claims.QUEUE_KIND and key.startswith(prefix)
-            }
-            if op == "purge":
-                for member in records:
-                    self._rows.pop(prefix + member, None)
-                return {"purged": len(records)}
-            dirty, result = claims.apply(records, op, args, now)
-            if dirty:
-                generation = claims.row_generation()
-                for member, record in dirty.items():
-                    blob = pickle.dumps(
-                        record, protocol=pickle.HIGHEST_PROTOCOL
-                    )
-                    self._rows[prefix + member] = [
-                        claims.QUEUE_KIND,
-                        claims.QUEUE_SUBSTRATE,
-                        blob,
-                        "raw",
-                        len(blob),
-                        generation,
-                        now,
-                        now,
-                    ]
-            return result
-
     # -- hygiene ---------------------------------------------------------
     def evict(
         self,

@@ -23,7 +23,6 @@ every read is a miss and every write a no-op, i.e. cold-path recompute.
 from __future__ import annotations
 
 import os
-import pickle
 import sqlite3
 import time
 import warnings
@@ -93,11 +92,10 @@ class SqliteBackend(StoreBackend):
         if self._conn is None:
             try:
                 self.directory.mkdir(parents=True, exist_ok=True)
-                # check_same_thread=False: the claim queue's heartbeat
-                # thread and the server's threads reach this connection
-                # from threads other than the one that opened it; their
-                # callers serialize access, so it is shared, never used
-                # concurrently.
+                # check_same_thread=False: the server's threads reach
+                # this connection from threads other than the one that
+                # opened it; their callers serialize access, so it is
+                # shared, never used concurrently.
                 conn = sqlite3.connect(
                     self.path, timeout=30.0, check_same_thread=False
                 )
@@ -254,70 +252,6 @@ class SqliteBackend(StoreBackend):
                     # from a concurrent job, skip — the budget is cache
                     # hygiene, and the next flush/evict retries.
                     pass
-
-    # -- claim queues ----------------------------------------------------
-    def queue_op(self, queue: str, op: str, args: dict) -> object:
-        """Load → apply → store-back under one file-lock acquisition.
-
-        The whole operation happens inside a single ``flock`` hold, so
-        concurrent workers sharing the database file see every op as an
-        atomic compare-and-swap.  All ``queue``-kind rows are read (a
-        queue is at most a few hundred tiny rows) and filtered by the
-        queue's key prefix in Python — no LIKE-escaping of queue names.
-        """
-        conn = self._connect()
-        if conn is None:
-            return None
-        from repro.store import claims
-
-        prefix = claims.queue_prefix(queue)
-        try:
-            with file_lock(self._lock_path):
-                now = time.time()
-                rows = conn.execute(
-                    "SELECT key, value FROM entries WHERE kind = ?",
-                    (claims.QUEUE_KIND,),
-                ).fetchall()
-                records = {
-                    key[len(prefix):]: pickle.loads(blob)
-                    for key, blob in rows
-                    if key.startswith(prefix)
-                }
-                if op == "purge":
-                    conn.executemany(
-                        "DELETE FROM entries WHERE key = ?",
-                        [(prefix + member,) for member in records],
-                    )
-                    conn.commit()
-                    return {"purged": len(records)}
-                dirty, result = claims.apply(records, op, args, now)
-                if dirty:
-                    generation = claims.row_generation()
-                    db_rows = []
-                    for member, record in dirty.items():
-                        blob = pickle.dumps(
-                            record, protocol=pickle.HIGHEST_PROTOCOL
-                        )
-                        db_rows.append((
-                            prefix + member,
-                            claims.QUEUE_KIND,
-                            claims.QUEUE_SUBSTRATE,
-                            blob,
-                            now,
-                            now,
-                            len(blob),
-                            "raw",
-                            generation,
-                        ))
-                    conn.executemany(
-                        "INSERT OR REPLACE INTO entries VALUES"
-                        " (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                        db_rows,
-                    )
-                    conn.commit()
-                return result
-        except (sqlite3.DatabaseError, pickle.PickleError):
-            return None
 
     # -- eviction --------------------------------------------------------
     def evict(

@@ -96,7 +96,7 @@ class TestPrefill:
     def test_seeds_cache_with_exact_values(self, monkeypatch):
         monkeypatch.setattr("repro.core.clustering.MIN_PARALLEL_PAIRS", 1)
         monkeypatch.setenv("REPRO_JOBS", "2")
-        monkeypatch.delenv(parallel._WORKER_ENV, raising=False)
+        monkeypatch.setattr(parallel, "_IN_WORKER", False)
         domain = HtmlDomain()
         cache = DistanceCache(domain, enabled=True)
         bps = blueprints(6)
@@ -121,11 +121,11 @@ class TestPrefill:
 class TestKernelGuards:
     def test_serial_inside_harness_workers(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
-        monkeypatch.setenv(parallel._WORKER_ENV, "1")
+        monkeypatch.setattr(parallel, "_IN_WORKER", True)
         assert parallel.kernel_jobs() == 1
 
     def test_follows_repro_jobs(self, monkeypatch):
-        monkeypatch.delenv(parallel._WORKER_ENV, raising=False)
+        monkeypatch.setattr(parallel, "_IN_WORKER", False)
         monkeypatch.setenv("REPRO_JOBS", "3")
         if parallel.fork_context() is not None:
             assert parallel.kernel_jobs() == 3
@@ -159,7 +159,7 @@ class TestParallelLandmarkScoring:
         )
         examples = corpus.training_examples("DTime")
 
-        monkeypatch.delenv(parallel._WORKER_ENV, raising=False)
+        monkeypatch.setattr(parallel, "_IN_WORKER", False)
         monkeypatch.setenv("REPRO_JOBS", "1")
         serial = lm.landmark_candidates(examples, 10)
 
@@ -178,7 +178,7 @@ class TestParallelLandmarkScoring:
         field = finance.FINANCE_FIELDS["AccountsInvoice"][0]
         examples = corpus.training_examples(field)
 
-        monkeypatch.delenv(parallel._WORKER_ENV, raising=False)
+        monkeypatch.setattr(parallel, "_IN_WORKER", False)
         monkeypatch.setenv("REPRO_JOBS", "1")
         serial = lm.landmark_candidates(examples, 10)
 
@@ -199,7 +199,7 @@ class TestParallelLandmarkScoring:
         examples = corpus.training_examples("DTime")
         domain = HtmlDomain()
 
-        monkeypatch.delenv(parallel._WORKER_ENV, raising=False)
+        monkeypatch.setattr(parallel, "_IN_WORKER", False)
         monkeypatch.setenv("REPRO_JOBS", "1")
         serial_program = lrsyn(domain, examples)
 

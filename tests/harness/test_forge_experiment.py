@@ -1,8 +1,7 @@
 """End-to-end shard tests for the forge experiments.
 
 ``forge_html`` at tiny scale must be byte-identical between an unsharded
-``repro-shard run``, a 2-shard run + merge, and a work-stealing
-``repro-shard work`` pool; a warm-store rerun must skip training (the
+``repro-shard run`` and a 2-shard run + merge; a warm-store rerun must skip training (the
 ``tests/harness/test_bench_experiment_store.py`` pattern); and partials
 generated under different ``REPRO_FORGE_DOCS`` knob values must refuse to
 merge (the knob changes scores without changing the task graph, so it is
@@ -60,22 +59,6 @@ class TestShardedForgeRuns:
             for index in range(2)
         ]
         merged = sharding.merge_partials(partials)
-        assert scores(merged) == scores(baseline)
-        assert sharding.render_tables(merged) == sharding.render_tables(
-            baseline
-        )
-
-    def test_work_pool_matches_unsharded(self, tmp_path):
-        from repro.harness import queue as work_queue
-
-        baseline = sharding.run_shard("forge_html")
-        merged = work_queue.run_work_pool(
-            "forge_html",
-            workers=2,
-            out=tmp_path / "work" / "merged.pkl",
-            fresh=True,
-            echo=lambda message: None,
-        )
         assert scores(merged) == scores(baseline)
         assert sharding.render_tables(merged) == sharding.render_tables(
             baseline

@@ -1,20 +1,17 @@
-"""Properties of the work pool's packing: greedy claims in LPT order.
+"""Properties of round-robin shard packing (:func:`repro.harness.sharding.assign`).
 
-The pool packs tasks onto workers dynamically: the queue is seeded in
-:func:`repro.harness.queue.claim_order` (descending predicted seconds
-from the ``timing`` store kind, ties canonical) and each worker claims
-the next task the moment it is free.  These tests record random cost
-vectors as timing history, then replay the real claim protocol
-(:func:`repro.store.claims.apply`) with simulated clocks, so the per-worker
-task lists below are exactly what a pool of that size would run.
+Round-robin over canonical position is the scheduler: shard ``i`` of
+``N`` runs every task whose canonical position is ``i (mod N)``.
 
-* **coverage** — every task is claimed by exactly one worker, for random
-  graphs, random positive costs and every worker count;
-* **near-optimal** — on the classic LPT adversarial fixtures the pool's
-  makespan respects Graham's bound (checked against the lower bound
-  ``max(total/N, max-task)`` plus one max-task of slack).
+* **coverage** — for random graphs and every shard count, every task
+  lands in exactly one shard, shards keep canonical order and differ in
+  size by at most one task;
+* **balance** — on the classic LPT adversarial fixtures (listed heaviest
+  first), round-robin is LPT without cost knowledge: no shard carries
+  more than the largest task plus ``total/N``, which is inside Graham's
+  bound plus one max task of slack.
 
-Determinism is checked the hard way: the same claim order computed in
+Determinism is checked the hard way: the same assignment computed in
 three subprocesses pinned to different ``PYTHONHASHSEED`` values must
 print byte-identical JSON.
 """
@@ -27,23 +24,12 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import queue as work_queue
 from repro.harness import sharding
-from repro.harness.costmodel import record_task_timings
-from repro.harness.runner import scale
-from repro.store import claims
 
 REPO = Path(__file__).resolve().parent.parent.parent
 
 
-@pytest.fixture(autouse=True)
-def timing_store(monkeypatch, tmp_path):
-    # A store of its own: recorded costs must not leak between tests.
-    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "timing-store"))
-    monkeypatch.setenv("REPRO_STORE", "1")
-
-
-def random_case(seed: int, max_tasks: int = 40):
+def random_graph(seed: int, max_tasks: int = 40):
     rng = random.Random(seed)
     count_tasks = rng.randint(1, max_tasks)
     graph = []
@@ -54,84 +40,49 @@ def random_case(seed: int, max_tasks: int = 40):
             graph.append((f"p{provider}", f"f{field}"))
             if len(graph) == count_tasks:
                 break
-    costs = [rng.uniform(0.01, 30.0) for _ in graph]
-    return graph, costs
+    return graph
 
 
-def pool_schedule(experiment, graph, costs, count):
-    """Per-worker claimed tasks and makespan of a ``count``-worker pool.
-
-    The costs are recorded as timing history first, so the queue is
-    seeded in the order the real pool would use; then the earliest-free
-    worker claims next until the queue drains.
-    """
-    cost_of = dict(zip(graph, costs))
-    record_task_timings(experiment, cost_of, scale=scale())
-    records = {}
-    dirty, _ = claims.apply(
-        records,
-        "sync",
-        {"tasks": work_queue.claim_order(experiment, graph)},
-        0.0,
-    )
-    records.update(dirty)
-    shards = [[] for _ in range(count)]
-    free_at = [0.0] * count
-    while True:
-        worker = min(range(count), key=lambda w: (free_at[w], w))
-        args = {"worker": f"w{worker}", "lease": 1e9}
-        dirty, grant = claims.apply(records, "claim", args, free_at[worker])
-        if grant["status"] != "claimed":
-            break
-        records.update(dirty)
-        task = tuple(grant["record"]["task"])
-        shards[worker].append(task)
-        free_at[worker] += cost_of[task]
-        args["member"] = grant["member"]
-        dirty, _ = claims.apply(records, "complete", args, free_at[worker])
-        records.update(dirty)
-    return shards, max(free_at)
+def round_robin(graph, count):
+    """Per-shard task lists of a ``count``-way split."""
+    return [
+        sharding.assign(graph, sharding.ShardSpec(index, count))
+        for index in range(count)
+    ]
 
 
 class TestCoverage:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
     def test_every_task_exactly_once(self, seed, count):
-        graph, costs = random_case(seed)
-        shards, _ = pool_schedule(f"cov{seed}", graph, costs, count)
+        graph = random_graph(seed)
+        shards = round_robin(graph, count)
         assert len(shards) == count
         flat = [task for shard in shards for task in shard]
         assert sorted(flat) == sorted(graph)
         assert len(flat) == len(set(flat)) == len(graph)
+        for shard in shards:
+            assert shard == sorted(shard, key=graph.index)
+        sizes = [len(shard) for shard in shards]
+        assert max(sizes) - min(sizes) <= 1
 
     def test_more_shards_than_tasks_leaves_empty_shards(self):
-        graph, costs = random_case(3, max_tasks=4)
-        shards, _ = pool_schedule("wide", graph, costs, len(graph) + 5)
-        assert sum(1 for shard in shards if shard) <= len(graph)
-        flat = [task for shard in shards for task in shard]
-        assert sorted(flat) == sorted(graph)
+        graph = random_graph(3, max_tasks=4)
+        shards = round_robin(graph, len(graph) + 5)
+        assert shards[: len(graph)] == [[task] for task in graph]
+        assert all(not shard for shard in shards[len(graph):])
 
-    def test_rejects_bad_inputs(self, monkeypatch, tmp_path):
-        # Invalid observations never become predictions, so they cannot
-        # reorder the queue.
-        graph = [("p", "f0"), ("p", "f1"), ("p", "f2")]
-        record_task_timings(
-            "bad", dict(zip(graph, [-1.0, float("nan"), 0.0])), scale=scale()
-        )
-        assert work_queue.claim_order("bad", graph) == graph
-        # A pool needs at least one worker.
-        experiment = sharding.Experiment(
-            "bad",
-            settings=lambda: ("contemporary",),
-            tasks=lambda: list(graph),
-            methods=lambda: [],
-            run=lambda methods, tasks, seed: [],
-        )
-        monkeypatch.setitem(sharding.EXPERIMENTS, "bad", experiment)
-        with pytest.raises(ValueError, match="worker"):
-            work_queue.run_work_pool(
-                "bad", 0, out=tmp_path / "merged.pkl", echo=lambda _: None
-            )
+    def test_rejects_bad_inputs(self, monkeypatch):
+        with pytest.raises(ValueError, match="count"):
+            sharding.ShardSpec(0, 0)
+        with pytest.raises(ValueError, match="index"):
+            sharding.ShardSpec(2, 2)
+        for bad in ("2", "a/b", "3/2", "-1/2", ""):
+            with pytest.raises(ValueError, match="i/N"):
+                sharding.parse_shard(bad)
+        monkeypatch.setenv("REPRO_SHARD", "1/1")
+        with pytest.raises(ValueError, match="i/N"):
+            sharding.resolve_shard(None)
 
 
 class TestMakespan:
@@ -149,31 +100,35 @@ class TestMakespan:
     @pytest.mark.parametrize("costs,count", ADVERSARIAL)
     def test_within_lpt_bound_on_adversarial_fixtures(self, costs, count):
         graph = [("p", f"f{i}") for i in range(len(costs))]
-        _, makespan = pool_schedule("adv", graph, costs, count)
-        # OPT is unknown, but OPT >= max(total/N, max task); Graham
-        # guarantees LPT <= 4/3 * OPT, so a fortiori the pool's makespan
-        # must sit under 4/3 * lower-bound + one max task of slack.
+        cost_of = dict(zip(graph, costs))
+        makespan = max(
+            sum(cost_of[task] for task in shard)
+            for shard in round_robin(graph, count)
+        )
+        # Heaviest first, each later task of a shard is at most the mean
+        # of the N tasks ending at it, so a shard carries at most
+        # max + total/N.  OPT >= max(total/N, max task), so this sits
+        # inside Graham's 4/3 * lower-bound + one max task of slack.
         lower_bound = max(sum(costs) / count, max(costs))
+        assert makespan <= max(costs) + sum(costs) / count
         assert makespan <= (4.0 / 3.0) * lower_bound + max(costs)
 
 
 DETERMINISM_SNIPPET = """
-import json, random, sys
+import json, sys
 sys.path.insert(0, {src!r})
-from repro.harness import queue
-from repro.harness.costmodel import record_task_timings
-from repro.harness.runner import scale
+from repro.harness import sharding
 
-rng = random.Random(2026)
 graph = [(f"p{{i % 9}}", f"f{{i}}") for i in range(37)]
-costs = [round(rng.uniform(0.01, 20.0), 6) for _ in graph]
-record_task_timings("det", dict(zip(graph, costs)), scale=scale())
-print(json.dumps(queue.claim_order("det", graph)))
+print(json.dumps([
+    sharding.assign(graph, sharding.ShardSpec(index, 3))
+    for index in range(3)
+]))
 """
 
 
 class TestDeterminism:
-    def test_identical_across_hash_seeds(self, tmp_path):
+    def test_identical_across_hash_seeds(self):
         snippet = DETERMINISM_SNIPPET.format(src=str(REPO / "src"))
         outputs = []
         for hash_seed in ("0", "1", "31337"):
@@ -182,33 +137,23 @@ class TestDeterminism:
                 capture_output=True,
                 text=True,
                 check=True,
-                env={
-                    "PYTHONHASHSEED": hash_seed,
-                    "PATH": "/usr/bin:/bin",
-                    "REPRO_STORE": "1",
-                    "REPRO_STORE_DIR": str(tmp_path / f"store-{hash_seed}"),
-                },
+                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] == outputs[2]
-        order = json.loads(outputs[0])
-        assert len(order) == 37
-        # History present: the order is not the canonical one.
-        assert order != [[f"p{i % 9}", f"f{i}"] for i in range(37)]
+        shards = json.loads(outputs[0])
+        assert [len(shard) for shard in shards] == [13, 12, 12]
+        assert shards[0][:2] == [["p0", "f0"], ["p3", "f3"]]
 
     def test_repeat_calls_identical(self):
-        graph, costs = random_case(5)
-        first = pool_schedule("rep", graph, costs, 3)
-        # Re-recording identical seconds leaves every prediction as is.
-        second = pool_schedule("rep", list(graph), list(costs), 3)
-        assert first == second
+        graph = random_graph(5)
+        assert round_robin(graph, 3) == round_robin(list(graph), 3)
 
     def test_equal_costs_tie_break_by_canonical_position(self):
         graph = [("p", f"f{i}") for i in range(6)]
-        shards, _ = pool_schedule("tie", graph, [1.0] * 6, 2)
-        # Uniform costs: heaviest-first degenerates to canonical order,
-        # alternating workers — exactly the round-robin split.
-        assert shards == [
-            sharding.assign(graph, sharding.ShardSpec(i, 2))
-            for i in range(2)
+        # Round-robin weighs every task alike: shards alternate by
+        # canonical position.
+        assert round_robin(graph, 2) == [
+            [("p", "f0"), ("p", "f2"), ("p", "f4")],
+            [("p", "f1"), ("p", "f3"), ("p", "f5")],
         ]

@@ -449,7 +449,7 @@ class TestCliRetryWorkflow:
 
 
 KILLED_SHARD = """
-import sys
+import os, signal, sys
 from repro.datasets import m2h
 from repro.harness import sharding
 from repro.harness.runner import LrsynHtmlMethod, run_m2h_experiment
@@ -469,9 +469,13 @@ sharding.EXPERIMENTS["toy"] = sharding.Experiment(
     "toy", settings=lambda: ("contemporary",), tasks=graph,
     methods=lambda: [LrsynHtmlMethod()], run=small_run,
 )
-sys.exit(sharding.main(
-    ["run", "--experiment", "toy", "--shard", "1/2", "--out", sys.argv[1]]
-))
+partial = sharding.run_shard("toy", "1/2")
+# Die inside the flush: the first half of the pickled partial lands in
+# the final path, then the process is SIGKILLed.
+sharding.save_partial(sys.argv[1], partial)
+with open(sys.argv[1], "r+b") as handle:
+    handle.truncate(max(1, os.path.getsize(sys.argv[1]) // 2))
+os.kill(os.getpid(), signal.SIGKILL)
 """
 
 
@@ -480,28 +484,20 @@ class TestCrashMidFlush:
     the merge must tolerate it, report the exact residual, and a retry
     must complete byte-identical to the unsharded baseline."""
 
-    def test_truncated_partial_is_skipped_not_fatal(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.harness import chaos
-
-        monkeypatch.setattr(chaos, "kill", lambda: None)  # observe, survive
+    def test_truncated_partial_is_skipped_not_fatal(self, tmp_path):
         partial = make_partial(sharding.ShardSpec(0, 2))
         path = tmp_path / "torn.pkl"
-        chaos.reset("truncate_partial=1")
-        try:
-            sharding.save_partial(path, partial)
-        finally:
-            chaos.reset("")
-        assert path.exists()
+        sharding.save_partial(path, partial)
+        # No tmp-file debris: the atomic write leaves only the final file.
+        assert list(tmp_path.glob("*.tmp.*")) == []
+        # A writer that died inside write(): half the bytes on disk.
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
         with pytest.raises(Exception):
             sharding.load_partial(path)
         loaded, skipped = sharding._load_partials_tolerant([str(path)])
         assert loaded == []
         assert skipped == [str(path)]
-        # No tmp-file debris: the torn write modeled dying inside
-        # write(), the atomic path leaves nothing behind either way.
-        assert list(tmp_path.glob("*.tmp.*")) == []
 
     def test_sigkill_mid_flush_then_retry_completes_identical(
         self, tmp_path, capsys, monkeypatch
@@ -540,11 +536,10 @@ class TestCrashMidFlush:
         ) == 0
 
         # Shard 1 runs in a real subprocess and is SIGKILLed inside its
-        # partial flush (chaos site truncate_partial).
+        # partial flush, leaving half a pickle on disk.
         env = dict(os.environ)
         src = str(_Path(__file__).resolve().parents[2] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        env["REPRO_CHAOS"] = "truncate_partial=1"
         proc = subprocess.run(
             [_sys.executable, "-c", KILLED_SHARD, str(torn)],
             env=env, capture_output=True, timeout=300,

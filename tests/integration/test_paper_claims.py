@@ -7,13 +7,17 @@ never exact values:
 
 * M2H HTML (Table 1): LRSyn ≥ NDSyn ≥ ForgivingXPaths in both settings,
   and LRSyn loses at most 0.02 F1 from contemporary to longitudinal;
-* Finance and M2H-Images (Tables 3 and 4): LRSyn ≥ AFR.
+* Finance and M2H-Images (Tables 3 and 4): LRSyn ≥ AFR;
+* the synthetic forge's HTML providers: LRSyn ≥ NDSyn in both settings,
+  and under format drift LRSyn abstains rather than answers wrongly
+  (longitudinal precision ≥ 0.95).
 """
 
 import pytest
 from _pytest.monkeypatch import MonkeyPatch
 
 from repro.datasets.base import CONTEMPORARY, LONGITUDINAL
+from repro.harness.forge import run_forge_html_experiment
 from repro.harness.images import (
     AfrMethod,
     LrsynImageMethod,
@@ -36,13 +40,19 @@ def cold_env():
     mp.setenv("REPRO_STORE", "0")
     mp.setenv("REPRO_JOBS", "1")
     mp.delenv("REPRO_SHARD", raising=False)
+    mp.delenv("REPRO_FORGE_PROVIDERS", raising=False)
+    mp.delenv("REPRO_FORGE_DOCS", raising=False)
     yield
     mp.undo()
 
 
 def mean_f1(results, method, setting=None):
+    return mean_metric(results, "f1", method, setting)
+
+
+def mean_metric(results, metric, method, setting=None):
     scores = [
-        r.f1
+        getattr(r, metric)
         for r in results
         if r.method == method and (setting is None or r.setting == setting)
     ]
@@ -82,3 +92,22 @@ def test_image_lrsyn_at_or_above_afr(cold_env, experiment):
     lrsyn = mean_f1(results, "LRSyn")
     afr = mean_f1(results, "AFR")
     assert lrsyn >= afr, (lrsyn, afr)
+
+
+@pytest.fixture(scope="module")
+def forge_html_results(cold_env):
+    return run_forge_html_experiment([NdsynMethod(), LrsynHtmlMethod()])
+
+
+@pytest.mark.parametrize("setting", [CONTEMPORARY, LONGITUDINAL])
+def test_forge_html_lrsyn_at_or_above_ndsyn(forge_html_results, setting):
+    lrsyn = mean_f1(forge_html_results, "LRSyn", setting)
+    ndsyn = mean_f1(forge_html_results, "NDSyn", setting)
+    assert lrsyn >= ndsyn, (lrsyn, ndsyn)
+
+
+def test_forge_html_lrsyn_longitudinal_precision(forge_html_results):
+    precision = mean_metric(
+        forge_html_results, "precision", "LRSyn", LONGITUDINAL
+    )
+    assert precision >= 0.95, precision

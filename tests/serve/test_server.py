@@ -379,3 +379,39 @@ def test_malformed_request_line_gets_400(run_app, request_line):
         request_line + b"\r\n\r\n",
         b"HTTP/1.1 400 Bad Request",
     )
+
+
+def test_unknown_explicit_provider_gets_404_without_parsing(
+    run_app, sample_docs, monkeypatch
+):
+    # An explicit provider is routed before the HTML is decoded: a miss
+    # must not pay for parsing a large document.
+    import repro.html.parser as parser_mod
+
+    calls = []
+    real_parse = parser_mod.parse_html
+
+    def counting_parse(*args, **kwargs):
+        calls.append(1)
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(parser_mod, "parse_html", counting_parse)
+    html = "<html><body>" + "<p>filler</p>" * (512 * 1024 // 13) + "</body></html>"
+    assert 500 * 1024 < len(html) < 1 << 20
+
+    async def scenario(app):
+        status, body, _ = await http_request(
+            app.port,
+            "POST",
+            "/extract",
+            {
+                "html": html,
+                "field": sample_docs["forge000"].field,
+                "provider": "no-such-provider",
+            },
+        )
+        assert status == 404
+        assert body["reason"] == "unknown-provider-field"
+
+    run_app(scenario)
+    assert calls == []

@@ -79,81 +79,6 @@ class TestConformance:
         assert any_store.get("dist", "k") is BlueprintStore.MISS
 
 
-QUEUE_TASKS = [["p", "A"], ["p", "B"], ["q", "A"]]
-
-
-@pytest.fixture(params=BACKENDS)
-def any_backend(request, tmp_path):
-    """A raw backend of each flavour (the queue_op substrate)."""
-    if request.param == "memory":
-        backend = MemoryBackend(tmp_path / "store")
-    else:
-        backend = SqliteBackend(tmp_path / "store")
-    yield backend
-    backend.close()
-
-
-class TestQueueOpConformance:
-    """Every backend must serve the claim-queue verbs atomically and
-    identically: the work-stealing workers cannot care whether their
-    coordination table lives behind a file lock or a thread lock."""
-
-    def test_full_claim_lifecycle(self, any_backend):
-        op = lambda verb, **args: any_backend.queue_op("workq", verb, args)
-        assert op("sync", tasks=QUEUE_TASKS) == {"added": 3, "total": 3}
-        assert op("sync", tasks=QUEUE_TASKS) == {"added": 0, "total": 3}
-        grant = op("claim", worker="w0", lease=30.0)
-        assert grant["status"] == "claimed"
-        assert grant["record"]["task"] == QUEUE_TASKS[0]
-        assert op("renew", worker="w0", member=grant["member"],
-                  lease=30.0) == {"ok": True}
-        assert op("renew", worker="other", member=grant["member"],
-                  lease=30.0) == {"ok": False}
-        assert op("complete", worker="w0",
-                  member=grant["member"]) == {"ok": True}
-        assert op("complete", worker="w0",
-                  member=grant["member"]) == {"ok": False}
-        while True:
-            grant = op("claim", worker="w1", lease=30.0)
-            if grant["status"] == "drained":
-                break
-            assert op("complete", worker="w1",
-                      member=grant["member"]) == {"ok": True}
-        snapshot = op("snapshot")
-        assert snapshot["states"] == {"pending": 0, "claimed": 0, "done": 3}
-        assert op("requeue") == {"requeued": 3}
-        assert op("purge") == {"purged": 3}
-        assert op("snapshot")["total"] == 0
-
-    def test_expired_lease_steals_across_handles(self, any_backend):
-        import time
-
-        op = lambda verb, **args: any_backend.queue_op("steal", verb, args)
-        op("sync", tasks=QUEUE_TASKS[:1])
-        op("claim", worker="w0", lease=0.05)
-        time.sleep(0.15)
-        stolen = op("claim", worker="w1", lease=30.0)
-        assert stolen["stolen"] is True
-        assert stolen["record"]["reclaims"] == 1
-
-    def test_purge_leaves_other_queues_alone(self, any_backend):
-        any_backend.queue_op("qa", "sync", {"tasks": QUEUE_TASKS})
-        any_backend.queue_op("qb", "sync", {"tasks": QUEUE_TASKS[:1]})
-        assert any_backend.queue_op("qa", "purge", {}) == {"purged": 3}
-        assert any_backend.queue_op("qb", "snapshot", {})["total"] == 1
-
-    def test_queue_rows_carry_the_current_generation(self, any_backend):
-        # `repro-store gc` keeps current-generation rows, so a live
-        # queue must never be collected out from under its workers.
-        any_backend.queue_op("gen", "sync", {"tasks": QUEUE_TASKS})
-        generations = {
-            generation
-            for key, kind, _, _, generation in any_backend.scan()
-            if kind == "queue"
-        }
-        assert generations == {default_generation()}
-
-
 class TestMemoryBackend:
     def test_survives_store_rotation_within_process(self, tmp_path):
         """The rotate-and-rebuild test pattern must still see the data."""

@@ -13,7 +13,6 @@ import sys
 from pathlib import Path
 
 from repro.store import BlueprintStore
-from repro.store.sqlite import SqliteBackend
 from repro.store.gc import run_gc
 
 WRITER = """
@@ -66,76 +65,6 @@ class TestSqliteMultiWriter:
         second_reader.close()
         assert first["entries"] == second["entries"] == 75
         assert first["by_kind"] == second["by_kind"]
-
-
-CLAIMER = """
-import sys, time
-from repro.harness.queue import ClaimQueue
-
-directory, backend, worker = sys.argv[1:4]
-queue = ClaimQueue("conc", spec=backend, directory=directory, grace=30.0)
-won = []
-while True:
-    grant = queue.claim(worker, 30.0)
-    if grant["status"] == "drained":
-        break
-    if grant["status"] == "wait":
-        time.sleep(0.02)
-        continue
-    time.sleep(0.005)  # widen the race window between claim and complete
-    if queue.complete(worker, grant["member"]):
-        won.append(grant["member"])
-queue.close()
-sys.stdout.write("\\n".join(won))
-"""
-
-
-def run_claimers(directory, backend):
-    """Two processes race one 30-task queue; returns their won members."""
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[2] / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    procs = [
-        subprocess.Popen(
-            [sys.executable, "-c", CLAIMER, str(directory), backend,
-             f"w{index}"],
-            env=env,
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-        )
-        for index in range(2)
-    ]
-    won = []
-    for proc in procs:
-        stdout, stderr = proc.communicate(timeout=120)
-        assert proc.returncode == 0, stderr.decode()
-        won.append([m for m in stdout.decode().splitlines() if m])
-    return won
-
-
-class TestQueueClaimExclusivity:
-    TASKS = [[f"p{index:02d}", "F"] for index in range(30)]
-
-    def _seed(self, backend):
-        assert backend.queue_op("conc", "sync", {"tasks": self.TASKS}) == {
-            "added": 30, "total": 30,
-        }
-
-    def assert_tiled(self, won, backend):
-        flat = [member for part in won for member in part]
-        # Every task completed by exactly one process: the claim CAS
-        # under the backend's exclusion mechanism never double-grants.
-        assert len(flat) == len(set(flat)) == 30
-        snapshot = backend.queue_op("conc", "snapshot", {})
-        assert snapshot["states"] == {"pending": 0, "claimed": 0, "done": 30}
-        assert snapshot["attempts"] == 30  # no steals: nobody died
-
-    def test_sqlite_file_lock_serializes_claims(self, tmp_path):
-        backend = SqliteBackend(tmp_path / "shared")
-        self._seed(backend)
-        won = run_claimers(tmp_path / "shared", "sqlite")
-        self.assert_tiled(won, backend)
-        backend.close()
 
 
 class TestGcVsWarmReader:
