@@ -56,14 +56,9 @@ class AbsStep:
         Identical to ``matches(parent's element children)`` — the index
         holds the same tag-filtered, order-preserving list the scan would
         build.  The returned list may be the cached one; callers must not
-        mutate it.  With ``REPRO_CACHE=0`` the index is bypassed and the
-        sibling scan runs, so the memo-free baseline really measures the
-        unindexed pipeline.
+        mutate it.  The index is a document index, not a memo, so it is
+        used under ``REPRO_CACHE=0`` too.
         """
-        if not cache_enabled():
-            return self.matches(
-                [c for c in parent.children if not c.is_text]
-            )
         same_tag = parent.children_by_tag().get(self.tag, [])
         return self._select(same_tag)
 
@@ -216,12 +211,8 @@ def _positions(node: DomNode) -> tuple[int, int]:
     parent = node.parent
     if parent is None:
         same_tag = [node]
-    elif cache_enabled():
-        same_tag = parent.children_by_tag().get(node.tag, [node])
     else:
-        same_tag = [
-            c for c in parent.children if not c.is_text and c.tag == node.tag
-        ]
+        same_tag = parent.children_by_tag().get(node.tag, [node])
     index = same_tag.index(node)
     return index + 1, len(same_tag) - index
 
@@ -236,13 +227,20 @@ class SelectorEvaluator:
     collapses that shared work: each distinct prefix walks the DOM once
     per document.  Frontiers are exactly ``AbsSelector.select_all``'s
     intermediate states, so memoized selection is equal to fresh
-    evaluation (asserted by the equivalence test).  Scoped to one
-    ``synthesize_ndsyn`` call; keys use ``id(doc)`` on documents the
-    caller keeps alive.
+    evaluation (asserted by the equivalence test).
+
+    The memo is a trie per document keyed on the step objects' ids, not
+    on the frozen dataclasses: ``itertools.product`` hands every selector
+    of a group the same ``AbsStep`` object per level option, so an id
+    lookup finds the shared prefix without hashing the steps.  Equal but
+    distinct steps get separate entries, which costs sharing, never
+    correctness.  Every entry pins its step and every trie its document,
+    so no id is reused while the evaluator lives.  Scoped to one
+    ``synthesize_ndsyn`` call.
     """
 
     def __init__(self) -> None:
-        self._frontiers: dict[tuple, tuple[DomNode, ...]] = {}
+        self._tries: dict[int, tuple[HtmlDocument, dict]] = {}
         self._by_id: dict[tuple[int, str], list[DomNode]] = {}
 
     def select_all(
@@ -260,17 +258,22 @@ class SelectorEvaluator:
     def _frontier(
         self, doc: HtmlDocument, steps: tuple[AbsStep, ...]
     ) -> tuple[DomNode, ...]:
-        if not steps:
-            return (doc.root,)
-        key = (id(doc), steps)
-        frontier = self._frontiers.get(key)
-        if frontier is None:
-            step = steps[-1]
-            nodes: list[DomNode] = []
-            for node in self._frontier(doc, steps[:-1]):
-                nodes.extend(step.matches_children(node))
-            frontier = tuple(nodes)
-            self._frontiers[key] = frontier
+        trie = self._tries.get(id(doc))
+        if trie is None:
+            trie = self._tries[id(doc)] = (doc, {})
+        level = trie[1]
+        frontier: tuple[DomNode, ...] = (doc.root,)
+        for step in steps:
+            # entry: (pinned step, frontier after it, next trie level)
+            entry = level.get(id(step))
+            if entry is None:
+                nodes: list[DomNode] = []
+                for node in frontier:
+                    nodes.extend(step.matches_children(node))
+                entry = level[id(step)] = (step, tuple(nodes), {})
+            frontier, level = entry[1], entry[2]
+            if not frontier:
+                break
         return frontier
 
 

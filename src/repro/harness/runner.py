@@ -28,9 +28,13 @@ Environment knobs
 ``REPRO_CACHE``
     Set to ``0`` to disable every memoization layer — the
     :class:`repro.core.caching.DistanceCache` inside ``lrsyn``, the NDSyn
-    synthesis memos, and the HTML document-model memos — and with them
-    the persistent store lookups (useful for measuring the full effect of
-    the caching subsystem); default on.
+    synthesis memos (selector frontiers, per-group text programs), and
+    the HTML document-model memos (document blueprints, short and leaf
+    texts) — and with them the persistent store lookups (useful for
+    measuring the full effect of the caching subsystem); default on.
+    Document indexes stay on either way, because a parsed tree never
+    changes: subtree texts, element counts, text queries
+    (``find_by_text``), per-tag child lists and the order maps.
 
 ``REPRO_SHARD``
     ``i/N`` restricts every experiment driver to the i-th of N

@@ -11,8 +11,6 @@ from __future__ import annotations
 import hashlib
 from typing import Iterator, Sequence
 
-from repro.core.caching import cache_enabled
-
 TEXT_TAG = "#text"
 
 
@@ -73,8 +71,18 @@ class DomNode:
 
     @property
     def depth(self) -> int:
+        """Edges from the root, cached; one upward walk fills in every
+        uncached ancestor, without recursion."""
         if self._depth is None:
-            self._depth = 0 if self.parent is None else self.parent.depth + 1
+            unset: list[DomNode] = []
+            node: DomNode | None = self
+            while node is not None and node._depth is None:
+                unset.append(node)
+                node = node.parent
+            depth = -1 if node is None else node._depth
+            for node in reversed(unset):
+                depth += 1
+                node._depth = depth
         return self._depth
 
     def ancestors(self) -> Iterator["DomNode"]:
@@ -94,16 +102,27 @@ class DomNode:
         return node
 
     def iter(self) -> Iterator["DomNode"]:
-        """Pre-order traversal of the subtree rooted here."""
-        yield self
-        for child in self.children:
-            yield from child.iter()
+        """Pre-order traversal of the subtree rooted here.
+
+        An explicit stack, not recursion: no generator frame per level,
+        and no ``RecursionError`` on deep trees.
+        """
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def iter_elements(self) -> Iterator["DomNode"]:
         """Pre-order traversal restricted to element nodes."""
-        for node in self.iter():
-            if not node.is_text:
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            if node.tag != TEXT_TAG:
                 yield node
+            if node.children:
+                stack.extend(reversed(node.children))
 
     def children_by_tag(self) -> dict[str, list["DomNode"]]:
         """Element children indexed by tag, in child order (cached).
@@ -123,10 +142,10 @@ class DomNode:
         return self._children_by_tag
 
     def element_count(self) -> int:
-        """Number of element nodes in this subtree (memoized under the
-        ``REPRO_CACHE`` knob, like the other perf-layer memos; trees are
-        immutable after parsing)."""
-        if self._element_count is not None and cache_enabled():
+        """Number of element nodes in this subtree (cached: a document
+        index like ``children_by_tag``, valid because trees are immutable
+        after parsing, so ``REPRO_CACHE`` does not gate it)."""
+        if self._element_count is not None:
             return self._element_count
         count = 0
         stack = [self]
@@ -142,14 +161,42 @@ class DomNode:
     # Text
     # ------------------------------------------------------------------
     def text_content(self) -> str:
-        """Concatenation of all text under this node, whitespace-normalized."""
+        """Concatenation of all text under this node, whitespace-normalized.
+
+        Built bottom-up and cached on every node of the subtree: a node's
+        normalized text is its children's non-empty normalized texts
+        joined by single spaces, which is exactly the normalization of
+        the concatenated pre-order text pieces.  The fill walks an
+        explicit stack, so deep trees cost no recursion.
+        """
         if self._text_content is None:
-            pieces = [
-                node.text for node in self.iter() if node.is_text and node.text
-            ]
-            self._text_content = " ".join(
-                " ".join(pieces).split()
-            )
+            stack = [self]
+            while stack:
+                node = stack[-1]
+                pending = [
+                    child
+                    for child in node.children
+                    if child._text_content is None
+                ]
+                if pending:
+                    stack.extend(pending)
+                    continue
+                stack.pop()
+                pieces = [
+                    child._text_content
+                    for child in node.children
+                    if child._text_content
+                ]
+                if node.tag == TEXT_TAG:
+                    pieces.insert(0, node.text)
+                    text = " ".join(" ".join(pieces).split())
+                    # Share the parsed string when it is already
+                    # normalized, so the cache costs no second copy.
+                    if text == node.text:
+                        text = node.text
+                    node._text_content = text
+                else:
+                    node._text_content = " ".join(pieces)
         return self._text_content
 
     # ------------------------------------------------------------------
@@ -158,16 +205,21 @@ class DomNode:
     def xpath(self) -> str:
         """Indexed XPath from the root, e.g. ``body[1]/table[4]/tr[3]``."""
         if self._xpath is None:
-            if self.parent is None:
-                self._xpath = self.tag
-            else:
+            unset: list[DomNode] = []
+            node: DomNode | None = self
+            while node is not None and node._xpath is None:
+                unset.append(node)
+                node = node.parent
+            for node in reversed(unset):
+                parent = node.parent
+                if parent is None:
+                    node._xpath = node.tag
+                    continue
                 same_tag = [
-                    child
-                    for child in self.parent.children
-                    if child.tag == self.tag
+                    child for child in parent.children if child.tag == node.tag
                 ]
-                position = same_tag.index(self) + 1
-                self._xpath = f"{self.parent.xpath()}/{self.tag}[{position}]"
+                position = same_tag.index(node) + 1
+                node._xpath = f"{parent._xpath}/{node.tag}[{position}]"
         return self._xpath
 
     def simplified_xpath(self) -> str:
@@ -323,17 +375,14 @@ class HtmlDocument:
         scanning every element, and yields exactly the pre-order matches
         the full scan produced.
 
-        Memoized per query string (under the ``REPRO_CACHE`` knob, like
-        every other memo of the performance layer): landmark scoring
-        probes the same n-grams against the same document from both the
-        global and the per-cluster candidate passes, and the tree is
-        immutable after parsing.
+        Cached per query string, as a document index (the tree is
+        immutable after parsing, so ``REPRO_CACHE`` does not gate it):
+        landmark scoring probes the same n-grams against the same document
+        from both the global and the per-cluster candidate passes.
         """
-        memoize = cache_enabled()
-        if memoize:
-            cached = self._text_matches.get(text)
-            if cached is not None:
-                return list(cached)
+        cached = self._text_matches.get(text)
+        if cached is not None:
+            return list(cached)
         matches: list[DomNode] = []
         root = self.root
         if not root.is_text and text in root.text_content():
@@ -351,6 +400,5 @@ class HtmlDocument:
                     # Reversed so the pre-order (document-order) leftmost
                     # subtree is processed first off the stack.
                     stack.extend(reversed(containing))
-        if memoize:
-            self._text_matches[text] = matches
+        self._text_matches[text] = matches
         return list(matches)

@@ -20,6 +20,11 @@ VOID_ELEMENTS = frozenset(
     }
 )
 
+# Deepest element nesting a document may have (the synthetic ``document``
+# root is depth 0).  Deeper input is rejected while parsing, so every DOM
+# walk downstream stays bounded; real pages nest a few dozen levels.
+MAX_DEPTH = 1024
+
 
 class _TreeBuilder(HTMLParser):
     """Incremental DOM construction from the stdlib tokenizer events."""
@@ -31,14 +36,23 @@ class _TreeBuilder(HTMLParser):
 
     # -- tokenizer events ------------------------------------------------
     def handle_starttag(self, tag: str, attrs: list[tuple[str, str | None]]):
-        node = DomNode(tag, {name: value or "" for name, value in attrs})
-        self._stack[-1].append(node)
+        node = self._open(tag, attrs)
         if tag not in VOID_ELEMENTS:
             self._stack.append(node)
 
     def handle_startendtag(self, tag: str, attrs):
+        self._open(tag, attrs)
+
+    def _open(self, tag: str, attrs) -> DomNode:
+        # The open-element stack holds the root plus every ancestor, so
+        # its length is the new element's depth.
+        if len(self._stack) > MAX_DEPTH:
+            raise ValueError(
+                f"document nests deeper than {MAX_DEPTH} elements"
+            )
         node = DomNode(tag, {name: value or "" for name, value in attrs})
         self._stack[-1].append(node)
+        return node
 
     def handle_endtag(self, tag: str):
         # Tolerant closing: pop back to the nearest matching open element.

@@ -1,9 +1,10 @@
 """NDSyn hot-path memoization must not change observable behavior.
 
 The synthesis loop memoizes selector-prefix frontiers
-(:class:`repro.baselines.ndsyn.SelectorEvaluator`), per-group text
-programs, and per-parent tag indexes (:meth:`DomNode.children_by_tag`);
-these tests pin the memoized paths to the fresh, scan-everything
+(:class:`repro.baselines.ndsyn.SelectorEvaluator`, a trie keyed on step
+ids) and per-group text programs, and matches steps through the
+per-parent tag index (:meth:`DomNode.children_by_tag`); these tests pin
+the memoized and indexed paths to the fresh, scan-everything
 evaluations they replace.
 """
 
@@ -90,6 +91,61 @@ class TestIndexedMatchingEquivalence:
                 assert memoized == fresh_select_all(selector, doc)
                 # Second lookup (served from the frontier memo) too.
                 assert evaluator.select_all(doc, selector) == memoized
+
+    def test_equal_but_distinct_steps(self):
+        """The memo is keyed on step ids: equal steps built separately get
+        their own entries, and both selections stay correct."""
+        docs = [email("8:18 PM", sections_before=i) for i in range(3)]
+
+        def chain():
+            return AbsSelector(
+                (
+                    AbsStep("html", nth=1),
+                    AbsStep("body", nth=1),
+                    AbsStep("table", nth_last=1),
+                    AbsStep("tr"),
+                    AbsStep("td", nth=2),
+                )
+            )
+
+        first, second = chain(), chain()
+        assert first == second
+        assert all(a is not b for a, b in zip(first.steps, second.steps))
+        # A prefix shared by object and a tail that is only equal.
+        mixed = AbsSelector(first.steps[:2] + second.steps[2:])
+        evaluator = SelectorEvaluator()
+        for doc in docs:
+            expected = fresh_select_all(first, doc)
+            assert [n.text_content() for n in expected] == ["8:18 PM"]
+            for selector in (first, second, mixed, first):
+                assert evaluator.select_all(doc, selector) == expected
+
+    def test_m2h_candidate_pool_on_two_documents(self):
+        """Every selector NDSyn enumerates for an m2h field, evaluated
+        through one shared evaluator, equals the fresh sibling scan."""
+        corpus = m2h.generate_corpus(
+            "delta", train_size=6, test_size=2, seed=0
+        )
+        examples = corpus.training_examples("DTime")
+        groups = {}
+        for ex in examples:
+            for group in ex.annotation.groups:
+                path = _node_path(group.locations[0])
+                groups.setdefault(tuple(n.tag for n in path), []).append(path)
+        pool = [
+            selector
+            for paths in groups.values()
+            for selector in _enumerate_group_selectors(paths)
+        ]
+        assert len(pool) > 1
+        docs = [examples[0].doc, corpus.test[0].doc]
+        evaluator = SelectorEvaluator()
+        for _ in range(2):  # second pass is served from the memo
+            for selector in pool:
+                for doc in docs:
+                    assert evaluator.select_all(
+                        doc, selector
+                    ) == fresh_select_all(selector, doc)
 
     def test_evaluator_global_id_selector(self):
         doc = parse_html(

@@ -7,8 +7,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datasets import m2h
-from repro.html.dom import DomNode, lowest_common_ancestor, tree_distance
+from repro.html.dom import (
+    TEXT_TAG,
+    DomNode,
+    lowest_common_ancestor,
+    tree_distance,
+)
 from repro.html.parser import parse_html
+from repro.html.region import HtmlRegion
 
 SAMPLE = """
 <html><body>
@@ -91,6 +97,110 @@ class TestTextContent:
         air = find(doc, "AIR")
         depart = find(doc, "Depart:")
         assert doc.document_order(air) < doc.document_order(depart)
+
+
+def ref_iter(node):
+    """Recursive pre-order: the reference the stack-based walks replace."""
+    yield node
+    for child in node.children:
+        yield from ref_iter(child)
+
+
+def ref_text(node):
+    pieces = [n.text for n in ref_iter(node) if n.is_text and n.text]
+    return " ".join(" ".join(pieces).split())
+
+
+def ref_depth(node):
+    return 0 if node.parent is None else ref_depth(node.parent) + 1
+
+
+def ref_xpath(node):
+    if node.parent is None:
+        return node.tag
+    same_tag = [c for c in node.parent.children if c.tag == node.tag]
+    return f"{ref_xpath(node.parent)}/{node.tag}[{same_tag.index(node) + 1}]"
+
+
+TEXTS = ["", " ", "  \n\t ", "a", " b  c ", "x\u00a0y", "d\n"]
+
+
+def random_tree(rng, size=60):
+    """A random tree with empty, whitespace-only and adjacent text nodes."""
+    root = DomNode("document")
+    elements = [root]
+    for _ in range(size):
+        parent = rng.choice(elements)
+        if rng.random() < 0.45:
+            for _ in range(rng.randint(1, 3)):  # often adjacent
+                parent.append(DomNode(TEXT_TAG, text=rng.choice(TEXTS)))
+        else:
+            elements.append(parent.append(DomNode(rng.choice("abc"))))
+    return root
+
+
+class TestWalksMatchRecursiveReference:
+    SEEDS = range(40)
+
+    def test_iter_and_iter_elements(self):
+        for seed in self.SEEDS:
+            root = random_tree(random.Random(seed))
+            for node in ref_iter(root):
+                expected = list(ref_iter(node))
+                assert list(node.iter()) == expected
+                assert list(node.iter_elements()) == [
+                    n for n in expected if not n.is_text
+                ]
+                assert node.element_count() == sum(
+                    not n.is_text for n in expected
+                )
+
+    def test_text_content_depth_and_xpath(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            root = random_tree(rng)
+            nodes = list(ref_iter(root))
+            # Query in random order so fills start from partial caches.
+            for node in rng.sample(nodes, len(nodes)):
+                assert node.text_content() == ref_text(node)
+                assert node.depth == ref_depth(node)
+                assert node.xpath() == ref_xpath(node)
+
+    def test_region_locations_and_text(self):
+        for seed in self.SEEDS:
+            rng = random.Random(seed)
+            root = random_tree(rng)
+            for parent in ref_iter(root):
+                count = len(parent.children)
+                if not count:
+                    continue
+                start = rng.randrange(count)
+                end = rng.randrange(start, count)
+                region = HtmlRegion(parent=parent, start=start, end=end)
+                roots = [
+                    c
+                    for c in parent.children[start : end + 1]
+                    if not c.is_text
+                ]
+                assert region.locations() == [
+                    n
+                    for r in roots
+                    for n in ref_iter(r)
+                    if not n.is_text
+                ]
+                assert region.text_content() == " ".join(
+                    ref_text(r) for r in roots
+                )
+
+    def test_deep_chain_needs_no_recursion(self):
+        root = node = DomNode("document")
+        for _ in range(20_000):
+            node = node.append(DomNode("div"))
+        node.append(DomNode(TEXT_TAG, text=" deep "))
+        assert sum(1 for _ in root.iter()) == 20_002
+        assert root.element_count() == 20_001
+        assert node.depth == 20_000
+        assert root.text_content() == "deep"
 
 
 class TestPickle:

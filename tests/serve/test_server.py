@@ -415,3 +415,61 @@ def test_unknown_explicit_provider_gets_404_without_parsing(
 
     run_app(scenario)
     assert calls == []
+
+
+def test_too_deep_document_gets_400_with_depth_message(run_app, sample_docs):
+    # The parser's explicit depth limit, not a RecursionError or a
+    # quadratic ancestor walk, is what rejects absurd nesting.
+    from repro.html.parser import MAX_DEPTH
+
+    async def scenario(app):
+        started = asyncio.get_running_loop().time()
+        status, body, _ = await http_request(
+            app.port,
+            "POST",
+            "/extract",
+            {"html": "<div>" * 20_000, "field": sample_docs["forge000"].field},
+        )
+        elapsed = asyncio.get_running_loop().time() - started
+        assert status == 400
+        assert body["error"] == (
+            "unparseable document: document nests deeper than"
+            f" {MAX_DEPTH} elements"
+        )
+        assert elapsed < 1.0
+
+    run_app(scenario)
+
+
+@pytest.mark.parametrize("depth", [992, "max"])
+def test_deep_document_within_limit_parses_and_blueprints(depth):
+    from repro.html.domain import HtmlDomain
+    from repro.html.parser import MAX_DEPTH, parse_html
+
+    depth = MAX_DEPTH if depth == "max" else depth
+    doc = parse_html("<div>" * depth + "deep")
+    blueprint = HtmlDomain().document_blueprint(doc)
+    assert len(blueprint) == depth + 1
+    deepest = doc.elements()[-1]
+    assert deepest.depth == depth
+    assert deepest.xpath().count("/") == depth
+    assert doc.root.text_content() == "deep"
+    assert doc.find_by_text("deep") == [deepest]
+
+
+def test_deepest_accepted_document_is_answered(run_app, sample_docs):
+    from repro.html.parser import MAX_DEPTH
+
+    async def scenario(app):
+        status, body, _ = await http_request(
+            app.port,
+            "POST",
+            "/extract",
+            {
+                "html": "<div>" * MAX_DEPTH + "deep",
+                "field": sample_docs["forge000"].field,
+            },
+        )
+        assert status in (200, 404), body
+
+    run_app(scenario)
