@@ -104,10 +104,9 @@ def timed_experiment(name: str, experiment, *args, **kwargs):
     with use_timer(timer):
         results = experiment(*args, **kwargs)
     wall = time.perf_counter() - start
-    # Write-behind persistence: bake corpora and flush the blueprint
-    # store after the timer stops, so the next process starts warm
-    # without the serialization cost landing on this run's wall-clock.
-    # (flush_corpus_store ends by flushing the shared store itself.)
+    # Flush the store (corpora included) after the timer stops, so the
+    # next process starts warm without the serialization cost landing
+    # on this run's wall-clock.
     flush_corpus_store()
     snapshot = timer.snapshot()
     context = dict(

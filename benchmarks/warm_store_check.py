@@ -69,10 +69,10 @@ def run_once(env: dict[str, str]) -> tuple[float, dict[str, str], dict]:
 def store_is_warm() -> bool:
     """Whether the store already holds corpus entries (restored cache).
 
-    Corpus entries are only ever written by a completed prior run's
-    write-behind flush, so their presence is the reliable "this store has
-    history" signal — unlike blueprint hits, which accumulate within a
-    single cold run across its field tasks.
+    Corpus entries are only ever written by a prior run's store flush,
+    so their presence is the reliable "this store has history" signal —
+    unlike blueprint hits, which accumulate within a single cold run
+    across its field tasks.
     """
     sys.path.insert(0, str(REPO / "src"))
     from repro.store import BlueprintStore

@@ -53,10 +53,13 @@ from repro.store import (
     shared_store,
 )
 
-_HIT = "cache.{kind}.hit"
-_MISS = "cache.{kind}.miss"
-_STORE_HIT = "store.{kind}.hit"
-_STORE_MISS = "store.{kind}.miss"
+# Counter names, built once rather than formatted on every lookup.
+_COUNTERS = {
+    (layer, kind, hit): f"{layer}.{kind}.{'hit' if hit else 'miss'}"
+    for layer in ("cache", "store")
+    for kind in ("doc_bp", "roi_bp", "distance", "dist", "landmark")
+    for hit in (True, False)
+}
 
 
 def cache_enabled() -> bool:
@@ -220,14 +223,12 @@ class DistanceCache:
     def _record(self, kind: str, hit: bool) -> None:
         table = self.hit_counts if hit else self.miss_counts
         table[kind] = table.get(kind, 0) + 1
-        template = _HIT if hit else _MISS
-        active_timer().count(template.format(kind=kind))
+        active_timer().count(_COUNTERS["cache", kind, hit])
 
     def _record_store(self, kind: str, hit: bool) -> None:
         table = self.store_hit_counts if hit else self.store_miss_counts
         table[kind] = table.get(kind, 0) + 1
-        template = _STORE_HIT if hit else _STORE_MISS
-        active_timer().count(template.format(kind=kind))
+        active_timer().count(_COUNTERS["store", kind, hit])
 
     # -- persistent-store plumbing --------------------------------------
     @property

@@ -58,7 +58,6 @@ Environment knobs
 
 from __future__ import annotations
 
-import atexit
 import math
 import os
 import pickle
@@ -508,24 +507,21 @@ def labelled_task(
 # ----------------------------------------------------------------------
 # Corpus generation is deterministic in (dataset, provider, sizes, seed),
 # so generated corpora are persisted in the blueprint store and warm runs
-# skip generation + HTML parsing entirely.  A cold run snapshots each
-# corpus it built at flush time, after its experiment, with the
-# content-derived memos the experiment accumulated (text content, landmark
-# query results) baked in, so a warm run starts where the cold run's
-# scoring left off.  The flush is inside the benchmark's timed window.
-# Bump the version when a dataset generator, the parser or the stored row
-# shape changes observable output.
-CORPUS_GENERATOR_VERSION = 2
-
-# Corpora built this run and not yet persisted.
-_unsnapshotted_corpora: list[tuple[str, Any]] = []
+# skip generation entirely.  A cold run puts each corpus as soon as it is
+# built; the store pickles it at its next flush.  A parsed HTML document
+# pickles as its source string (see ``HtmlDocument.__reduce_ex__``), so
+# the row is the same whatever memos the experiment fills in before the
+# flush, and a warm run parses the documents again on load.  The flush is
+# inside perfsuite's timed window.  Bump the version when a dataset
+# generator, the parser or the stored row shape changes observable output.
+CORPUS_GENERATOR_VERSION = 3
 
 
 def corpus_store_generation() -> str:
     """Generation stamp for corpus-shaped store rows (``corpus`` /
     ``corpus_ref``): the blueprint algo version plus the corpus generator
-    version, so ``repro-store gc`` can drop snapshots stranded by either
-    bump."""
+    version, so ``repro-store gc`` can drop corpus rows stranded by
+    either bump."""
     return f"{default_generation()}|corpus={CORPUS_GENERATOR_VERSION}"
 
 
@@ -573,33 +569,22 @@ def cached_corpora(dataset: str, build: Callable[[], Any], **params):
         return stored
     active_timer().count("store.corpus.miss")
     corpora = build()
-    # Don't serialize anything here: generation sits on the experiment's
-    # critical path, and the flush snapshots the memo-laden corpora.
-    _unsnapshotted_corpora.append((key, corpora))
+    store.put(
+        "corpus", key, "corpus", corpora,
+        generation=corpus_store_generation(),
+    )
     return corpora
 
 
 def flush_corpus_store() -> None:
-    """Write-behind persistence for the corpora built this run.
+    """Persist the corpora (and everything else) put this run.
 
-    Each corpus is stored as it is now, memos included, so nothing is
-    built twice.  The flush runs after the experiment but inside the
-    benchmark drivers' timed window (perfsuite's ``wall_s`` includes it);
-    an ``atexit`` hook covers ad-hoc callers, and harness workers call it
-    before returning results, since their process may be recycled.
+    Benchmarks call it after the experiment (perfsuite's ``wall_s``
+    includes it); the store's own ``atexit`` hook covers ad-hoc callers,
+    and harness workers call this before returning results, since their
+    process may be recycled.
     """
-    store = shared_store()
-    for key, corpora in _unsnapshotted_corpora:
-        if store.get("corpus", key) is store.MISS:
-            store.put(
-                "corpus", key, "corpus", corpora, eager=True,
-                generation=corpus_store_generation(),
-            )
-    _unsnapshotted_corpora.clear()
-    store.flush()
-
-
-atexit.register(flush_corpus_store)
+    shared_store().flush()
 
 
 def m2h_corpora(

@@ -274,6 +274,14 @@ def tree_distance(a: DomNode, b: DomNode) -> int:
     return (a.depth - lca.depth) + (b.depth - lca.depth)
 
 
+def _parse_source(source: str) -> "HtmlDocument":
+    """Unpickle a parsed document by parsing its source again (looked up
+    at call time, so a wrapper installed over ``parse_html`` runs)."""
+    from repro.html import parser
+
+    return parser.parse_html(source)
+
+
 class HtmlDocument:
     """An HTML document: the DOM root plus derived indices."""
 
@@ -291,10 +299,17 @@ class HtmlDocument:
         self._leaf_texts: frozenset[str] | None = None
         self._fingerprint: str | None = None
 
+    def __reduce_ex__(self, protocol):
+        # A parsed document pickles as its source and is parsed again on
+        # load, so the pickle carries no memos and never changes.
+        if self.source:
+            return (_parse_source, (self.source,))
+        return super().__reduce_ex__(protocol)
+
     def __getstate__(self) -> dict:
-        # ``_order`` maps id(element) -> index, and ids are process-local:
-        # an unpickled copy carrying the original map would report order 0
-        # for every node.  Leave it out; it is rebuilt lazily on first use.
+        # Hand-built documents only.  ``_order`` maps id(element) -> index,
+        # and ids are process-local: an unpickled copy carrying the map
+        # would report order 0 for every node.  It is rebuilt lazily.
         state = dict(self.__dict__)
         state["_order"] = None
         return state

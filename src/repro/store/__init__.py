@@ -240,8 +240,8 @@ class BlueprintStore:
         self._pid = os.getpid()
         self._mem: dict[str, dict[str, Any]] = {}
         self._hydrated: set[str] = set()
-        # (key, kind, substrate, payload, already_pickled, generation)
-        self._pending: list[tuple[str, str, str, Any, bool, str | None]] = []
+        # (key, kind, substrate, value, generation)
+        self._pending: list[tuple[str, str, str, Any, str | None]] = []
         # Keys read or written by this process: LRU eviction never removes
         # them (the current run's working set is always protected).
         self._touched: set[str] = set()
@@ -361,15 +361,13 @@ class BlueprintStore:
         substrate: str,
         value: Any,
         overwrite: bool = False,
-        eager: bool = False,
         generation: str | None = None,
     ) -> None:
         """Buffer one entry; flushed in batches via one backend commit.
 
-        ``eager`` pickles the value immediately (snapshotting its current
-        state) instead of at flush time — used for corpus entries, whose
-        documents keep accumulating memos after the put.  ``overwrite``
-        replaces an existing entry (serving catalogs).
+        The value is pickled at flush time, so it must pickle then as it
+        would now (a parsed document pickles as its source, memos aside).
+        ``overwrite`` replaces an existing entry (serving catalogs).
         ``generation`` overrides the row's generation stamp (default
         :func:`default_generation`) for kinds with extra versioned inputs.
         """
@@ -387,8 +385,7 @@ class BlueprintStore:
             return
         table[key] = value
         self._touched.add(key)
-        payload = pickle.dumps(value) if eager else value
-        self._pending.append((key, kind, substrate, payload, eager, generation))
+        self._pending.append((key, kind, substrate, value, generation))
         if len(self._pending) >= FLUSH_THRESHOLD:
             self.flush()
 
@@ -417,13 +414,11 @@ class BlueprintStore:
         if backend is None:
             return
         rows: list[StoreRow] = []
-        for key, kind, substrate, payload, pickled, generation in pending:
-            blob = payload if pickled else pickle.dumps(payload)
-            # Compression happens here, at flush — off the experiment's
-            # critical path, after any eager snapshot pickling.  The size
+        for key, kind, substrate, value, generation in pending:
+            # Pickling and compression happen here, at flush.  The size
             # column records the *encoded* bytes: what the backend
             # actually stores and what eviction budgets against.
-            blob, row_codec = _encode_blob(kind, blob, codec)
+            blob, row_codec = _encode_blob(kind, pickle.dumps(value), codec)
             if generation is None:
                 generation = default_generation()
             rows.append(

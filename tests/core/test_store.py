@@ -287,7 +287,7 @@ class TestCompression:
     def test_corpus_kind_round_trips_compressed(self, tmp_path):
         value = _corpus_like_value()
         store = make_store(tmp_path)
-        store.put("corpus", "k", "corpus", value, eager=True)
+        store.put("corpus", "k", "corpus", value)
         store.flush()
         row = store._connect().execute(
             "SELECT codec, size, value FROM entries WHERE key = 'k'"

@@ -115,7 +115,7 @@ class TestHeld:
     def test_each_corpus_generated_once_and_released(
         self, tmp_path, monkeypatch
     ):
-        flush_corpus_store()  # drain earlier tests' write-behind queue
+        flush_corpus_store()  # flush earlier tests' pending puts
         monkeypatch.setenv("REPRO_STORE", "1")
         monkeypatch.setenv("REPRO_CACHE", "1")
         monkeypatch.setenv("REPRO_JOBS", "1")

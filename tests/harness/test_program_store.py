@@ -105,7 +105,7 @@ class TestWarmRetrain:
     ):
         """A warm run that must retrain scores landmarks on unpickled
         documents exactly as the cold run did on the live ones."""
-        flush_corpus_store()  # drain earlier tests' write-behind queue
+        flush_corpus_store()  # flush earlier tests' pending puts
         store_dir = tmp_path / "store"
         monkeypatch.setenv("REPRO_STORE", "1")
         monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))

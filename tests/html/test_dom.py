@@ -7,12 +7,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.datasets import m2h
+from repro.html.blueprint import _short_text_values, document_blueprint
 from repro.html.dom import (
     TEXT_TAG,
     DomNode,
+    HtmlDocument,
     lowest_common_ancestor,
     tree_distance,
 )
+from repro.html.landmarks import _leaf_texts
 from repro.html.parser import parse_html
 from repro.html.region import HtmlRegion
 
@@ -203,12 +206,67 @@ class TestWalksMatchRecursiveReference:
         assert root.text_content() == "deep"
 
 
+def generated_doc():
+    return m2h.generate_document(
+        "delta", random.Random(3), m2h.CONTEMPORARY
+    ).doc
+
+
+def preorder(doc):
+    return [(node.tag, node.attrs, node.text) for node in doc.root.iter()]
+
+
+def use_every_memo(doc):
+    doc.root.text_content()
+    doc.find_by_text("Depart")
+    doc.elements()
+    doc.order_index()
+    doc.node_order()
+    document_blueprint(doc)
+    _leaf_texts(doc)
+    _short_text_values(doc)
+    doc.fingerprint()
+
+
 class TestPickle:
+    def test_parsed_document_pickles_as_its_source(self):
+        """Filling the memos leaves the pickle byte-identical and small."""
+        doc = generated_doc()
+        before = pickle.dumps(doc)
+        use_every_memo(doc)
+        assert doc._text_matches and doc._leaf_texts is not None
+        assert pickle.dumps(doc) == before
+        assert len(before) <= len(doc.source) + 256
+
+    def test_parsed_copy_matches_the_original(self):
+        doc = generated_doc()
+        use_every_memo(doc)
+        copy = pickle.loads(pickle.dumps(doc))
+        assert copy.source == doc.source
+        assert preorder(copy) == preorder(doc)
+        assert copy.fingerprint() == doc.fingerprint()
+        assert [copy.document_order(node) for node in copy.elements()] == [
+            doc.document_order(node) for node in doc.elements()
+        ]
+
+    def test_hand_built_document_round_trips(self):
+        root = DomNode("document")
+        cell = root.append(DomNode("td", {"class": "x"}))
+        cell.append(DomNode(TEXT_TAG, text=" 8:18 PM "))
+        doc = HtmlDocument(root)
+        use_every_memo(doc)
+        copy = pickle.loads(pickle.dumps(doc))
+        assert copy.source == ""
+        assert preorder(copy) == preorder(doc)
+        assert copy.fingerprint() == doc.fingerprint()
+        assert copy.find_by_text("8:18")[0].attrs == {"class": "x"}
+        assert [copy.document_order(node) for node in copy.elements()] == [
+            0, 1
+        ]
+
     def test_order_survives_round_trip_after_use(self):
         """The id()-keyed order index is rebuilt, not carried over stale."""
-        doc = m2h.generate_document(
-            "delta", random.Random(3), m2h.CONTEMPORARY
-        ).doc
+        doc = generated_doc()
         before = [doc.document_order(node) for node in doc.elements()]
         assert doc._order is not None
         copy = pickle.loads(pickle.dumps(doc))

@@ -42,7 +42,7 @@ class TestConformance:
 
     def test_large_kind_point_reads(self, any_store):
         value = (False, ["<html>doc</html>"] * 50)
-        any_store.put("corpus", "ck", "corpus", value, eager=True)
+        any_store.put("corpus", "ck", "corpus", value)
         any_store.flush()
         any_store._forget_unprotected()
         assert any_store.get("corpus", "ck") == value

@@ -72,9 +72,8 @@ class TestDegrade:
                 train_size=4,
                 test_size=6,
             )
-            # Drain the write-behind corpus queue into the (degraded)
-            # store now, so this run's pending corpora don't leak into
-            # whichever store a later test flushes.
+            # Flush this run's pending corpus puts into the (degraded)
+            # store now, before a later test swaps the shared store.
             flush_corpus_store()
         assert results
         assert any(

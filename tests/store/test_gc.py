@@ -21,7 +21,7 @@ def corpus_gen():
 
 def put_corpus(store, key, payload="corpus-data"):
     store.put(
-        "corpus", key, "corpus", [payload] * 20, eager=True,
+        "corpus", key, "corpus", [payload] * 20,
         generation=corpus_gen(),
     )
 
@@ -145,7 +145,7 @@ class TestAlgoBumpAcceptance:
             monkeypatch.setenv("REPRO_STORE_DIR", str(primary))
             return shared_store()
 
-        flush_corpus_store()  # drain earlier tests' write-behind queue
+        flush_corpus_store()  # flush earlier tests' pending puts
         store_dir = tmp_path / "gcstore"
         monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
         monkeypatch.setenv("REPRO_JOBS", "1")
