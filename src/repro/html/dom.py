@@ -297,6 +297,9 @@ class HtmlDocument:
         self._document_blueprint: frozenset[str] | None = None
         self._short_texts: frozenset[str] | None = None
         self._leaf_texts: frozenset[str] | None = None
+        # (HtmlRegion, common values) -> region blueprint, filled by
+        # HtmlDomain.region_blueprint.
+        self._region_blueprints: dict[tuple, frozenset[str]] = {}
         self._fingerprint: str | None = None
 
     def __reduce_ex__(self, protocol):
@@ -309,14 +312,18 @@ class HtmlDocument:
     def __getstate__(self) -> dict:
         # Hand-built documents only.  ``_order`` maps id(element) -> index,
         # and ids are process-local: an unpickled copy carrying the map
-        # would report order 0 for every node.  It is rebuilt lazily.
+        # would report order 0 for every node.  It is rebuilt lazily.  The
+        # region-blueprint table is dropped so the pickle does not depend
+        # on which blueprints were asked for.
         state = dict(self.__dict__)
         state["_order"] = None
+        del state["_region_blueprints"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._order = None
+        self._region_blueprints = {}
 
     def fingerprint(self) -> str:
         """Stable content hash of the document (persistent-store key).

@@ -61,7 +61,17 @@ class HtmlDomain(Domain):
         region: HtmlRegion,
         common_values: frozenset[str],
     ) -> frozenset[str]:
-        return bp.region_blueprint(region, common_values)
+        # Memoized on the document (its tree is immutable).  The key holds
+        # the common-value set by value: every ``lrsyn`` call builds its
+        # own equal set, and an id() key could alias a reused id.
+        key = (region, common_values)
+        blueprints = doc._region_blueprints
+        blueprint = blueprints.get(key)
+        if blueprint is None:
+            blueprint = blueprints[key] = bp.region_blueprint(
+                region, common_values
+            )
+        return blueprint
 
     def blueprint_distance(
         self, bp1: frozenset[str], bp2: frozenset[str]

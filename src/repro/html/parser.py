@@ -7,7 +7,6 @@ handling) is ours.  No third-party HTML library is required.
 
 from __future__ import annotations
 
-from html import unescape
 from html.parser import HTMLParser
 
 from repro.html.dom import DomNode, TEXT_TAG
@@ -63,9 +62,10 @@ class _TreeBuilder(HTMLParser):
         # Unmatched close tag: ignore (the stdlib parser is tolerant too).
 
     def handle_data(self, data: str):
+        # ``convert_charrefs=True`` has already decoded every entity.
         text = data.strip()
         if text:
-            self._stack[-1].append(DomNode(TEXT_TAG, text=unescape(text)))
+            self._stack[-1].append(DomNode(TEXT_TAG, text=text))
 
 
 def parse_html(source: str) -> "HtmlDocument":

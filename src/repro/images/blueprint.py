@@ -103,10 +103,26 @@ def box_summary(
 def region_blueprint(
     doc: ImageDocument, region: ImageRegion, frequent: frozenset[str]
 ) -> frozenset:
-    """Blueprint of a region: the set of its boxes' BoxSummaries."""
+    """Blueprint of a region: the set of its boxes' BoxSummaries.
+
+    A BoxSummary depends only on the page and ``frequent``, so for a box
+    on this page it is computed once and kept in the page's summary table
+    (keyed by the set's value: every ``lrsyn`` call builds its own equal
+    set).  A box from elsewhere is summarized afresh on every call.
+    """
+    table = doc._summaries.get(frequent)
+    if table is None:
+        table = doc._summaries[frequent] = {}
+    order = doc._order
     summaries = set()
     for box in region.locations():
-        summary = box_summary(doc, box, frequent)
+        index = order.get(id(box))
+        if index is None:
+            summary = box_summary(doc, box, frequent)
+        elif index in table:
+            summary = table[index]
+        else:
+            summary = table[index] = box_summary(doc, box, frequent)
         if summary is not None:
             summaries.add(summary)
     return frozenset(summaries)

@@ -96,11 +96,21 @@ class ImageDocument:
         self._fingerprint: str | None = None
 
     def _index(self) -> None:
-        """Build the identity-keyed reading-order index and an empty
-        neighbour table ((reading-order index, direction) -> box or
-        ``None``, filled lazily by :meth:`neighbor`)."""
+        """Build the identity-keyed reading-order index and the empty
+        per-document tables, all filled lazily:
+
+        * ``_neighbors``: (reading-order index, direction) -> box or
+          ``None`` (:meth:`neighbor`);
+        * ``_summaries``: frequent-gram set -> reading-order index ->
+          BoxSummary or ``None``
+          (:func:`repro.images.blueprint.region_blueprint`);
+        * ``_grams``: the box-text n-gram set
+          (:func:`repro.images.landmarks._doc_grams`).
+        """
         self._order = {id(box): i for i, box in enumerate(self.boxes)}
         self._neighbors: dict[tuple[int, str], TextBox | None] = {}
+        self._summaries: dict[frozenset[str], dict[int, tuple | None]] = {}
+        self._grams: frozenset[str] | None = None
 
     def order_of(self, box: TextBox) -> int:
         return self._order.get(id(box), 0)
@@ -110,8 +120,8 @@ class ImageDocument:
         # unpickled copy carrying the original map would silently report
         # order 0 for every box, collapsing location fingerprints (and
         # with them every persistent-store key derived from them).  The
-        # neighbour table is left out too, so the pickled bytes do not
-        # depend on which neighbour queries ran before the dump.
+        # neighbour, summary and gram tables are left out too, so the
+        # pickled bytes do not depend on which queries ran before the dump.
         return {"boxes": self.boxes, "_fingerprint": self._fingerprint}
 
     def __setstate__(self, state: dict) -> None:

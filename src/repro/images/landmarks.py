@@ -38,13 +38,15 @@ def _is_stopword_gram(gram: str) -> bool:
     return all(word in STOP_WORDS or not word.isalpha() for word in words)
 
 
-def _doc_grams(doc: ImageDocument) -> set[str]:
-    """All box-text n-grams of one document."""
-    texts = {box.text for box in doc.boxes if box.text}
-    grams: set[str] = set()
-    for text in texts:
-        grams |= box_ngrams(text)
-    return grams
+def _doc_grams(doc: ImageDocument) -> frozenset[str]:
+    """All box-text n-grams of one document, computed once per document."""
+    if doc._grams is None:
+        texts = {box.text for box in doc.boxes if box.text}
+        grams: set[str] = set()
+        for text in texts:
+            grams |= box_ngrams(text)
+        doc._grams = frozenset(grams)
+    return doc._grams
 
 
 def invariant_grams(docs: Sequence[ImageDocument]) -> set[str]:

@@ -13,6 +13,7 @@ quantified classes, and identical abstractions are merged with counts.
 
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -54,12 +55,16 @@ class Profile:
         return self.regex().fullmatch(text) is not None
 
 
+@functools.lru_cache(maxsize=8192)
 def profile_string(text: str, exact_lengths: bool = True) -> str:
     """Abstract ``text`` into a regex of quantified character classes.
 
     With ``exact_lengths=True`` runs keep their exact length (``[0-9]{13}``);
     otherwise they become ``+`` quantified (``[0-9]+``), which trades
     specificity for generality.
+
+    Pure in its arguments, so results are cached (bounded): every field
+    task of a cluster profiles the same page texts again.
     """
     if not text:
         return ""

@@ -15,6 +15,7 @@ from repro.html.dom import (
     lowest_common_ancestor,
     tree_distance,
 )
+from repro.html.domain import HtmlDomain
 from repro.html.landmarks import _leaf_texts
 from repro.html.parser import parse_html
 from repro.html.region import HtmlRegion
@@ -225,6 +226,9 @@ def use_every_memo(doc):
     document_blueprint(doc)
     _leaf_texts(doc)
     _short_text_values(doc)
+    root = doc.root
+    region = HtmlRegion(root, 0, len(root.children) - 1)
+    HtmlDomain().region_blueprint(doc, region, frozenset({"Depart:"}))
     doc.fingerprint()
 
 
@@ -235,6 +239,7 @@ class TestPickle:
         before = pickle.dumps(doc)
         use_every_memo(doc)
         assert doc._text_matches and doc._leaf_texts is not None
+        assert doc._region_blueprints
         assert pickle.dumps(doc) == before
         assert len(before) <= len(doc.source) + 256
 
@@ -255,7 +260,12 @@ class TestPickle:
         cell.append(DomNode(TEXT_TAG, text=" 8:18 PM "))
         doc = HtmlDocument(root)
         use_every_memo(doc)
+        assert doc._order is not None and doc._region_blueprints
+        state = doc.__getstate__()
+        assert state["_order"] is None
+        assert "_region_blueprints" not in state
         copy = pickle.loads(pickle.dumps(doc))
+        assert copy._region_blueprints == {}
         assert copy.source == ""
         assert preorder(copy) == preorder(doc)
         assert copy.fingerprint() == doc.fingerprint()

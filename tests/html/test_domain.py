@@ -1,6 +1,9 @@
 """Tests for the HtmlDomain adapter (repro.html.domain)."""
 
+from repro.core.clustering import pair_values_to_landmarks
 from repro.core.document import Annotation, AnnotationGroup, TrainingExample
+from repro.datasets import m2h
+from repro.html import blueprint as bp
 from repro.html.domain import HtmlDomain
 from repro.html.parser import parse_html
 
@@ -74,3 +77,35 @@ class TestHtmlDomain:
             )
         candidates = self.domain.landmark_candidates(examples)
         assert candidates[0].value == "Depart:"
+
+
+class TestRegionBlueprintMemo:
+    def test_memo_equals_fresh_blueprint_on_every_roi(self):
+        domain = HtmlDomain()
+        corpus = m2h.generate_corpus("delta", train_size=4, test_size=2)
+        common = domain.common_values([item.doc for item in corpus.train])
+        checked = 0
+        for field_name in m2h.fields_for("delta"):
+            examples = [
+                item.training_example(field_name) for item in corpus.train
+            ]
+            candidates = domain.landmark_candidates(examples, 3)
+            for item in corpus.train + corpus.test:
+                doc = item.doc
+                annotation = item.annotation(field_name)
+                for candidate in candidates:
+                    for occurrence, groups in pair_values_to_landmarks(
+                        domain, doc, annotation, candidate.value
+                    ):
+                        locations = [occurrence] + [
+                            loc for locs, _ in groups for loc in locs
+                        ]
+                        region = domain.enclosing_region(doc, locations)
+                        fresh = bp.region_blueprint(region, common)
+                        first = domain.region_blueprint(doc, region, common)
+                        equal = frozenset(set(common))
+                        again = domain.region_blueprint(doc, region, equal)
+                        assert first == fresh
+                        assert again is first
+                        checked += 1
+        assert checked > 100

@@ -48,6 +48,15 @@ class TestParsing:
         doc = parse_html("<div>Fish &amp; Chips</div>")
         assert doc.elements()[1].text_content() == "Fish & Chips"
 
+    def test_entities_unescaped_exactly_once(self):
+        cases = {
+            "<p>a &amp;lt;b&amp;gt;</p>": "a &lt;b&gt;",
+            "<p>AT&amp;T</p>": "AT&T",
+            "<p>&lt;</p>": "<",
+        }
+        for source, text in cases.items():
+            assert parse_html(source).elements()[1].text_content() == text
+
     def test_whitespace_only_text_dropped(self):
         doc = parse_html("<div>  \n  </div>")
         assert doc.elements()[1].text_content() == ""

@@ -1,7 +1,18 @@
 """Tests for image blueprints (repro.images.blueprint)."""
 
+import pickle
+
+from repro.core.clustering import pair_values_to_landmarks
+from repro.datasets import finance
 from repro.images import blueprint as bp
-from repro.images.boxes import ImageDocument, ImageRegion, TextBox
+from repro.images.boxes import (
+    ImageDocument,
+    ImageRegion,
+    TextBox,
+    enclosing_region,
+)
+from repro.images.domain import ImageDomain
+from repro.images.landmarks import _doc_grams
 
 
 def box(text, x, y, w=80, h=20):
@@ -109,3 +120,106 @@ class TestSummaryDistance:
         blueprint = bp.document_blueprint(invoice_page())
         assert "Chassis number" in blueprint
         assert "4713872198212" not in blueprint
+
+
+# -- per-document tables -------------------------------------------------
+
+
+def fresh_blueprint(doc, region, frequent):
+    summaries = (bp.box_summary(doc, b, frequent) for b in region.locations())
+    return frozenset(s for s in summaries if s is not None)
+
+
+def finance_rois():
+    """(doc, region, frequent) for every train and test page of a small
+    finance corpus: each Algorithm 3 ROI (landmark candidate plus the
+    annotated values), the whole page and a few arbitrary box runs."""
+    domain = ImageDomain()
+    for doc_type in finance.DOC_TYPES:
+        corpus = finance.generate_corpus(
+            doc_type, train_size=4, test_size=3, seed=5
+        )
+        frequent = bp.frequent_ngrams([item.doc for item in corpus.train])
+        for field_name in finance.FINANCE_FIELDS[doc_type]:
+            examples = [
+                item.training_example(field_name) for item in corpus.train
+            ]
+            candidates = domain.landmark_candidates(examples, 3)
+            for item in corpus.train + corpus.test:
+                annotation = item.annotation(field_name)
+                for candidate in candidates:
+                    for occurrence, groups in pair_values_to_landmarks(
+                        domain, item.doc, annotation, candidate.value
+                    ):
+                        locations = [occurrence] + [
+                            loc for locs, _ in groups for loc in locs
+                        ]
+                        yield item.doc, enclosing_region(
+                            item.doc, locations
+                        ), frequent
+        for item in corpus.train + corpus.test:
+            boxes = item.doc.boxes
+            yield item.doc, ImageRegion(boxes), frequent
+            for start in range(0, len(boxes), 4):
+                yield item.doc, ImageRegion(boxes[start : start + 3]), frequent
+
+
+class TestBlueprintTables:
+    def test_memoized_blueprint_equals_fresh_summaries(self):
+        checked = 0
+        for doc, region, frequent in finance_rois():
+            assert bp.region_blueprint(doc, region, frequent) == (
+                fresh_blueprint(doc, region, frequent)
+            )
+            # Second call reads the table.
+            assert bp.region_blueprint(doc, region, frequent) == (
+                fresh_blueprint(doc, region, frequent)
+            )
+            checked += 1
+        assert checked > 100
+
+    def test_equal_frequent_set_reuses_the_table(self, monkeypatch):
+        doc = invoice_page()
+        region = ImageRegion(doc.boxes)
+        first = bp.region_blueprint(doc, region, FREQUENT)
+        table = doc._summaries[FREQUENT]
+        assert len(table) == len(doc.boxes)
+
+        def no_summary(*args):
+            raise AssertionError("summary recomputed")
+
+        monkeypatch.setattr(bp, "box_summary", no_summary)
+        equal = frozenset(set(FREQUENT))
+        assert equal is not FREQUENT
+        assert bp.region_blueprint(doc, region, equal) == first
+        assert list(doc._summaries) == [FREQUENT]
+        assert doc._summaries[equal] is table
+
+    def test_box_from_another_page_is_not_stored(self):
+        doc = invoice_page()
+        stranger = invoice_page().boxes[1]
+        region = ImageRegion([doc.boxes[0], stranger])
+        blueprint = bp.region_blueprint(doc, region, FREQUENT)
+        assert blueprint == fresh_blueprint(doc, region, FREQUENT)
+        assert list(doc._summaries[FREQUENT]) == [0]
+
+    def test_doc_grams_equal_a_fresh_union(self):
+        for item in finance.generate_corpus("CashInvoice", 3, 3, 2).train:
+            doc = item.doc
+            fresh = set()
+            for b in doc.boxes:
+                fresh |= bp.box_ngrams(b.text)
+            grams = _doc_grams(doc)
+            assert grams == fresh
+            assert _doc_grams(doc) is grams
+
+    def test_tables_are_not_pickled(self):
+        doc = finance.generate_corpus("SalesInvoice", 2, 0, 3).train[0].doc
+        before = pickle.dumps(doc)
+        frequent = bp.frequent_ngrams([doc])
+        bp.region_blueprint(doc, ImageRegion(doc.boxes), frequent)
+        _doc_grams(doc)
+        assert doc._summaries and doc._grams
+        assert pickle.dumps(doc) == before
+        copy = pickle.loads(before)
+        assert copy._summaries == {} and copy._grams is None

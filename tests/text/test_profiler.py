@@ -3,6 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.text import profiler
 from repro.text.profiler import (
     Profile,
     patterns_for_cluster,
@@ -53,6 +54,20 @@ class TestProfileStrings:
         assert profiles
         for value in values:
             assert any(p.matches(value) for p in profiles)
+
+    def test_cache_is_bounded_and_transparent(self, monkeypatch):
+        assert profile_string.cache_info().maxsize is not None
+        texts = ["4713872198212", "DOC-483921", "AB 12", "ab", "DOC-483921"]
+        for exact in (True, False):
+            for text in texts:
+                assert profile_string(text, exact) == (
+                    profile_string.__wrapped__(text, exact)
+                )
+        cached = profile_strings(texts, min_support=1)
+        monkeypatch.setattr(
+            profiler, "profile_string", profile_string.__wrapped__
+        )
+        assert profile_strings(texts, min_support=1) == cached
 
 
 class TestPatternsForCluster:
