@@ -45,7 +45,6 @@ from repro.datasets import m2h
 from repro.datasets.base import CONTEMPORARY, LONGITUDINAL
 from repro.harness.runner import scale, scaled
 from repro.html.domain import HtmlDomain
-from repro.store import BlueprintStore
 
 RESULT_FILE = RESULTS_DIR / "BENCH_cluster_kernel.json"
 
@@ -145,10 +144,8 @@ def _prefill_pairs(pool):
 
 
 def _fresh_cache(domain):
-    """A cache whose seeded distances never leak into the warm store."""
-    return DistanceCache(
-        domain, enabled=True, store=BlueprintStore(enabled=False)
-    )
+    """A cache whose seeded distances start from an empty table."""
+    return DistanceCache(domain, enabled=True)
 
 
 def _time_arm(run, repeats: int = REPEATS):

@@ -30,9 +30,7 @@ cardinality); the equivalence suites assert byte-identical experiment
 tables with the kernel on and off.
 
 The encoding is a *kernel-level* representation only: blueprints remain
-``frozenset`` values at every API boundary (domain methods, caches, the
-persistent store), so L2 keys — derived from the canonical sorted string
-form by ``repro.store.canonical_digest`` — and warm stores are untouched.
+``frozenset`` values at every API boundary (domain methods and caches).
 
 ``REPRO_BITSET=0`` disables the encoding everywhere (the legacy
 per-pair ``frozenset`` path runs instead), for A/B timing and paranoia.

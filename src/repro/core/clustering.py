@@ -303,12 +303,8 @@ def fine_cluster(
         ):
             matrix = pairwise_distance_matrix(domain, doc_blueprints)
             for (i, j), value in matrix.items():
-                # Speculative (full-matrix) values seed L1 only; the
-                # serial loop's true demand is a sparse subset and the
-                # store shouldn't carry the rest.
                 cache.prime_distance(
-                    doc_blueprints[i], doc_blueprints[j], value,
-                    persist=False,
+                    doc_blueprints[i], doc_blueprints[j], value
                 )
         blueprints: list[list[Hashable]] = []
         for example, blueprint in zip(examples, doc_blueprints):
@@ -397,7 +393,6 @@ def _roi_blueprints(
             candidate.value,
             common_values,
             lambda landmark=candidate.value: compute(landmark),
-            annotation=example.annotation,
         )
         if blueprint is not None:
             result[candidate.value] = blueprint

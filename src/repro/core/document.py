@@ -119,10 +119,9 @@ class Domain(abc.ABC):
     pure_landmarks: bool = True
     symmetric_distance: bool = True
     # Substrate name used in persistent-store keys (one namespace per
-    # concrete document kind; see repro.store).  ``None`` opts the
-    # domain out of the persistent store entirely — ad-hoc domains (tests,
-    # experiments) must not share a key namespace, since two domains with
-    # different metrics would alias each other's entries.
+    # concrete document kind; see repro.store).  Only domains with content
+    # fingerprints reach the store; ad-hoc domains (tests, experiments)
+    # keep ``None`` and the default fingerprints, which opt them out.
     substrate: str | None = None
 
     # ------------------------------------------------------------------
@@ -168,11 +167,12 @@ class Domain(abc.ABC):
         """Stable content hash of ``doc``, or ``None`` to opt out.
 
         Two documents with identical content must fingerprint identically
-        across processes and runs; the fingerprint keys the persistent
-        :class:`repro.store.BlueprintStore` (L2), so it must depend
-        only on document *content* — never on object identity, corpus
-        position, or any ``REPRO_*`` runtime knob.  The default opts the
-        domain out of the store entirely.
+        across processes and runs; through :meth:`example_fingerprint`
+        it keys trained programs in the persistent
+        :class:`repro.store.BlueprintStore`, so it must depend only on
+        document *content* — never on object identity, corpus position,
+        or any ``REPRO_*`` runtime knob.  The default opts the domain out
+        of the store entirely.
         """
         return None
 

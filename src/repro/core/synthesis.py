@@ -196,13 +196,7 @@ def lrsyn(
     clustering are reused by every per-cluster synthesis attempt.
     """
     config = config or LrsynConfig()
-    cache = DistanceCache(domain)
-    try:
-        return _lrsyn(domain, examples, config, cache)
-    finally:
-        # Publish this run's blueprints/distances to the persistent store
-        # so the next process starts warm.
-        cache.flush_store()
+    return _lrsyn(domain, examples, config, DistanceCache(domain))
 
 
 def _lrsyn(

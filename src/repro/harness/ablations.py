@@ -18,8 +18,8 @@ the mechanism's baseline *and* ablated method variant on the task's
 corpus and labels results with the mechanism in ``FieldResult.setting``.
 Everything routes through the harness layer (:func:`cached_corpora`,
 :func:`train_method` via :func:`evaluate_on_corpus`, the ``REPRO_JOBS``
-pool, ``REPRO_SHARD``), so the L1/L2 caches and the shard scheduler
-apply — including whichever :mod:`repro.store` backend
+pool, ``REPRO_SHARD``), so the memo tables, the persistent store and
+the shard scheduler apply — including whichever :mod:`repro.store` backend
 ``shared_store()`` resolves (``REPRO_STORE_BACKEND``).
 
 (The third prose mechanism, layout-conditional synthesis, is exercised on

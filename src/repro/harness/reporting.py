@@ -192,8 +192,8 @@ def record_synthesis_speed(
                 if name.startswith("cache.") and name.endswith(".miss")
             ),
         },
-        # The persistent BlueprintStore (L2): hits measure how much of the
-        # run was served from previous runs' work.
+        # The persistent store (programs, corpora): hits measure how much
+        # of the run was served from previous runs' work.
         "store": {
             "hits": sum(
                 count for name, count in counters.items()

@@ -44,12 +44,10 @@ Environment knobs
     ``repro-shard`` CLI).  Default: the whole graph.
 
 ``REPRO_STORE`` / ``REPRO_STORE_DIR``
-    The persistent content-hash store (:mod:`repro.store`): L2 under
-    the ``DistanceCache`` plus program- and corpus-level entries, so
-    blueprints, pairwise distances, trained extractors and generated
-    corpora survive across runs and CI jobs.  ``REPRO_STORE=0`` disables
-    it; ``REPRO_STORE_DIR`` overrides ``~/.cache/repro``.  See
-    ``docs/performance.md``.
+    The persistent content-hash store (:mod:`repro.store`): trained
+    extractors and generated corpora survive across runs and CI jobs.
+    ``REPRO_STORE=0`` disables it; ``REPRO_STORE_DIR`` overrides
+    ``~/.cache/repro``.  See ``docs/performance.md``.
 
 ``REPRO_STORE_BACKEND``
     Store backend selection (``sqlite``/``memory``).  Shard jobs on one
@@ -58,10 +56,13 @@ Environment knobs
 
 from __future__ import annotations
 
+import gc
 import math
 import os
 import pickle
+import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
 
@@ -393,16 +394,18 @@ def run_field_tasks(
     merged into the parent's active timer, so stage timings and cache
     counters aggregate across processes.  The :func:`held` slot is emptied
     before and after, so every call loads its corpora through the corpus
-    cache afresh.
+    cache afresh.  The tasks run under :func:`gc_policy`, which is undone
+    on return or raise.
     """
-    _held.clear()
+    _drop_held()
     try:
         if jobs() == 1:
-            return [
-                result
-                for arguments in argument_tuples
-                for result in task(*arguments)
-            ]
+            with gc_policy():
+                return [
+                    result
+                    for arguments in argument_tuples
+                    for result in task(*arguments)
+                ]
         with ProcessPoolExecutor(max_workers=jobs()) as pool:
             futures = [
                 pool.submit(_run_field_task, task, arguments)
@@ -415,7 +418,7 @@ def run_field_tasks(
                 results.extend(task_results)
         return results
     finally:
-        _held.clear()
+        _drop_held()
 
 
 def _run_field_task(
@@ -425,19 +428,87 @@ def _run_field_task(
 
     Marks the process as a pool worker so the in-process parallel kernels
     (:mod:`repro.core.parallel`) stay serial instead of forking nested
-    pools, and flushes the persistent blueprint store before returning so
-    a worker's discoveries are durable even if the pool recycles it.
+    pools, runs the task under :func:`gc_policy` like the in-process path,
+    and flushes the persistent store before returning so a worker's
+    programs and corpora are durable even if the pool recycles it.  The
+    worker's held corpus stays frozen between its tasks.
     """
     parallel.mark_worker()
     timer = StageTimer()
-    with use_timer(timer):
+    with use_timer(timer), gc_policy():
         results = [_transportable(result) for result in task(*arguments)]
     flush_corpus_store()
     return results, timer.snapshot()
 
 
+# ----------------------------------------------------------------------
+# Garbage-collector policy for field tasks
+# ----------------------------------------------------------------------
+# A held corpus is immutable and lives for all of its provider's tasks,
+# and a parsed HTML document is one reference cycle per DOM node (through
+# ``parent``).  Under the default thresholds every generation-2 collection
+# walks the whole corpus again, while synthesis allocates enough to
+# trigger many of them.  Field tasks therefore run with a higher
+# generation-0 threshold, and held() moves each freshly loaded corpus into
+# the collector's permanent generation (gc.freeze) without a collection
+# first: a forced collect on every corpus load costs more than it saves
+# at small scales.  The policy is fixed; it changes when memory is
+# reclaimed, never what any task computes.
+GC_THRESHOLDS = (50_000, 20, 100)
+
+# perf_counter() at the start of the collection in progress.
+_gc_started = 0.0
+
+
+def _count_gc(phase: str, info: dict) -> None:
+    """``gc.callbacks`` hook: collections per generation and total pause."""
+    global _gc_started
+    if phase == "start":
+        _gc_started = time.perf_counter()
+        return
+    timer = active_timer()
+    timer.count(f"gc.gen{info['generation']}.collections")
+    timer.count(
+        "gc.pause_us", round((time.perf_counter() - _gc_started) * 1e6)
+    )
+
+
+@contextmanager
+def gc_policy():
+    """Run field tasks under :data:`GC_THRESHOLDS`, counting GC pauses.
+
+    Every collection in the window is counted into the active
+    :class:`StageTimer` as ``gc.gen{0,1,2}.collections`` and
+    ``gc.pause_us``.  The previous thresholds are restored on exit.
+    """
+    previous = gc.get_threshold()
+    gc.set_threshold(*GC_THRESHOLDS)
+    gc.callbacks.append(_count_gc)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(_count_gc)
+        gc.set_threshold(*previous)
+
+
 # The last value held() loaded in this process, keyed by (load, key).
 _held: dict[tuple, Any] = {}
+
+
+def _drop_held() -> None:
+    """Empty the held() slot and hand its corpus back to the collector.
+
+    With the corpus store on, the store front keeps every corpus it put
+    or loaded, so no collection could reclaim the dropped one.  With it
+    off, the slot held the only reference: dropping it leaves cyclic
+    garbage in the oldest generation, which the next held() load would
+    freeze again, so one collection reclaims it first.
+    """
+    dropped = bool(_held)
+    _held.clear()
+    gc.unfreeze()
+    if dropped and not _corpus_store_on():
+        gc.collect()
 
 
 def held(load: Callable[..., Any], *key) -> Any:
@@ -447,12 +518,14 @@ def held(load: Callable[..., Any], *key) -> Any:
     its tasks in submission order, so each process sees its corpora
     consecutively: the slot turns a corpus's repeat loads into lookups
     and never holds more than one corpus.  A different ``(load, key)``
-    drops the held value before loading.
+    drops the held value before loading.  A loaded value is frozen out
+    of the collector's scans until it is dropped (see :func:`gc_policy`).
     """
     slot = (load, key)
     if slot not in _held:
-        _held.clear()
+        _drop_held()
         _held[slot] = load(*key)
+        gc.freeze()
     return _held[slot]
 
 
@@ -525,8 +598,13 @@ def corpus_store_generation() -> str:
     return f"{default_generation()}|corpus={CORPUS_GENERATOR_VERSION}"
 
 
+def _corpus_store_on() -> bool:
+    """Whether :func:`cached_corpora` puts corpora in the store."""
+    return shared_store().enabled and cache_enabled()
+
+
 def _corpus_store_key(dataset: str, **params) -> str | None:
-    if not (shared_store().enabled and cache_enabled()):
+    if not _corpus_store_on():
         return None
     parts = [f"gen={CORPUS_GENERATOR_VERSION}"] + [
         f"{name}={params[name]}" for name in sorted(params)

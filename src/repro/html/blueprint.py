@@ -72,8 +72,7 @@ def common_text_values(docs: Iterable[HtmlDocument]) -> frozenset[str]:
 
     The per-document text sets fold through the shared invariant
     intersection (:func:`repro.core.bitset.intersect_all`) — identical
-    result, so ROI-blueprint store keys derived from the returned set are
-    unchanged.
+    result, so ROI blueprints keyed on the returned set are unchanged.
     """
     return bitset.intersect_all(_short_text_values(doc) for doc in docs)
 

@@ -1,30 +1,30 @@
-"""Persistent content-hash blueprint store (the cache hierarchy's L2).
+"""Persistent content-hash store for trained programs, corpora and catalogs.
 
-:class:`repro.core.caching.DistanceCache` memoizes blueprints and pairwise
-distances per ``lrsyn`` call (L1), so every benchmark run, CI job and
-repeated experiment still recomputes the same quantities from scratch.
-:class:`BlueprintStore` persists them, keyed by **document content hash**
-(never by object identity, file path, or corpus position), so the
-expensive computations survive across processes and runs:
+:class:`BlueprintStore` persists what a warm run reads back, keyed by
+**content hash** (never by object identity, file path, or corpus
+position):
 
-* whole-document blueprints, keyed by the document fingerprint;
-* ROI blueprints, keyed by ``(document, annotation, landmark,
-  common-values)`` fingerprints;
-* pairwise blueprint distances, keyed by the canonical digests of the two
-  blueprint values (orientation-ordered for asymmetric metrics);
-* landmark-candidate lists, keyed by the ordered example fingerprints
-  (side-effect-free domains only).
+* ``program`` rows — a trained extractor (or a recorded synthesis
+  failure), keyed by the method, its configuration and the ordered
+  training-example fingerprints (see :mod:`repro.harness.runner`);
+* ``corpus`` rows and their ``corpus_ref`` liveness markers — generated
+  corpora, so warm runs skip generation;
+* ``serving`` rows — the catalogs ``repro-serve`` loads
+  (:mod:`repro.harness.export`).
 
-Harness-level kinds ride the same machinery: ``program``/``corpus``
-entries (see :mod:`repro.harness.runner`) make warm runs skip training
-and generation.
+Blueprints, distances and landmark lists are not stored: they live in
+the per-``lrsyn`` tables of :class:`repro.core.caching.DistanceCache`
+and the per-document memos, and a warm run that hits its ``program``
+row never needs them.  Rows of those retired kinds (``doc_bp``,
+``roi_bp``, ``dist``, ``landmark``) left by older code are dropped by
+``repro-store gc``.
 
 Every key additionally folds in the *substrate* (``html`` / ``images``)
 and :data:`BLUEPRINT_ALGO_VERSION` — bump the latter whenever a
 blueprint, distance or landmark-scoring algorithm changes so stale
-entries can never leak across incompatible code revisions.  Keys are
+programs can never leak across incompatible code revisions.  Keys are
 deliberately independent of ``REPRO_SCALE``, ``REPRO_JOBS`` and every
-other runtime knob: the same document must hit the same entry no matter
+other runtime knob: the same examples must hit the same entry no matter
 how the experiment around it is configured.
 
 Since v4 the storage medium is **pluggable**: this class is the front —
@@ -476,7 +476,7 @@ class BlueprintStore:
         kinds report their compressed footprint, the quantity eviction
         budgets against; ``generations`` counts entries per generation
         stamp); ``payload_bytes`` is their sum and ``bytes`` the backend
-        footprint (for sqlite, the on-disk file size).
+        footprint (for sqlite, the database file plus its ``-wal``).
         """
         backend = self.backend
         if backend is None:

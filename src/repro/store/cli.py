@@ -5,8 +5,9 @@ Hygiene entry points for the persistent blueprint store::
     repro-store stats [--json]        # per-kind counts/bytes (+generations)
     repro-store clear                 # delete every entry
     repro-store evict --max-mb N      # LRU-trim to a size budget
-    repro-store gc [--dry-run] [--json]   # drop stale generations +
-                                          # unreferenced corpora
+    repro-store gc [--dry-run] [--json]   # drop retired kinds, stale
+                                          # generations + unreferenced
+                                          # corpora
 
 Global flags pick the target: ``--dir`` (default ``REPRO_STORE_DIR`` /
 ``~/.cache/repro``) and ``--backend`` (``sqlite``/``memory``).
@@ -56,8 +57,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     gc = sub.add_parser(
         "gc",
-        help="drop entries from stale generations and corpora no live"
-        " configuration references",
+        help="drop entries of retired kinds, from stale generations and"
+        " corpora no live configuration references",
     )
     gc.add_argument(
         "--dry-run",
@@ -143,10 +144,17 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             print(json.dumps(report, indent=2, sort_keys=True))
         else:
+            retired = report["retired"]
             stale = report["stale"]
             orphans = report["unreferenced_corpora"]
             dangling = report["dangling_refs"]
             print(f"scanned {report['scanned']} entries")
+            print(
+                f"retired kinds: {retired['entries']} entries"
+                f" ({retired['bytes']} bytes)"
+            )
+            for bucket, count in retired["by_kind"].items():
+                print(f"  {bucket}: {count} entries")
             print(
                 f"stale generations: {stale['entries']} entries"
                 f" ({stale['bytes']} bytes)"
@@ -169,7 +177,8 @@ def main(argv: list[str] | None = None) -> int:
                 )
             if args.dry_run:
                 doomed = (
-                    stale["entries"]
+                    retired["entries"]
+                    + stale["entries"]
                     + orphans["entries"]
                     + dangling["entries"]
                 )

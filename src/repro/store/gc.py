@@ -25,8 +25,13 @@ entirely when the store holds corpora but not a single ref — that is a
 store populated outside the harness (hand-built fixtures, partial
 copies), where absence of refs is not evidence of death.
 
+**Retired kinds** — older code wrote blueprints, distances and
+landmark lists through to the store (``doc_bp``, ``roi_bp``, ``dist``,
+``landmark``).  Nothing reads those kinds any more, so every such row is
+dead whatever its generation, and gc drops them all.
+
 GC never touches a current-generation key that is referenced (or of any
-non-corpus kind): a warm reader racing a GC keeps every entry it can
+other live kind): a warm reader racing a GC keeps every entry it can
 reach.  Like eviction, GC only ever discards cache state — the next run
 recomputes anything it misses, byte-identically.
 """
@@ -44,6 +49,9 @@ if TYPE_CHECKING:  # pragma: no cover
 #: their generation stamp and participate in the reference pass.
 CORPUS_KIND = "corpus"
 CORPUS_REF_KIND = "corpus_ref"
+
+#: Kinds no current code reads or writes; gc drops every row of them.
+RETIRED_KINDS = frozenset({"doc_bp", "roi_bp", "dist", "landmark"})
 
 
 def expected_generation(kind: str) -> str:
@@ -65,6 +73,7 @@ def plan_gc(store: "BlueprintStore") -> dict:
     Report shape::
 
         {"scanned": int,
+         "retired": {"entries": int, "bytes": int, "by_kind": {...}},
          "stale": {"entries": int, "bytes": int, "by_kind": {...}},
          "unreferenced_corpora": {"entries": int, "bytes": int},
          "dangling_refs": {"entries": int, "bytes": int},
@@ -78,19 +87,18 @@ def plan_gc(store: "BlueprintStore") -> dict:
     rows = backend.scan()
 
     expected: dict[str, str] = {}
-    stale_keys: list[str] = []
-    stale_bytes = 0
-    stale_by_kind: dict[str, int] = {}
+    retired = _Bucket()
+    stale = _Bucket()
     current: list[tuple[str, str, str, int]] = []
     for key, kind, substrate, size, generation in rows:
+        if kind in RETIRED_KINDS:
+            retired.add(key, f"{substrate}/{kind}", size)
+            continue
         want = expected.get(kind)
         if want is None:
             want = expected[kind] = expected_generation(kind)
         if generation != want:
-            stale_keys.append(key)
-            stale_bytes += size
-            bucket = f"{substrate}/{kind}"
-            stale_by_kind[bucket] = stale_by_kind.get(bucket, 0) + 1
+            stale.add(key, f"{substrate}/{kind}", size)
         else:
             current.append((key, kind, substrate, size))
 
@@ -132,11 +140,8 @@ def plan_gc(store: "BlueprintStore") -> dict:
 
     return {
         "scanned": len(rows),
-        "stale": {
-            "entries": len(stale_keys),
-            "bytes": stale_bytes,
-            "by_kind": dict(sorted(stale_by_kind.items())),
-        },
+        "retired": retired.report(),
+        "stale": stale.report(),
         "unreferenced_corpora": {
             "entries": len(unreferenced_keys),
             "bytes": unreferenced_bytes,
@@ -146,8 +151,31 @@ def plan_gc(store: "BlueprintStore") -> dict:
             "bytes": dangling_bytes,
         },
         "skipped_unreferenced_pass": skipped,
-        "doomed_keys": stale_keys + unreferenced_keys + dangling_keys,
+        "doomed_keys": (
+            retired.keys + stale.keys + unreferenced_keys + dangling_keys
+        ),
     }
+
+
+class _Bucket:
+    """Keys, bytes and per-``substrate/kind`` counts of one doomed class."""
+
+    def __init__(self) -> None:
+        self.keys: list[str] = []
+        self.bytes = 0
+        self.by_kind: dict[str, int] = {}
+
+    def add(self, key: str, bucket: str, size: int) -> None:
+        self.keys.append(key)
+        self.bytes += size
+        self.by_kind[bucket] = self.by_kind.get(bucket, 0) + 1
+
+    def report(self) -> dict:
+        return {
+            "entries": len(self.keys),
+            "bytes": self.bytes,
+            "by_kind": dict(sorted(self.by_kind.items())),
+        }
 
 
 def run_gc(store: "BlueprintStore", dry_run: bool = False) -> dict:
@@ -175,6 +203,7 @@ def run_gc(store: "BlueprintStore", dry_run: bool = False) -> dict:
 def _empty_report() -> dict:
     return {
         "scanned": 0,
+        "retired": {"entries": 0, "bytes": 0, "by_kind": {}},
         "stale": {"entries": 0, "bytes": 0, "by_kind": {}},
         "unreferenced_corpora": {"entries": 0, "bytes": 0},
         "dangling_refs": {"entries": 0, "bytes": 0},

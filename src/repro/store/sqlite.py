@@ -421,7 +421,11 @@ class SqliteBackend(StoreBackend):
                 )
                 total += count
                 payload += nbytes
-        size = self.path.stat().st_size if self.path.exists() else 0
+        # Committed rows sit in the -wal file until a checkpoint folds
+        # them into the main file, so the footprint counts both.
+        wal = self.path.with_name(self.path.name + "-wal")
+        size = sum(path.stat().st_size for path in (self.path, wal)
+                   if path.exists())
         return {
             "path": str(self.path),
             "entries": total,

@@ -6,7 +6,6 @@ import sqlite3
 import pytest
 
 import repro.store as store_mod
-from repro.core.caching import DistanceCache
 from repro.store import (
     BlueprintStore,
     canonical_digest,
@@ -16,6 +15,7 @@ from repro.store import (
     store_dir,
     store_enabled,
 )
+from repro.core.caching import DistanceCache
 from repro.html.domain import HtmlDomain
 from repro.html.parser import parse_html
 
@@ -137,7 +137,11 @@ class TestKeyDerivation:
 
 
 class TestAsymmetricOrientationKeys:
-    """Image-metric orientation: d(a, b) != d(b, a) needs two L2 entries."""
+    """Image-metric orientation: d(a, b) != d(b, a) needs two entries.
+
+    Distances live only in the per-call ``DistanceCache``; the shared
+    store, pointed at a fresh directory, must stay free of them.
+    """
 
     class AsymmetricDomain(HtmlDomain):
         substrate = "asym-test"
@@ -149,46 +153,36 @@ class TestAsymmetricOrientationKeys:
     class SymmetricDomain(HtmlDomain):
         substrate = "sym-test"
 
-    def test_orientations_stored_separately(self, tmp_path):
+    def test_orientations_stored_separately(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         domain = self.AsymmetricDomain()
-        store = make_store(tmp_path)
         bp_a, bp_b = frozenset({"x"}), frozenset({"x", "y"})
-        cache = DistanceCache(domain, enabled=True, store=store)
+        cache = DistanceCache(domain, enabled=True)
         assert cache.distance(bp_a, bp_b) == 0.25
         assert cache.distance(bp_b, bp_a) == 0.75
+        assert cache.miss_counts.get("distance") == 2
+        # Each orientation is then served its own value.
+        assert cache.distance(bp_a, bp_b) == 0.25
+        assert cache.distance(bp_b, bp_a) == 0.75
+        assert cache.hit_counts.get("distance") == 2
+        store = shared_store()
         store.flush()
-        # A fresh cache over the same store must serve each orientation
-        # its own value.
-        warm = DistanceCache(domain, enabled=True, store=store)
-        assert warm.distance(bp_a, bp_b) == 0.25
-        assert warm.distance(bp_b, bp_a) == 0.75
-        assert warm.store_hit_counts.get("dist") == 2
+        assert store.stats()["entries"] == 0
 
-    def test_symmetric_domain_shares_one_entry(self, tmp_path):
+    def test_symmetric_domain_shares_one_entry(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         domain = self.SymmetricDomain()
-        store = make_store(tmp_path)
-        cache = DistanceCache(domain, enabled=True, store=store)
         bp_a, bp_b = frozenset({"x"}), frozenset({"x", "y"})
+        cache = DistanceCache(domain, enabled=True)
         value = cache.distance(bp_a, bp_b)
+        # Reversed orientation is served from the single entry.
+        assert cache.distance(bp_b, bp_a) == value
+        assert cache.distance_cached(bp_b, bp_a)
+        assert cache.miss_counts.get("distance") == 1
+        assert cache.hit_counts.get("distance") == 1
+        store = shared_store()
         store.flush()
-        warm = DistanceCache(domain, enabled=True, store=store)
-        # Reversed orientation is served from the single normalized entry.
-        assert warm.distance(bp_b, bp_a) == value
-        assert warm.store_hit_counts.get("dist") == 1
-
-    def test_orientation_key_shape(self, tmp_path):
-        domain = self.AsymmetricDomain()
-        cache = DistanceCache(domain, enabled=True, store=make_store(tmp_path))
-        bp_a, bp_b = frozenset({"x"}), frozenset({"x", "y"})
-        assert cache._distance_key(bp_a, bp_b) != cache._distance_key(
-            bp_b, bp_a
-        )
-        symmetric = DistanceCache(
-            self.SymmetricDomain(), enabled=True, store=make_store(tmp_path)
-        )
-        assert symmetric._distance_key(bp_a, bp_b) == symmetric._distance_key(
-            bp_b, bp_a
-        )
+        assert store.stats()["entries"] == 0
 
 
 class TestHygiene:
@@ -223,6 +217,18 @@ class TestHygiene:
         store.clear()
         assert store.stats()["entries"] == 0
         assert store.get("dist", "k1") is BlueprintStore.MISS
+
+    def test_bytes_counts_the_database_and_its_wal(self, tmp_path):
+        store = make_store(tmp_path)
+        for index in range(50):
+            store.put("program", f"k{index}", "html", "x" * 2048)
+        store.flush()
+        db = tmp_path / "store" / "blueprints.sqlite"
+        wal = db.with_name(db.name + "-wal")
+        assert wal.stat().st_size > 0  # committed rows not yet folded in
+        assert store.stats()["bytes"] == (
+            db.stat().st_size + wal.stat().st_size
+        )
 
     def test_corrupt_value_is_skipped(self, tmp_path):
         store = make_store(tmp_path)
@@ -392,38 +398,3 @@ class TestCompression:
         evicted, _ = store.evict(budget)
         assert evicted == 0
         assert store.stats()["entries"] == 4
-
-
-class TestDistanceCacheL2:
-    def test_doc_blueprint_served_across_cache_instances(self, tmp_path):
-        domain = HtmlDomain()
-        store = make_store(tmp_path)
-        html = "<html><body><p>Depart: 8:18 PM</p></body></html>"
-        cold_doc = parse_html(html)
-        cold = DistanceCache(domain, enabled=True, store=store)
-        blueprint = cold.document_blueprint(cold_doc)
-        store.flush()
-        # A *different document object with identical content* — the
-        # content-hash key must hit where the id-keyed L1 cannot.
-        warm_doc = parse_html(html)
-        warm = DistanceCache(domain, enabled=True, store=store)
-        assert warm.document_blueprint(warm_doc) == blueprint
-        assert warm.store_hit_counts.get("doc_bp") == 1
-
-    def test_disabled_cache_bypasses_store(self, tmp_path):
-        domain = HtmlDomain()
-        store = make_store(tmp_path)
-        doc = parse_html("<html><body><p>x</p></body></html>")
-        cache = DistanceCache(domain, enabled=False, store=store)
-        cache.document_blueprint(doc)
-        store.flush()
-        assert store.stats()["entries"] == 0
-
-    def test_substrate_none_opts_out(self, tmp_path):
-        from tests.core.fake_domain import FakeDomain, FakeDoc
-
-        store = make_store(tmp_path)
-        cache = DistanceCache(FakeDomain(), enabled=True, store=store)
-        cache.distance(frozenset({"a"}), frozenset({"b"}))
-        store.flush()
-        assert store.stats()["entries"] == 0

@@ -4,15 +4,16 @@ Mirror of ``tests/harness/test_program_store.py`` for the image domain —
 plus the invariants it depends on: content fingerprints must survive the
 pickle round-trip the corpus store performs (historically broken: the
 ``ImageDocument._order`` map is keyed by process-local ids), symmetric
-metrics must serve both orientations from one cache entry while the image
-domain's asymmetric BoxSummary metric must keep orientations separate.
+metrics must serve both orientations from one in-memory cache entry while
+the image domain's asymmetric BoxSummary metric must keep orientations
+separate.
 """
 
 import math
 import pickle
 
 from repro.core.caching import DistanceCache, StageTimer, use_timer
-from repro.store import BlueprintStore, shared_store
+from repro.store import shared_store
 from repro.datasets import finance, m2h_images
 from repro.harness.images import (
     AfrMethod,
@@ -188,30 +189,22 @@ class TestMetricInvariants:
             bp.summary_distance(self.ASYM_B, self.ASYM_A)
         )
 
-    def test_symmetric_metric_orientation_independent_hits(self, tmp_path):
-        """HTML distances: one entry serves both orientations, in L1 and
-        in the persistent store."""
+    def test_symmetric_metric_orientation_independent_hits(self):
+        """HTML distances: one table entry serves both orientations."""
         domain = HtmlDomain()
-        store = BlueprintStore(directory=tmp_path / "s", enabled=True)
-        cache = DistanceCache(domain, enabled=True, store=store)
+        cache = DistanceCache(domain, enabled=True)
         a = frozenset({"Depart", "Arrive"})
         b = frozenset({"Depart"})
         value = cache.distance(a, b)
         assert cache.distance(b, a) == value
-        assert cache.hit_counts.get("distance") == 1  # reversed = L1 hit
-        store.flush()
-        warm = DistanceCache(domain, enabled=True, store=store)
-        assert warm.distance(b, a) == value
-        assert warm.store_hit_counts.get("dist") == 1
+        assert cache.hit_counts.get("distance") == 1  # reversed = a hit
+        assert list(cache._distances) == [(a, b)]
 
-    def test_asymmetric_image_metric_keeps_orientations_apart(
-        self, tmp_path
-    ):
+    def test_asymmetric_image_metric_keeps_orientations_apart(self):
         """Image BoxSummary matching: each orientation caches its own
         value, and both equal the uncached computation exactly."""
         domain = ImageDomain()
-        store = BlueprintStore(directory=tmp_path / "s", enabled=True)
-        cache = DistanceCache(domain, enabled=True, store=store)
+        cache = DistanceCache(domain, enabled=True)
         forward = cache.distance(self.ASYM_A, self.ASYM_B)
         backward = cache.distance(self.ASYM_B, self.ASYM_A)
         assert forward == domain.blueprint_distance(self.ASYM_A, self.ASYM_B)
@@ -221,8 +214,11 @@ class TestMetricInvariants:
         # the forward entry.
         assert cache.hit_counts.get("distance") is None
         assert cache.miss_counts.get("distance") == 2
-        store.flush()
-        warm = DistanceCache(domain, enabled=True, store=store)
-        assert warm.distance(self.ASYM_A, self.ASYM_B) == forward
-        assert warm.distance(self.ASYM_B, self.ASYM_A) == backward
-        assert warm.store_hit_counts.get("dist") == 2
+        assert cache._distances == {
+            (self.ASYM_A, self.ASYM_B): forward,
+            (self.ASYM_B, self.ASYM_A): backward,
+        }
+        # Each orientation is then served from its own entry.
+        assert cache.distance(self.ASYM_A, self.ASYM_B) == forward
+        assert cache.distance(self.ASYM_B, self.ASYM_A) == backward
+        assert cache.hit_counts.get("distance") == 2

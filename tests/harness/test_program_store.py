@@ -57,6 +57,44 @@ class TestWarmRunsIdentical:
         assert warm_timer.counters.get("store.program.miss", 0) == 0
         assert warm_timer.counters.get("store.corpus.hit", 0) > 0
 
+    def test_cold_run_stores_only_programs_and_corpora(
+        self, tmp_path, monkeypatch
+    ):
+        """Blueprints, distances and landmark lists stay in memory: a cold
+        run writes program, corpus and corpus_ref rows only, and that is
+        all its warm rerun needs."""
+        flush_corpus_store()  # flush earlier tests' pending puts
+        store_dir = tmp_path / "only"
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        methods = [LrsynHtmlMethod()]
+
+        def run():
+            return run_m2h_experiment(
+                methods, providers=["delta"], train_size=4, test_size=6
+            )
+
+        cold = run()
+        flush_corpus_store()
+        kinds = {
+            bucket.split("/", 1)[1]
+            for bucket in shared_store().stats()["by_kind"]
+        }
+        assert kinds == {"program", "corpus", "corpus_ref"}
+
+        # A fresh store front: the rerun reads everything from sqlite.
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "rotate"))
+        shared_store()
+        monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+        warm_timer = StageTimer()
+        with use_timer(warm_timer):
+            warm = run()
+        assert_identical(cold, warm)
+        assert warm_timer.counters.get("store.program.miss", 0) == 0
+        assert warm_timer.counters.get("store.program.hit", 0) > 0
+
     def test_cross_store_instance_round_trip(self, tmp_path, monkeypatch):
         """A fresh shared-store instance (new dir ⇒ new config) stays
         correct: stored programs extract like freshly trained ones."""
@@ -92,19 +130,13 @@ class TestWarmRunsIdentical:
         assert_identical(stored, uncached)
 
 
-def landmark_rows(store_dir):
-    store = BlueprintStore(directory=store_dir, enabled=True)
-    rows = dict(store._hydrate("landmark"))
-    store.close()
-    return rows
-
-
 class TestWarmRetrain:
     def test_retraining_on_stored_corpora_matches_cold(
         self, tmp_path, monkeypatch
     ):
-        """A warm run that must retrain scores landmarks on unpickled
-        documents exactly as the cold run did on the live ones."""
+        """A warm run that must retrain synthesizes, on unpickled
+        documents, exactly the programs the cold run synthesized on the
+        live ones."""
         flush_corpus_store()  # flush earlier tests' pending puts
         store_dir = tmp_path / "store"
         monkeypatch.setenv("REPRO_STORE", "1")
@@ -120,14 +152,10 @@ class TestWarmRetrain:
 
         cold = run()
         flush_corpus_store()
-        cold_landmarks = landmark_rows(store_dir)
-        assert cold_landmarks
 
         store = BlueprintStore(directory=store_dir, enabled=True)
         with store._connect() as db:
-            db.execute(
-                "DELETE FROM entries WHERE kind IN ('program', 'landmark')"
-            )
+            db.execute("DELETE FROM entries WHERE kind = 'program'")
         store.close()
         # A fresh store front: the rerun reads everything from sqlite.
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "rotate"))
@@ -148,7 +176,9 @@ class TestWarmRetrain:
         flush_corpus_store()
         assert warm_timer.counters.get("store.corpus.hit", 0) > 0
         assert warm_timer.counters.get("store.program.miss", 0) > 0
-        assert warm_timer.counters.get("store.landmark.miss", 0) > 0
+        assert warm_timer.counters.get("store.program.hit", 0) == 0
         assert "corpus" not in written
         assert_identical(cold, warm)
-        assert landmark_rows(store_dir) == cold_landmarks
+        # Every retrained program equals the one the cold run trained.
+        assert all(r.extractor is not None for r in cold)
+        assert [r.extractor for r in warm] == [r.extractor for r in cold]

@@ -13,9 +13,9 @@ from repro.store.cli import main
 def seeded_dir(tmp_path):
     directory = tmp_path / "store"
     store = BlueprintStore(directory=directory, enabled=True)
-    store.put("dist", "current", "html", 1.0)
-    store.put("dist", "old", "html", 2.0, generation="algo=1")
-    store.put("doc_bp", "bp", "m2h", {"a": 1})
+    store.put("program", "current", "html", 1.0)
+    store.put("program", "old", "html", 2.0, generation="algo=1")
+    store.put("serving", "catalog", "m2h", {"a": 1})
     store.close()
     return directory
 
@@ -27,18 +27,18 @@ class TestStats:
         out = capsys.readouterr().out
         assert f"store:    {directory / 'blueprints.sqlite'}" in out
         assert "entries:  3" in out
-        assert "html/dist: 2 entries" in out
+        assert "html/program: 2 entries" in out
 
     def test_json_includes_per_kind_generation_counts(self, tmp_path, capsys):
         directory = seeded_dir(tmp_path)
         assert main(["--dir", str(directory), "stats", "--json"]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 3
-        assert stats["by_kind"]["html/dist"]["generations"] == {
+        assert stats["by_kind"]["html/program"]["generations"] == {
             default_generation(): 1,
             "algo=1": 1,
         }
-        assert stats["by_kind"]["m2h/doc_bp"]["generations"] == {
+        assert stats["by_kind"]["m2h/serving"]["generations"] == {
             default_generation(): 1,
         }
 
@@ -65,12 +65,28 @@ class TestGcCommand:
         assert store.stats()["entries"] == 2
         store.close()
 
+    def test_gc_reports_and_drops_retired_kinds(self, tmp_path, capsys):
+        directory = seeded_dir(tmp_path)
+        store = BlueprintStore(directory=directory, enabled=True)
+        store.put("roi_bp", "bp", "images", frozenset({"a"}))
+        store.put("landmark", "lm", "html", ["Depart:"])
+        store.close()
+        assert main(["--dir", str(directory), "gc"]) == 0
+        out = capsys.readouterr().out
+        assert "retired kinds: 2 entries" in out
+        assert "  images/roi_bp: 1 entries" in out
+        assert "  html/landmark: 1 entries" in out
+        assert "deleted 3 entries" in out
+        assert main(["--dir", str(directory), "stats", "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert set(stats["by_kind"]) == {"html/program", "m2h/serving"}
+
     def test_gc_json_report(self, tmp_path, capsys):
         directory = seeded_dir(tmp_path)
         assert main(["--dir", str(directory), "gc", "--json"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["scanned"] == 3
-        assert report["stale"]["by_kind"] == {"html/dist": 1}
+        assert report["stale"]["by_kind"] == {"html/program": 1}
         assert report["deleted_entries"] == 1
         assert not report["dry_run"]
 

@@ -72,14 +72,14 @@ class TestGcVsWarmReader:
         directory = tmp_path / "store"
         writer = BlueprintStore(directory=directory, enabled=True)
         for index in range(10):
-            writer.put("dist", f"warm{index}", "html", float(index))
-        writer.put("dist", "stale", "html", -1.0, generation="algo=0")
+            writer.put("program", f"warm{index}", "html", float(index))
+        writer.put("program", "stale", "html", -1.0, generation="algo=0")
         writer.close()
 
         # A reader pulls the current-generation keys into its working set.
         reader = BlueprintStore(directory=directory, enabled=True)
         for index in range(10):
-            assert reader.get("dist", f"warm{index}") == float(index)
+            assert reader.get("program", f"warm{index}") == float(index)
 
         # GC runs from a different handle (another process in real life).
         collector = BlueprintStore(directory=directory, enabled=True)
@@ -90,8 +90,8 @@ class TestGcVsWarmReader:
         # The reader still sees every warm key — from memory and, after a
         # cache reset, from the backend itself.
         for index in range(10):
-            assert reader.get("dist", f"warm{index}") == float(index)
+            assert reader.get("program", f"warm{index}") == float(index)
         reader._forget_unprotected()
         for index in range(10):
-            assert reader.get("dist", f"warm{index}") == float(index)
+            assert reader.get("program", f"warm{index}") == float(index)
         reader.close()

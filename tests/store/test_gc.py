@@ -39,39 +39,125 @@ def put_ref(store, corpus_key):
 class TestStalePass:
     def test_stale_generations_dropped_current_kept(self, tmp_path):
         store = make_store(tmp_path)
-        store.put("dist", "old", "html", 1.0, generation="algo=1")
-        store.put("dist", "new", "html", 2.0)
+        store.put("program", "old", "html", 1.0, generation="algo=1")
+        store.put("program", "new", "html", 2.0)
         report = run_gc(store)
         assert report["stale"]["entries"] == 1
         assert report["deleted_entries"] == 1
-        assert store.get("dist", "old") is BlueprintStore.MISS
-        assert store.get("dist", "new") == 2.0
+        assert store.get("program", "old") is BlueprintStore.MISS
+        assert store.get("program", "new") == 2.0
 
     def test_unknown_generation_counts_as_stale(self, tmp_path):
         """Rows migrated from pre-v4 schemas carry '' = unknown."""
         store = make_store(tmp_path)
-        store.put("dist", "mystery", "html", 1.0, generation="")
+        store.put("program", "mystery", "html", 1.0, generation="")
         report = run_gc(store)
         assert report["stale"]["entries"] == 1
-        assert report["stale"]["by_kind"] == {"html/dist": 1}
+        assert report["stale"]["by_kind"] == {"html/program": 1}
 
     def test_dry_run_deletes_nothing(self, tmp_path):
         store = make_store(tmp_path)
-        store.put("dist", "old", "html", 1.0, generation="algo=1")
+        store.put("program", "old", "html", 1.0, generation="algo=1")
         report = run_gc(store, dry_run=True)
         assert report["dry_run"]
         assert report["stale"]["entries"] == 1
         assert report["deleted_entries"] == 0
-        assert store.get("dist", "old") == 1.0
+        assert store.get("program", "old") == 1.0
 
     def test_gc_never_touches_current_generation_non_corpus(self, tmp_path):
         store = make_store(tmp_path)
-        for kind in ("doc_bp", "roi_bp", "dist", "landmark", "program",
-                     "timing"):
+        for kind in ("program", "serving", "dropped_program", "timing"):
             store.put(kind, f"{kind}-key", "html", 0.5)
         report = run_gc(store)
         assert report["deleted_entries"] == 0
-        assert store.stats()["entries"] == 6
+        assert store.stats()["entries"] == 4
+
+
+class TestRetiredKinds:
+    RETIRED = ("doc_bp", "roi_bp", "dist", "landmark")
+
+    def test_retired_kinds_dropped_live_kinds_kept(self, tmp_path):
+        store = make_store(tmp_path)
+        for kind in self.RETIRED:
+            store.put(kind, f"{kind}-current", "html", 0.5)
+            store.put(kind, f"{kind}-old", "html", 0.5, generation="algo=1")
+        store.put("program", "prog", "html", "extractor")
+        store.put("serving", "catalog", "html", {"programs": []})
+        put_corpus(store, "live")
+        put_ref(store, "live")
+        report = run_gc(store)
+        assert report["retired"]["entries"] == 8
+        assert report["retired"]["by_kind"] == {
+            f"html/{kind}": 2 for kind in self.RETIRED
+        }
+        assert report["stale"]["entries"] == 0
+        assert report["deleted_entries"] == 8
+        kinds = {
+            bucket.split("/", 1)[1] for bucket in store.stats()["by_kind"]
+        }
+        assert kinds == {"program", "serving", "corpus", "corpus_ref"}
+        assert store.stats()["entries"] == 4
+        assert store.get("program", "prog") == "extractor"
+
+    def test_warm_run_over_a_collected_store_is_identical(
+        self, tmp_path, monkeypatch
+    ):
+        """A store an older version filled with blueprint rows loses
+        them to gc, and the warm run over what is left is served its
+        programs and scores identically."""
+        from repro.core.caching import StageTimer, use_timer
+        from repro.store import shared_store
+        from repro.harness.runner import (
+            LrsynHtmlMethod,
+            flush_corpus_store,
+            run_m2h_experiment,
+        )
+
+        flush_corpus_store()  # flush earlier tests' pending puts
+        store_dir = tmp_path / "retired"
+        monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+        monkeypatch.setenv("REPRO_JOBS", "1")
+        methods = [LrsynHtmlMethod()]
+        run = lambda: run_m2h_experiment(
+            methods, providers=["getthere"], train_size=4, test_size=6
+        )
+        cold = run()
+        store = shared_store()
+        for index, kind in enumerate(self.RETIRED * 5):
+            store.put(kind, f"{kind}{index}", "html", frozenset({index}))
+        store.flush()
+        live = store.stats()["entries"] - 20
+
+        gc_store = BlueprintStore(directory=store_dir, enabled=True)
+        report = run_gc(gc_store)
+        after = gc_store.stats()
+        gc_store.close()
+        assert report["retired"]["entries"] == 20
+        assert report["deleted_entries"] == 20
+        assert after["entries"] == live
+        assert not any(
+            bucket.split("/", 1)[1] in self.RETIRED
+            for bucket in after["by_kind"]
+        )
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "other"))
+        shared_store()
+        monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
+        timer = StageTimer()
+        with use_timer(timer):
+            warm = run()
+        assert timer.counters.get("store.program.miss", 0) == 0
+        assert len(cold) == len(warm)
+        for left, right in zip(cold, warm):
+            assert (left.method, left.field, left.setting) == (
+                right.method, right.field, right.setting
+            )
+            for a, b in (
+                (left.f1, right.f1),
+                (left.precision, right.precision),
+                (left.recall, right.recall),
+            ):
+                assert (math.isnan(a) and math.isnan(b)) or a == b
 
 
 class TestCorpusLiveness:
@@ -168,17 +254,16 @@ class TestAlgoBumpAcceptance:
         flush_corpus_store()
         shared_store().flush()
 
-        db_path = store_dir / "blueprints.sqlite"
         gc_store = BlueprintStore(directory=store_dir, enabled=True)
-        before_entries = gc_store.stats()["entries"]
-        before_bytes = db_path.stat().st_size
+        before = gc_store.stats()
         report = run_gc(gc_store)
         assert report["stale"]["entries"] > 0
         assert report["deleted_entries"] == report["stale"]["entries"]
         after = gc_store.stats()
         gc_store.close()
-        assert after["entries"] < before_entries
-        assert db_path.stat().st_size < before_bytes
+        assert after["entries"] < before["entries"]
+        # The whole on-disk footprint: the main file and its WAL.
+        assert after["bytes"] < before["bytes"]
         # Only the current (bumped) generation remains.
         for detail in after["by_kind"].values():
             assert set(detail["generations"]) == {
@@ -202,7 +287,7 @@ class TestAlgoBumpAcceptance:
 class TestPlanReport:
     def test_plan_reports_without_mutating(self, tmp_path):
         store = make_store(tmp_path)
-        store.put("dist", "old", "html", 1.0, generation="algo=1")
+        store.put("program", "old", "html", 1.0, generation="algo=1")
         put_corpus(store, "dead")
         put_ref(store, "missing")
         report = plan_gc(store)
