@@ -18,6 +18,8 @@ LEFT = "Left"
 RIGHT = "Right"
 BOTTOM = "Bottom"
 DIRECTIONS = (TOP, LEFT, RIGHT, BOTTOM)
+# A direction's slot in each box's four neighbour-table entries.
+_SLOT = {direction: slot for slot, direction in enumerate(DIRECTIONS)}
 
 
 class TextBox:
@@ -99,8 +101,9 @@ class ImageDocument:
         """Build the identity-keyed reading-order index and the empty
         per-document tables, all filled lazily:
 
-        * ``_neighbors``: (reading-order index, direction) -> box or
-          ``None`` (:meth:`neighbor`);
+        * ``_neighbors``: the neighbour table, ``None`` until the first
+          neighbour question about an on-page box fills all of it
+          (:meth:`neighbor`, :meth:`walk`);
         * ``_summaries``: frequent-gram set -> reading-order index ->
           BoxSummary or ``None``
           (:func:`repro.images.blueprint.region_blueprint`);
@@ -108,7 +111,7 @@ class ImageDocument:
           (:func:`repro.images.landmarks._doc_grams`).
         """
         self._order = {id(box): i for i, box in enumerate(self.boxes)}
-        self._neighbors: dict[tuple[int, str], TextBox | None] = {}
+        self._neighbors: list[int | None] | None = None
         self._summaries: dict[frozenset[str], dict[int, tuple | None]] = {}
         self._grams: frozenset[str] | None = None
 
@@ -159,18 +162,45 @@ class ImageDocument:
         """Nearest box strictly in ``direction`` with orthogonal overlap.
 
         Ties go to the first box in reading order.  For a box on this
-        page the answer is computed once and kept in the neighbour
-        table; a box from elsewhere is scanned afresh on every call.
+        page the answer is read from the neighbour table; a box from
+        elsewhere is scanned afresh on every call.
         """
         index = self._order.get(id(box))
         if index is None:
             return self._scan(box, direction)
-        key = (index, direction)
-        try:
-            return self._neighbors[key]
-        except KeyError:
-            found = self._neighbors[key] = self._scan(box, direction)
-            return found
+        found = self._table()[4 * index + _SLOT[direction]]
+        return None if found is None else self.boxes[found]
+
+    def walk(self, box: TextBox, direction: str, limit: int) -> list[TextBox]:
+        """Up to ``limit`` successive neighbours from ``box`` in
+        ``direction``: the chain of :meth:`neighbor` answers, read from
+        the table slot by slot.  The walk ends at the page edge, because
+        every step moves strictly along ``direction``."""
+        walked: list[TextBox] = []
+        if limit <= 0:
+            return walked
+        index = self._order.get(id(box))
+        if index is None:
+            first = self._scan(box, direction)
+            if first is None:
+                return walked
+            walked.append(first)
+            index = self._order[id(first)]
+        table = self._table()
+        slot = _SLOT[direction]
+        boxes = self.boxes
+        while len(walked) < limit:
+            index = table[4 * index + slot]
+            if index is None:
+                break
+            walked.append(boxes[index])
+        return walked
+
+    def _table(self) -> list[int | None]:
+        table = self._neighbors
+        if table is None:
+            table = self._neighbors = _neighbor_table(self.boxes)
+        return table
 
     def _scan(self, box: TextBox, direction: str) -> TextBox | None:
         best: TextBox | None = None
@@ -217,6 +247,50 @@ def _directional_distance(
     if direction == TOP and other.cy < box.cy:
         return box.cy - other.cy + penalty
     return None
+
+
+def _neighbor_table(boxes: Sequence[TextBox]) -> list[int | None]:
+    """Every answer of :meth:`ImageDocument.neighbor` for ``boxes``, in
+    one pass over their unordered pairs.
+
+    Slot ``4 * i + _SLOT[d]`` holds the reading-order index of box
+    ``i``'s neighbour in direction ``d``, or ``None``.  A pair is
+    evaluated once and updates both ends: ``Right`` from ``a`` to ``b``
+    is the same float expression as ``Left`` from ``b`` to ``a`` (and
+    ``Bottom`` / ``Top`` likewise).  Pairs come in reading order for
+    each box, so strict ``<`` keeps the first nearest box, exactly as
+    :meth:`ImageDocument._scan` does.
+    """
+    top, left, right, bottom = (_SLOT[d] for d in (TOP, LEFT, RIGHT, BOTTOM))
+    table: list[int | None] = [None] * (4 * len(boxes))
+    best = [float("inf")] * (4 * len(boxes))
+
+    def offer(near: int, far: int, distance: float) -> None:
+        if distance < best[near]:
+            best[near], table[near] = distance, far // 4
+        if distance < best[far]:
+            best[far], table[far] = distance, near // 4
+
+    geometry = [(b.x, b.y, b.x2, b.y2, b.cx, b.cy) for b in boxes]
+    for i, (ax, ay, ax2, ay2, acx, acy) in enumerate(geometry):
+        a = 4 * i
+        for j in range(i + 1, len(geometry)):
+            bx, by, bx2, by2, bcx, bcy = geometry[j]
+            b = 4 * j
+            # |d| is exact: bcx - acx and acx - bcx differ only in sign.
+            if min(ay2, by2) - max(ay, by) > 0 and bcx != acx:
+                distance = abs(bcx - acx) + _ALIGN_PENALTY * abs(bcy - acy)
+                if bcx > acx:
+                    offer(a + right, b + left, distance)
+                else:
+                    offer(a + left, b + right, distance)
+            if min(ax2, bx2) - max(ax, bx) > 0 and bcy != acy:
+                distance = abs(bcy - acy) + _ALIGN_PENALTY * abs(bx - ax)
+                if bcy > acy:
+                    offer(a + bottom, b + top, distance)
+                else:
+                    offer(a + top, b + bottom, distance)
+    return table
 
 
 class ImageRegion:

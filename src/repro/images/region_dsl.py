@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 from repro.baselines.disjunctive import Candidate, select_disjuncts
@@ -83,6 +82,14 @@ class Relative:
 
 Motion = Absolute | Relative
 
+# Every Absolute motion of the enumeration, by direction: k = 1, 2, ...
+_ABSOLUTES = {
+    direction: tuple(
+        Absolute(direction, k) for k in range(1, MAX_ABSOLUTE_STEPS + 1)
+    )
+    for direction in DIRECTIONS
+}
+
 
 @dataclass(frozen=True)
 class PathProgram:
@@ -93,10 +100,10 @@ class PathProgram:
     def run(self, doc: ImageDocument, start: TextBox) -> list[TextBox] | None:
         path = [start]
         for motion in self.motions:
-            extended = _apply_motion(doc, path, motion)
-            if extended is None:
+            steps = _cut(doc, path[-1], motion, {}, {})
+            if steps is None:
                 return None
-            path = extended
+            path = path + steps
         return path
 
     def size(self) -> int:
@@ -109,43 +116,41 @@ class PathProgram:
         return inner
 
 
-def _walk(
-    doc: ImageDocument, cursor: TextBox, direction: str
-) -> Iterator[TextBox]:
-    """Successive neighbours from ``cursor`` in ``direction``, to the page
-    edge.  Every step moves strictly along ``direction``, so it ends."""
-    while True:
-        cursor = doc.neighbor(cursor, direction)
-        if cursor is None:
-            return
-        yield cursor
-
-
-def _apply_motion(
-    doc: ImageDocument, path: list[TextBox], motion: Motion
+def _cut(
+    doc: ImageDocument,
+    end: TextBox,
+    motion: Motion,
+    walks: dict[str, list[TextBox]],
+    stops: dict[tuple[str, str], int | None],
 ) -> list[TextBox] | None:
-    return _extend(path, _walk(doc, path[-1], motion.direction), motion)
-
-
-def _extend(
-    path: list[TextBox], steps: Iterable[TextBox], motion: Motion
-) -> list[TextBox] | None:
-    """``path`` extended by ``motion``, given the boxes ``steps`` walked from
-    its end in the motion's direction: the walk itself, or a prefix of it
-    at least as long as the motion can use."""
-    extended = list(path)
+    """The boxes ``motion`` appends to a path that ends at ``end``, or
+    ``None`` where it fails.  ``walks`` (by direction) and ``stops`` (by
+    direction and pattern) keep the walks from ``end`` and the stop
+    indexes found in them for the next motion cut from ``end``."""
+    direction = motion.direction
+    walked = walks.get(direction)
+    if walked is None:
+        walked = walks[direction] = doc.walk(end, direction, MAX_RELATIVE_STEPS)
     if isinstance(motion, Absolute):
-        extended.extend(islice(steps, motion.k))
-        if len(extended) == len(path):
-            return None  # no progress at all: the direction is empty
-        return extended
-    regex = _compiled(motion.pattern)
-    for neighbour in islice(steps, MAX_RELATIVE_STEPS):
-        if regex.fullmatch(neighbour.text.strip()):
-            if motion.inclusive:
-                extended.append(neighbour)
-            return extended
-        extended.append(neighbour)
+        # An empty walk makes no progress at all: the motion fails.
+        return walked[: motion.k] if walked else None
+    key = (direction, motion.pattern)
+    if key in stops:
+        stop = stops[key]
+    else:
+        stop = stops[key] = _stop_index(
+            _compiled(motion.pattern), (box.text.strip() for box in walked)
+        )
+    if stop is None:
+        return None
+    return walked[: stop + 1 if motion.inclusive else stop]
+
+
+def _stop_index(regex: re.Pattern[str], texts: Iterable[str]) -> int | None:
+    """Index of the first of ``texts`` that ``regex`` fully matches."""
+    for index, text in enumerate(texts):
+        if regex.fullmatch(text):
+            return index
     return None
 
 
@@ -220,6 +225,9 @@ def enumerate_paths(
     # Absolute motions use at most MAX_ABSOLUTE_STEPS boxes of a walk,
     # Relative ones at most MAX_RELATIVE_STEPS.
     walk_length = MAX_RELATIVE_STEPS if patterns else MAX_ABSOLUTE_STEPS
+    compiled = [_compiled(pattern) for pattern in patterns]
+    # Per direction: (inclusive, exclusive, regex) for each stop pattern.
+    relatives: dict[str, list[tuple[Relative, Relative, re.Pattern[str]]]] = {}
     results: list[PathProgram] = []
     frontier: list[tuple[tuple[Motion, ...], list[TextBox]]] = [((), [start])]
     states = 0
@@ -234,23 +242,24 @@ def enumerate_paths(
             for box in uncovered:
                 directions |= _toward(path[-1], box)
             for direction in sorted(directions):
-                walked = list(
-                    islice(_walk(doc, path[-1], direction), walk_length)
-                )
-                candidate_motions: list[Motion] = [
-                    Absolute(direction, k)
-                    for k in range(1, MAX_ABSOLUTE_STEPS + 1)
-                ]
-                for pattern in patterns:
-                    candidate_motions.append(Relative(direction, pattern, True))
-                    candidate_motions.append(Relative(direction, pattern, False))
-                for motion in candidate_motions:
+                if direction not in relatives:
+                    relatives[direction] = [
+                        (
+                            Relative(direction, pattern, True),
+                            Relative(direction, pattern, False),
+                            regex,
+                        )
+                        for pattern, regex in zip(patterns, compiled)
+                    ]
+                walked = doc.walk(path[-1], direction, walk_length)
+                cuts = _cuts(walked, _ABSOLUTES[direction], relatives[direction])
+                for motion, steps in cuts:
                     states += 1
                     if states > MAX_STATES:
                         return results
-                    extended = _extend(path, walked, motion)
-                    if extended is None:
+                    if steps is None:
                         continue
+                    extended = path + steps
                     new_motions = motions + (motion,)
                     if covered(extended):
                         results.append(PathProgram(new_motions))
@@ -260,6 +269,34 @@ def enumerate_paths(
         if not frontier:
             break
     return results
+
+
+def _cuts(
+    walked: list[TextBox],
+    absolutes: Sequence[Absolute],
+    relatives: Sequence[tuple[Relative, Relative, re.Pattern[str]]],
+) -> Iterator[tuple[Motion, list[TextBox] | None]]:
+    """Every candidate motion in one direction, in enumeration order, with
+    the boxes it appends to a path whose end walked ``walked`` in that
+    direction (``None`` where the motion fails).
+
+    ``Absolute(d, k)`` takes the first ``k`` boxes of the walk.  Each
+    walked box's text is stripped once, and each stop pattern's first
+    full match is found once and cuts both of its ``Relative`` motions.
+    """
+    for k, motion in enumerate(absolutes, 1):
+        yield motion, walked[:k] if walked else None
+    if not relatives:
+        return
+    texts = [box.text.strip() for box in walked]
+    for inclusive, exclusive, regex in relatives:
+        stop = _stop_index(regex, texts)
+        if stop is None:
+            yield inclusive, None
+            yield exclusive, None
+        else:
+            yield inclusive, walked[: stop + 1]
+            yield exclusive, walked[:stop]
 
 
 # A trie node: children by next motion, and the positions (in the path
@@ -281,16 +318,19 @@ def _run_trie(
     doc: ImageDocument, start: TextBox, trie: _Trie
 ) -> Iterator[tuple[int, list[TextBox]]]:
     """``(position, path.run(doc, start))`` for every path in ``trie`` that
-    runs; a motion prefix shared by several paths is applied once."""
+    runs; a motion prefix shared by several paths is applied once, and
+    the motions out of one prefix share its walks and stop indexes."""
     stack = [(trie, [start])]
     while stack:
         (children, ends), boxes = stack.pop()
         for position in ends:
             yield position, boxes
+        walks: dict[str, list[TextBox]] = {}
+        stops: dict[tuple[str, str], int | None] = {}
         for motion, child in children.items():
-            extended = _apply_motion(doc, boxes, motion)
-            if extended is not None:
-                stack.append((child, extended))
+            steps = _cut(doc, boxes[-1], motion, walks, stops)
+            if steps is not None:
+                stack.append((child, boxes + steps))
 
 
 def synthesize_region_program(

@@ -82,7 +82,6 @@ __all__ = [
     "BlueprintStore",
     "StoreBackend",
     "StoreRow",
-    "canonical_digest",
     "default_generation",
     "entry_key",
     "file_lock",
@@ -157,33 +156,6 @@ def make_backend(
 
         return MemoryBackend(directory)
     raise ValueError(f"unknown store backend {name!r}")
-
-
-def canonical_digest(value: Any) -> str:
-    """Stable content digest of a blueprint-like value.
-
-    Set elements are serialized in sorted canonical order, so two equal
-    ``frozenset`` values always digest identically even though their
-    iteration order (and pickle) differs from run to run.
-    """
-    return hashlib.sha256(_canonical_bytes(value)).hexdigest()
-
-
-def _canonical_bytes(value: Any) -> bytes:
-    if isinstance(value, (frozenset, set)):
-        inner = sorted(_canonical_bytes(element) for element in value)
-        return b"{" + b",".join(inner) + b"}"
-    if isinstance(value, (tuple, list)):
-        return b"(" + b",".join(_canonical_bytes(el) for el in value) + b")"
-    if isinstance(value, str):
-        return b"s" + value.encode("utf-8")
-    if isinstance(value, bool) or value is None:
-        return repr(value).encode("ascii")
-    if isinstance(value, (int, float)):
-        return repr(value).encode("ascii")
-    # Last resort for exotic blueprint element types: repr is assumed
-    # deterministic for value-like objects.
-    return b"r" + repr(value).encode("utf-8")
 
 
 def entry_key(substrate: str, kind: str, *parts: str) -> str:

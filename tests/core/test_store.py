@@ -8,7 +8,6 @@ import pytest
 import repro.store as store_mod
 from repro.store import (
     BlueprintStore,
-    canonical_digest,
     entry_key,
     file_lock,
     shared_store,
@@ -121,19 +120,6 @@ class TestKeyDerivation:
         monkeypatch.setenv("REPRO_JOBS", "8")
         large = keys()
         assert small == large
-
-    def test_canonical_digest_ignores_set_order(self):
-        # Equal frozensets digest identically even though pickle and
-        # iteration order differ between equal sets built differently.
-        a = frozenset(["x", "y", "z"])
-        b = frozenset(["z", "x", "y"])
-        assert canonical_digest(a) == canonical_digest(b)
-        assert canonical_digest(a) != canonical_digest(frozenset(["x", "y"]))
-
-    def test_canonical_digest_nested_structures(self):
-        a = frozenset({("g", "⊥", "⊤"), ("h", 1, 2.5)})
-        b = frozenset({("h", 1, 2.5), ("g", "⊥", "⊤")})
-        assert canonical_digest(a) == canonical_digest(b)
 
 
 class TestAsymmetricOrientationKeys:

@@ -146,6 +146,47 @@ class TestNeighbors:
                 if found is not None:
                     assert copy.order_of(found) == doc.order_of(expected)
 
+    @classmethod
+    def scanned_walk(cls, boxes, start, direction, limit):
+        """The reference walk: chained reference scans from ``start``."""
+        walked, cursor = [], start
+        while len(walked) < limit:
+            cursor = cls.scanned(boxes, cursor, direction)
+            if cursor is None:
+                break
+            walked.append(cursor)
+        return walked
+
+    @given(st.lists(GRID_BOX, min_size=1, max_size=10), GRID_BOX, GRID_BOX)
+    def test_property_walk_matches_chained_scans(self, boxes, foreign, moved):
+        doc = ImageDocument(boxes)
+
+        def check(page):
+            for query in [*page.boxes, foreign]:
+                for direction in DIRECTIONS:
+                    for limit in (0, 1, 2, len(boxes)):
+                        assert page.walk(query, direction, limit) == (
+                            self.scanned_walk(
+                                page.boxes, query, direction, limit
+                            )
+                        )
+
+        check(doc)
+        # The pickle drops the filled table; the copy fills its own.
+        check(pickle.loads(pickle.dumps(doc)))
+        # A moved foreign start box is scanned afresh, never cached.
+        foreign.x, foreign.y, foreign.w, foreign.h = (
+            moved.x, moved.y, moved.w, moved.h
+        )
+        check(doc)
+
+    def test_walk_from_foreign_box_is_not_cached(self):
+        doc = grid_doc()
+        foreign = box("elsewhere", -100, 50)  # left of C
+        assert [b.text for b in doc.walk(foreign, RIGHT, 4)] == ["C", "D"]
+        foreign.y = 0  # same object, moved to A's row
+        assert [b.text for b in doc.walk(foreign, RIGHT, 4)] == ["A", "B"]
+
     def test_foreign_box_is_not_cached(self):
         doc = grid_doc()
         foreign = box("elsewhere", 0, 50)  # where C sits

@@ -1,14 +1,33 @@
 """Tests for the Figure 6 region DSL (repro.images.region_dsl)."""
 
+import random
+import re
+from itertools import islice
+
 import pytest
 
 from repro.core.document import SynthesisFailure
-from repro.images.boxes import BOTTOM, ImageDocument, ImageRegion, RIGHT, TextBox
+from repro.images import region_dsl
+from repro.images.boxes import (
+    BOTTOM,
+    ImageDocument,
+    ImageRegion,
+    RIGHT,
+    TextBox,
+    _directional_distance,
+)
 from repro.images.region_dsl import (
+    MAX_ABSOLUTE_STEPS,
+    MAX_MOTIONS,
+    MAX_RELATIVE_STEPS,
+    MAX_STATES,
     Absolute,
     ImageRegionProgram,
     PathProgram,
     Relative,
+    _prefix_trie,
+    _run_trie,
+    _toward,
     enumerate_paths,
     synthesize_region_program,
 )
@@ -176,3 +195,195 @@ class TestSynthesis:
             paths=(PathProgram((Absolute(RIGHT, 1),)),)
         )
         assert program.size() == 1
+
+
+# ----------------------------------------------------------------------
+# Reference enumeration: a frozen copy of the motion-by-motion
+# enumerate_paths (one extension per candidate, over a brute-force walk),
+# kept as the specification of the candidate order, the MAX_STATES
+# accounting and every motion's semantics.
+# ----------------------------------------------------------------------
+def reference_walk(doc, cursor, direction):
+    while True:
+        best, best_distance = None, float("inf")
+        for other in doc.boxes:
+            if other is cursor:
+                continue
+            distance = _directional_distance(cursor, other, direction)
+            if distance is not None and distance < best_distance:
+                best, best_distance = other, distance
+        if best is None:
+            return
+        cursor = best
+        yield cursor
+
+
+def reference_extend(path, steps, motion):
+    extended = list(path)
+    if isinstance(motion, Absolute):
+        extended.extend(islice(steps, motion.k))
+        if len(extended) == len(path):
+            return None
+        return extended
+    regex = re.compile(motion.pattern)
+    for neighbour in islice(steps, MAX_RELATIVE_STEPS):
+        if regex.fullmatch(neighbour.text.strip()):
+            if motion.inclusive:
+                extended.append(neighbour)
+            return extended
+        extended.append(neighbour)
+    return None
+
+
+def reference_run(path, doc, start):
+    boxes = [start]
+    for motion in path.motions:
+        boxes = reference_extend(
+            boxes, reference_walk(doc, boxes[-1], motion.direction), motion
+        )
+        if boxes is None:
+            return None
+    return boxes
+
+
+def reference_enumerate_paths(doc, start, targets, patterns, max_states):
+    target_ids = {id(box) for box in targets}
+
+    def covered(path):
+        return target_ids <= {id(box) for box in path}
+
+    walk_length = MAX_RELATIVE_STEPS if patterns else MAX_ABSOLUTE_STEPS
+    results = []
+    frontier = [((), [start])]
+    states = 0
+    for _ in range(MAX_MOTIONS):
+        next_frontier = []
+        for motions, path in frontier:
+            members = {id(box) for box in path}
+            uncovered = [box for box in targets if id(box) not in members]
+            if not uncovered:
+                continue
+            directions = set()
+            for box in uncovered:
+                directions |= _toward(path[-1], box)
+            for direction in sorted(directions):
+                walked = list(
+                    islice(reference_walk(doc, path[-1], direction), walk_length)
+                )
+                candidate_motions = [
+                    Absolute(direction, k)
+                    for k in range(1, MAX_ABSOLUTE_STEPS + 1)
+                ]
+                for pattern in patterns:
+                    candidate_motions.append(Relative(direction, pattern, True))
+                    candidate_motions.append(Relative(direction, pattern, False))
+                for motion in candidate_motions:
+                    states += 1
+                    if states > max_states:
+                        return results
+                    extended = reference_extend(path, walked, motion)
+                    if extended is None:
+                        continue
+                    new_motions = motions + (motion,)
+                    if covered(extended):
+                        results.append(PathProgram(new_motions))
+                    else:
+                        next_frontier.append((new_motions, extended))
+        frontier = next_frontier
+        if not frontier:
+            break
+    return results
+
+
+WORDS = (
+    "Total", "Date", "Amount", " Invoice ", "No.", "4713872198212",
+    "12/04/2021", "$120.50", "WDX 28298", "2L", "", "  ", "Engine number",
+)
+STOP_PATTERNS = (
+    r"[0-9]{13}",
+    r"[0-9]{2}/[0-9]{2}/[0-9]{4}",
+    r"\$[0-9]+\.[0-9]+",
+    r"[A-Z][a-z]+",
+    r"Total",
+    r"[A-Z]+ [0-9]+",
+)
+
+
+def seeded_page(seed):
+    """A jittered form page: rows of boxes with mixed texts, so walks
+    cross pattern stops, blank boxes and overlapping fragments."""
+    rng = random.Random(seed)
+    boxes = []
+    for row in range(rng.randint(2, 6)):
+        x = rng.uniform(0, 30)
+        for _ in range(rng.randint(1, 5)):
+            width = rng.choice((30, 60, 90, 120))
+            boxes.append(
+                box(rng.choice(WORDS), x, row * 35 + rng.uniform(-3, 3),
+                    w=width, h=rng.choice((15, 20, 25)))
+            )
+            x += width + rng.uniform(-10, 40)
+    doc = ImageDocument(boxes)
+    start = rng.choice(doc.boxes)
+    targets = rng.sample(doc.boxes, rng.randint(1, min(3, len(doc.boxes))))
+    patterns = rng.sample(STOP_PATTERNS, rng.randint(0, len(STOP_PATTERNS)))
+    return doc, start, targets, patterns
+
+
+def example_5_3_cases():
+    for engine in (True, False):
+        for fragments in (("WDX 28298", "2L SHX 3"), ("KMS 62808", "5K", "2L")):
+            doc = chassis_page(engine, fragments)
+            yield doc, landmark_of(doc), targets_of(doc), [
+                r"[0-9]{13}", r"[0-9]{2}/[0-9]{2}/[0-9]{4}", r"[A-Z][a-z]+"
+            ]
+
+
+def equivalence_cases():
+    yield from example_5_3_cases()
+    for seed in range(40):
+        yield seeded_page(seed)
+
+
+class TestEnumerationEquivalence:
+    """The one-walk enumeration returns exactly the motion-by-motion
+    reference's list: same paths, same order, same MAX_STATES cut."""
+
+    @pytest.mark.parametrize("max_states", [None, 4, 7, 40])
+    def test_matches_reference(self, monkeypatch, max_states):
+        if max_states is not None:
+            monkeypatch.setattr(region_dsl, "MAX_STATES", max_states)
+        cap = region_dsl.MAX_STATES
+        capped = 0
+        for doc, start, targets, patterns in equivalence_cases():
+            expected = reference_enumerate_paths(
+                doc, start, targets, patterns, cap
+            )
+            assert enumerate_paths(doc, start, targets, patterns) == expected
+            if max_states is not None:
+                capped += len(
+                    reference_enumerate_paths(
+                        doc, start, targets, patterns, MAX_STATES
+                    )
+                ) > len(expected)
+        if max_states is not None:
+            assert capped  # the cap really cut some enumerations short
+
+    def test_runs_match_reference(self):
+        """Every enumerated path runs to the reference's boxes, alone and
+        through the prefix trie that shares walks and stops."""
+        for doc, start, targets, patterns in equivalence_cases():
+            paths = enumerate_paths(doc, start, targets, patterns)
+            paths += [
+                PathProgram((Absolute(direction, k), Relative(BOTTOM, p, i)))
+                for direction in (RIGHT, BOTTOM)
+                for k in (1, 3)
+                for p in patterns
+                for i in (True, False)
+            ]
+            expected = [reference_run(path, doc, start) for path in paths]
+            assert [path.run(doc, start) for path in paths] == expected
+            ran = dict(_run_trie(doc, start, _prefix_trie(paths)))
+            assert [ran.get(position) for position in range(len(paths))] == (
+                expected
+            )
