@@ -11,10 +11,14 @@ disjunctive program.  Because every step is anchored in the *global*
 document structure, the programs break when sections are inserted,
 reordered, or wrapped — the failure mode LRSyn is designed to avoid.
 
-Synthesis: annotated nodes are grouped by their root tag-path signature;
-within a group, each path step keeps its ``nth-of-type`` index when all
-examples agree, falls back to ``nth-last-of-type`` when those agree
-(Figure 2's ``:nth-last-child``), and drops to a bare tag otherwise.  A
+Synthesis: annotated nodes are grouped by their root tag-path signature.
+Each level of a group's path offers step options: its ``nth-of-type`` (and
+``nth-last-of-type``, Figure 2's ``:nth-last-child``) when all examples
+agree on it, otherwise the most common indices of both kinds, a shared
+class and a bare tag.  The group's candidate selectors are the cartesian
+product of its levels, all sharing one text program synthesized from the
+group's values; their coverage of each training document comes from one
+walk of the group's option tree (:func:`_group_coverage`).  A
 document-wide ``id`` selector is tried first when every annotated node
 carries the same ``id`` (the aeromexico "implicit landmarks").  NDSyn's
 greedy selection then builds the disjunction; if the result covers too few
@@ -24,10 +28,10 @@ training documents, synthesis fails (the NaN entries of Table 2).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice, product
+from typing import Callable, Sequence
 
 from repro.baselines.disjunctive import Candidate, select_disjuncts
-from repro.core.caching import cache_enabled
 from repro.core.document import SynthesisFailure, TrainingExample
 from repro.core.dsl import Extractor
 from repro.html.dom import DomNode, HtmlDocument
@@ -142,29 +146,27 @@ class NdsynDisjunct:
     def run(
         self, doc: HtmlDocument, nodes: Sequence[DomNode] | None = None
     ) -> list[str]:
-        """Extract values; ``nodes`` may carry a pre-selected node list.
-
-        Synthesis-time coverage checks pass the memoized selection (see
-        :class:`SelectorEvaluator`) — which equals
-        ``selector.select_all(doc)`` by construction — so the text-program
-        logic here stays the single source of truth for both paths.
-        """
+        """Extract values; ``nodes`` may carry a pre-selected node list
+        equal to ``selector.select_all(doc)``."""
         if nodes is None:
             nodes = self.selector.select_all(doc)
-        values = []
-        for node in nodes:
-            value = self.text_program(node.text_content())
-            if value is not None:
-                values.append(value)
-        # Deduplicate exact repeats: a relaxed selector can hit the same
-        # value through several structural routes.
-        seen: set[str] = set()
-        unique = []
-        for value in values:
-            if value not in seen:
-                seen.add(value)
-                unique.append(value)
-        return unique
+        return _extract_values(self.text_program, nodes)
+
+
+def _extract_values(
+    text_program: TextProgram, nodes: Sequence[DomNode]
+) -> list[str]:
+    """The text program's values on ``nodes``, exact repeats dropped: a
+    relaxed selector can hit the same value through several structural
+    routes."""
+    seen: set[str] = set()
+    unique = []
+    for node in nodes:
+        value = text_program(node.text_content())
+        if value is not None and value not in seen:
+            seen.add(value)
+            unique.append(value)
+    return unique
 
 
 @dataclass
@@ -202,10 +204,6 @@ def _node_path(node: DomNode) -> list[DomNode]:
     return path[1:]  # drop the synthetic "document" root
 
 
-def _signature(node: DomNode) -> tuple[str, ...]:
-    return tuple(n.tag for n in _node_path(node))
-
-
 def _positions(node: DomNode) -> tuple[int, int]:
     """(nth-of-type, nth-last-of-type), 1-based, among element siblings."""
     parent = node.parent
@@ -215,66 +213,6 @@ def _positions(node: DomNode) -> tuple[int, int]:
         same_tag = parent.children_by_tag().get(node.tag, [node])
     index = same_tag.index(node)
     return index + 1, len(same_tag) - index
-
-
-class SelectorEvaluator:
-    """Per-synthesis memo of selector evaluations on the training docs.
-
-    The candidate pool enumerates up to :data:`MAX_SELECTOR_VARIANTS`
-    step-chains per signature group — a cartesian product whose members
-    share almost every prefix — and evaluates each against every training
-    document.  Memoizing the frontier per ``(document, step-prefix)``
-    collapses that shared work: each distinct prefix walks the DOM once
-    per document.  Frontiers are exactly ``AbsSelector.select_all``'s
-    intermediate states, so memoized selection is equal to fresh
-    evaluation (asserted by the equivalence test).
-
-    The memo is a trie per document keyed on the step objects' ids, not
-    on the frozen dataclasses: ``itertools.product`` hands every selector
-    of a group the same ``AbsStep`` object per level option, so an id
-    lookup finds the shared prefix without hashing the steps.  Equal but
-    distinct steps get separate entries, which costs sharing, never
-    correctness.  Every entry pins its step and every trie its document,
-    so no id is reused while the evaluator lives.  Scoped to one
-    ``synthesize_ndsyn`` call.
-    """
-
-    def __init__(self) -> None:
-        self._tries: dict[int, tuple[HtmlDocument, dict]] = {}
-        self._by_id: dict[tuple[int, str], list[DomNode]] = {}
-
-    def select_all(
-        self, doc: HtmlDocument, selector: "AbsSelector | GlobalIdSelector"
-    ) -> list[DomNode]:
-        if isinstance(selector, AbsSelector):
-            return list(self._frontier(doc, selector.steps))
-        key = (id(doc), selector.id_value)
-        nodes = self._by_id.get(key)
-        if nodes is None:
-            nodes = selector.select_all(doc)
-            self._by_id[key] = nodes
-        return list(nodes)
-
-    def _frontier(
-        self, doc: HtmlDocument, steps: tuple[AbsStep, ...]
-    ) -> tuple[DomNode, ...]:
-        trie = self._tries.get(id(doc))
-        if trie is None:
-            trie = self._tries[id(doc)] = (doc, {})
-        level = trie[1]
-        frontier: tuple[DomNode, ...] = (doc.root,)
-        for step in steps:
-            # entry: (pinned step, frontier after it, next trie level)
-            entry = level.get(id(step))
-            if entry is None:
-                nodes: list[DomNode] = []
-                for node in frontier:
-                    nodes.extend(step.matches_children(node))
-                entry = level[id(step)] = (step, tuple(nodes), {})
-            frontier, level = entry[1], entry[2]
-            if not frontier:
-                break
-        return frontier
 
 
 # Cap on the number of enumerated selector variants per signature group.
@@ -316,40 +254,111 @@ def _level_options(
     return options
 
 
-def _enumerate_group_selectors(
-    paths: Sequence[list[DomNode]],
-) -> list[AbsSelector]:
-    """Enumerate selector variants for a group of equal-signature paths.
+def _group_levels(paths: Sequence[list[DomNode]]) -> list[list[AbsStep]]:
+    """Per-level step options for a group of equal-signature paths.
 
-    Levels where all examples agree contribute a single pinned step; levels
-    that disagree contribute several options whose cartesian product (capped
-    at :data:`MAX_SELECTOR_VARIANTS`) forms the candidate pool.
+    Levels where all examples agree contribute only their shared indices;
+    levels that disagree contribute more options (:func:`_level_options`).
+    The group's selectors are the cartesian product of the levels in
+    ``itertools.product`` order, capped at :data:`MAX_SELECTOR_VARIANTS`
+    (:func:`_group_selectors`).
     """
-    from itertools import product
-
-    depth = len(paths[0])
     per_level: list[list[AbsStep]] = []
-    for level in range(depth):
+    for level in range(len(paths[0])):
         tag = paths[0][level].tag
         positions = [_positions(path[level]) for path in paths]
         classes = [
             path[level].attrs.get("class", "").split() for path in paths
         ]
         per_level.append(_level_options(tag, positions, classes))
-
-    selectors: list[AbsSelector] = []
-    for combo in product(*per_level):
-        selectors.append(AbsSelector(tuple(combo)))
-        if len(selectors) >= MAX_SELECTOR_VARIANTS:
-            break
-    return selectors
+    return per_level
 
 
-def synthesize_ndsyn(
+def _group_selectors(per_level: Sequence[list[AbsStep]]) -> list[AbsSelector]:
+    return [
+        AbsSelector(combo)
+        for combo in islice(product(*per_level), MAX_SELECTOR_VARIANTS)
+    ]
+
+
+def _group_coverage(
+    per_level: Sequence[list[AbsStep]],
+    doc: HtmlDocument,
+    covers: Callable[[list[DomNode]], bool],
+) -> list[bool]:
+    """Whether each of the group's selectors (in :func:`_group_selectors`
+    order) covers ``doc``, where ``covers`` judges a selected node list.
+
+    The selectors are the leaves of a tree whose level-``k`` edges are the
+    options for step ``k``; a depth-first walk in product order computes
+    each tree node's frontier from its parent's, which is exactly
+    ``AbsSelector.select_all``'s intermediate state for every selector
+    below it.  Leaves that share a frontier (the same nodes reached through
+    different steps) are judged once, and a tree node whose frontier an
+    earlier node already had repeats that node's bits: the frontier fixes
+    the level, and every node of a level has the same options below it.
+    A frontier that empties decides its whole subtree.  Only bits are
+    kept, never the leaf frontiers.
+    """
+    walk = _CoverageWalk(per_level, covers)
+    walk.walk(0, [doc.root])
+    return walk.bits
+
+
+class _CoverageWalk:
+    """One walk of :func:`_group_coverage`.  A class rather than a
+    recursive closure: a closure that calls itself is a reference cycle,
+    which would keep its tables alive until the next cyclic collection."""
+
+    def __init__(
+        self,
+        per_level: Sequence[list[AbsStep]],
+        covers: Callable[[list[DomNode]], bool],
+    ) -> None:
+        self.per_level = per_level
+        self.covers = covers
+        # below[k]: leaves under a tree node at depth k.
+        self.below = [1] * (len(per_level) + 1)
+        for level in range(len(per_level) - 1, -1, -1):
+            self.below[level] = self.below[level + 1] * len(per_level[level])
+        self.bits: list[bool] = []
+        # Both tables key on the frontier's nodes, which hash by identity.
+        # A non-empty frontier of level k holds nodes of depth k + 1 only,
+        # so the nodes alone tell levels apart.
+        self.judged: dict[tuple[DomNode, ...], bool] = {}
+        self.subtrees: dict[tuple[DomNode, ...], list[bool]] = {}
+
+    def walk(self, level: int, frontier: list[DomNode]) -> None:
+        bits = self.bits
+        key = tuple(frontier)
+        if level == len(self.per_level) or not frontier:
+            hit = self.judged.get(key)
+            if hit is None:
+                hit = self.judged[key] = self.covers(frontier)
+            leaves = min(self.below[level], MAX_SELECTOR_VARIANTS - len(bits))
+            bits.extend([hit] * leaves)
+            return
+        seen = self.subtrees.get(key)
+        if seen is not None:
+            bits.extend(seen[: MAX_SELECTOR_VARIANTS - len(bits)])
+            return
+        start = len(bits)
+        for step in self.per_level[level]:
+            next_frontier: list[DomNode] = []
+            for node in frontier:
+                next_frontier.extend(step.matches_children(node))
+            self.walk(level + 1, next_frontier)
+            if len(bits) >= MAX_SELECTOR_VARIANTS:
+                return
+        self.subtrees[key] = bits[start:]
+
+
+def ndsyn_candidates(
     examples: Sequence[TrainingExample],
-    min_coverage: float = MIN_COVERAGE,
-) -> NdsynProgram:
-    """Synthesize an NDSyn extraction program from annotated documents."""
+) -> list[Candidate[NdsynDisjunct]]:
+    """NDSyn's candidate pool, each disjunct with the training documents
+    it is correct on: the id selector first, then each signature group's
+    selectors in product order."""
     if not examples:
         raise SynthesisFailure("no examples for NDSyn synthesis")
 
@@ -363,90 +372,79 @@ def synthesize_ndsyn(
     if not targets:
         raise SynthesisFailure("no annotated nodes for NDSyn synthesis")
 
-    candidate_pool: list[tuple[AbsSelector | GlobalIdSelector, list[int]]] = []
+    expected = [example.annotation.aggregate() for example in examples]
+    # Generalization sanity: a disjunct synthesized from one document
+    # only (covering a single example) is over-fit noise; the real
+    # NDSyn's F1-driven selection discards such programs.
+    min_support = 2 if len(examples) >= 4 else 1
+    candidates: list[Candidate[NdsynDisjunct]] = []
+
+    def add_candidates(
+        indices: Sequence[int],
+        selectors: Sequence[AbsSelector | GlobalIdSelector],
+        coverage: Callable[[HtmlDocument, Callable], list[bool]],
+    ) -> None:
+        """Append the selectors that cover enough training documents, in
+        order; every selector of one group shares the group's text
+        program."""
+        try:
+            text_program = synthesize_text_program(
+                [(targets[i][1].text_content(), targets[i][2])
+                 for i in indices]
+            )
+        except SynthesisFailure:
+            return
+        covered: list[list[int]] = [[] for _ in selectors]
+        for doc_index, example in enumerate(examples):
+            want = expected[doc_index]
+            bits = coverage(
+                example.doc,
+                lambda nodes: _extract_values(text_program, nodes) == want,
+            )
+            for hits, bit in zip(covered, bits):
+                if bit:
+                    hits.append(doc_index)
+        for selector, hits in zip(selectors, covered):
+            if len(hits) >= min_support:
+                candidates.append(
+                    Candidate(
+                        program=NdsynDisjunct(selector, text_program),
+                        covered=frozenset(hits),
+                        size=selector.size(),
+                    )
+                )
 
     # Document-wide id selector (implicit landmarks).
     ids = {node.attrs.get("id") for _, node, _ in targets}
     if len(ids) == 1 and None not in ids and ids != {""}:
-        candidate_pool.append((GlobalIdSelector(ids.pop()), list(range(len(targets)))))
+        id_selector = GlobalIdSelector(ids.pop())
+        add_candidates(
+            range(len(targets)),
+            [id_selector],
+            lambda doc, covers: [covers(id_selector.select_all(doc))],
+        )
 
-    # Hot-path memoization (selector-prefix frontiers, per-group text
-    # programs, per-node root paths) obeys the same knob as every other
-    # memo layer: REPRO_CACHE=0 measures the memo-free pipeline.
-    memoize = cache_enabled()
-
-    # Signature-grouped path generalizations.  Root paths are memoized per
-    # node: each annotated node's path is needed once for its signature and
-    # once for selector enumeration.
-    paths_of: dict[int, list[DomNode]] = {}
-
-    def node_path(node: DomNode) -> list[DomNode]:
-        if not memoize:
-            return _node_path(node)
-        path = paths_of.get(id(node))
-        if path is None:
-            path = _node_path(node)
-            paths_of[id(node)] = path
-        return path
-
+    # Signature-grouped path generalizations.
+    paths = [_node_path(node) for _, node, _ in targets]
     groups: dict[tuple[str, ...], list[int]] = {}
-    for index, (_, node, _) in enumerate(targets):
-        signature = tuple(n.tag for n in node_path(node))
-        groups.setdefault(signature, []).append(index)
+    for index, path in enumerate(paths):
+        groups.setdefault(tuple(n.tag for n in path), []).append(index)
     for indices in groups.values():
-        paths = [node_path(targets[i][1]) for i in indices]
-        for selector in _enumerate_group_selectors(paths):
-            candidate_pool.append((selector, indices))
-
-    # Attach text programs and evaluate coverage per training document.
-    # Every selector of one signature group shares the same text examples,
-    # so the text program is synthesized once per group, not once per
-    # selector variant; selector evaluation goes through the
-    # prefix-memoized evaluator; and the expected aggregates are hoisted
-    # out of the per-candidate loop.
-    text_programs: dict[tuple[int, ...], TextProgram | None] = {}
-    evaluator = SelectorEvaluator() if memoize else None
-    expected = [example.annotation.aggregate() for example in examples]
-    candidates: list[Candidate[NdsynDisjunct]] = []
-    for selector, indices in candidate_pool:
-        group_key = tuple(indices)
-        if not memoize or group_key not in text_programs:
-            text_examples = [
-                (targets[i][1].text_content(), targets[i][2]) for i in indices
-            ]
-            try:
-                text_programs[group_key] = synthesize_text_program(
-                    text_examples
-                )
-            except SynthesisFailure:
-                text_programs[group_key] = None
-        text_program = text_programs[group_key]
-        if text_program is None:
-            continue
-        disjunct = NdsynDisjunct(selector=selector, text_program=text_program)
-        covered = frozenset(
-            doc_index
-            for doc_index, example in enumerate(examples)
-            if disjunct.run(
-                example.doc,
-                nodes=(
-                    evaluator.select_all(example.doc, selector)
-                    if evaluator is not None
-                    else None
-                ),
-            )
-            == expected[doc_index]
+        per_level = _group_levels([paths[i] for i in indices])
+        add_candidates(
+            indices,
+            _group_selectors(per_level),
+            lambda doc, covers: _group_coverage(per_level, doc, covers),
         )
-        # Generalization sanity: a disjunct synthesized from one document
-        # only (covering a single example) is over-fit noise; the real
-        # NDSyn's F1-driven selection discards such programs.
-        min_support = 2 if len(examples) >= 4 else 1
-        if len(covered) < min_support:
-            continue
-        candidates.append(
-            Candidate(program=disjunct, covered=covered, size=selector.size())
-        )
+    return candidates
 
+
+def synthesize_ndsyn(
+    examples: Sequence[TrainingExample],
+    min_coverage: float = MIN_COVERAGE,
+) -> NdsynProgram:
+    """Synthesize an NDSyn extraction program from annotated documents."""
+    candidates = ndsyn_candidates(examples)
     try:
         chosen = select_disjuncts(
             candidates, num_examples=len(examples), min_coverage=min_coverage

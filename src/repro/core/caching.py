@@ -149,9 +149,7 @@ class DistanceCache:
     * ROI blueprints, keyed by ``(document, landmark, common_values)``;
     * pairwise blueprint distances, keyed symmetrically by the blueprint
       values themselves (blueprints are hashable by contract);
-    * landmark-candidate lists, keyed by the example set — skipped for
-      domains whose candidate scorer has side effects
-      (``Domain.pure_landmarks`` is ``False``).
+    * landmark-candidate lists, keyed by the example set.
 
     Documents used as keys are pinned (a reference is kept) so ``id()``
     reuse after garbage collection cannot alias entries.  Nothing here is
@@ -294,13 +292,9 @@ class DistanceCache:
     ):
         """Memoized candidate scoring, keyed by the example set.
 
-        Domains with a side-effectful scorer (``pure_landmarks = False``,
-        e.g. the image domain's Relative-motion pattern refresh) always
-        recompute so the side effects happen exactly as in the uncached
-        pipeline.  Computation is timed under the ``landmark`` stage.
+        Computation is timed under the ``landmark`` stage.
         """
-        pure = getattr(self.domain, "pure_landmarks", True)
-        if not self.enabled or not pure:
+        if not self.enabled:
             with active_timer().stage("landmark"):
                 return self.domain.landmark_candidates(
                     examples, max_candidates

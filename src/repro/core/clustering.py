@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
 from repro.core import bitset, parallel
 from repro.core.caching import DistanceCache, active_timer
@@ -399,34 +399,91 @@ def _roi_blueprints(
     return result
 
 
-def _cluster_distance(
-    roi_of: dict[int, dict[str, Hashable]],
+def _document_distance(
+    roi_a: dict[str, Hashable],
+    roi_b: dict[str, Hashable],
     cache: DistanceCache,
+) -> float:
+    """Distance between two documents: the least ROI blueprint distance
+    over their shared landmark candidates, 1.0 when they share none."""
+    shared = set(roi_a) & set(roi_b)
+    if not shared:
+        return 1.0
+    return min(cache.distance(roi_a[m], roi_b[m]) for m in shared)
+
+
+def _cluster_distance(
     cluster_a: list[TrainingExample],
     cluster_b: list[TrainingExample],
+    document_distance: Callable[[TrainingExample, TrainingExample], float],
 ) -> float:
-    """Average pairwise document distance ``Δ`` between two clusters.
-
-    Distances go through the :class:`DistanceCache`: the merge loop
-    re-evaluates unchanged cluster pairs every round, so memoizing the
-    pairwise blueprint distances turns the O(n²)-per-round recomputation
-    into dictionary lookups.
-    """
-    distances: list[float] = []
-    for ex_a in cluster_a:
-        for ex_b in cluster_b:
-            roi_a = roi_of[id(ex_a)]
-            roi_b = roi_of[id(ex_b)]
-            shared = set(roi_a) & set(roi_b)
-            if not shared:
-                distances.append(1.0)
-                continue
-            distances.append(
-                min(cache.distance(roi_a[m], roi_b[m]) for m in shared)
-            )
+    """Average pairwise document distance ``Δ`` between two clusters."""
+    distances = [
+        document_distance(ex_a, ex_b)
+        for ex_a in cluster_a
+        for ex_b in cluster_b
+    ]
     if not distances:
         return 1.0
     return sum(distances) / len(distances)
+
+
+def _merge_clusters(
+    clusters: list[list[TrainingExample]],
+    roi_of: dict[int, dict[str, Hashable]],
+    cache: DistanceCache,
+    merge_threshold: float,
+) -> list[tuple[int, int]]:
+    """Algorithm 3's merge loop (lines 10-15), in place: merge the closest
+    pair while some pair is within ``merge_threshold``.  Returns the merged
+    ``(i, j)`` index pairs in order.
+
+    A round re-evaluates every cluster pair, but merging changes only the
+    merged cluster's distances, so both the cluster distance (keyed on the
+    two lists' ids) and the document distance (keyed on the two examples'
+    ids) are computed once for the whole loop.  Every list the loop has
+    seen stays pinned, so no id is reused while the memo lives.  Each sum
+    still runs over the same document pairs in the same order, so every
+    merge decision is the same as without the memo.
+    """
+    pinned = list(clusters)
+    between: dict[tuple[int, int], float] = {}
+    documents: dict[tuple[int, int], float] = {}
+
+    def document_distance(
+        ex_a: TrainingExample, ex_b: TrainingExample
+    ) -> float:
+        key = (id(ex_a), id(ex_b))
+        distance = documents.get(key)
+        if distance is None:
+            distance = documents[key] = _document_distance(
+                roi_of[id(ex_a)], roi_of[id(ex_b)], cache
+            )
+        return distance
+
+    merges: list[tuple[int, int]] = []
+    while len(clusters) > 1:
+        best_pair: tuple[int, int] | None = None
+        best_distance = merge_threshold
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                key = (id(clusters[i]), id(clusters[j]))
+                distance = between.get(key)
+                if distance is None:
+                    distance = between[key] = _cluster_distance(
+                        clusters[i], clusters[j], document_distance
+                    )
+                if distance <= best_distance:
+                    best_pair = (i, j)
+                    best_distance = distance
+        if best_pair is None:
+            break
+        i, j = best_pair
+        clusters[i] = clusters[i] + clusters[j]
+        pinned.append(clusters[i])
+        del clusters[j]
+        merges.append(best_pair)
+    return merges
 
 
 def infer_landmarks_and_clusters(
@@ -487,24 +544,7 @@ def infer_landmarks_and_clusters(
                 _missing_merge_pairs(domain, clusters, roi_of, cache),
                 cache,
             )
-        merged = True
-        while merged and len(clusters) > 1:
-            merged = False
-            best_pair: tuple[int, int] | None = None
-            best_distance = merge_threshold
-            for i in range(len(clusters)):
-                for j in range(i + 1, len(clusters)):
-                    distance = _cluster_distance(
-                        roi_of, cache, clusters[i], clusters[j]
-                    )
-                    if distance <= best_distance:
-                        best_pair = (i, j)
-                        best_distance = distance
-            if best_pair is not None:
-                i, j = best_pair
-                clusters[i] = clusters[i] + clusters[j]
-                del clusters[j]
-                merged = True
+        _merge_clusters(clusters, roi_of, cache, merge_threshold)
 
     # Finalize: recompute candidates on merged clusters and pick the top one
     # (line 16).

@@ -102,12 +102,6 @@ class Domain(abc.ABC):
     DSL is already disjunctive (Figure 6) and its blueprints are compared
     up to OCR noise, so splitting would only fragment the training set.
 
-    ``pure_landmarks`` declares :meth:`landmark_candidates` side-effect
-    free, allowing :class:`repro.core.caching.DistanceCache` to memoize its
-    results per example set.  Domains whose scorer mutates internal state
-    (the image domain refreshes its Relative-motion patterns) must set it
-    to ``False`` so every call really runs.
-
     ``symmetric_distance`` declares ``blueprint_distance(a, b) ==
     blueprint_distance(b, a)``, letting the cache serve a reversed-order
     lookup from one entry.  Domains with an asymmetric metric (the image
@@ -116,7 +110,6 @@ class Domain(abc.ABC):
     """
 
     layout_conditional: bool = True
-    pure_landmarks: bool = True
     symmetric_distance: bool = True
     # Substrate name used in persistent-store keys (one namespace per
     # concrete document kind; see repro.store).  Only domains with content
@@ -265,9 +258,12 @@ class Domain(abc.ABC):
     # ------------------------------------------------------------------
     @abc.abstractmethod
     def synthesize_region_program(
-        self, examples: Sequence[tuple[Any, Location, Region]]
+        self,
+        examples: Sequence[tuple[Any, Location, Region]],
+        cluster: Sequence["TrainingExample"],
     ) -> RegionProgram:
-        """Synthesize from examples of the form ``(doc, loc) -> region``."""
+        """Synthesize from examples of the form ``(doc, loc) -> region``;
+        ``cluster`` is the training cluster they come from."""
 
     @abc.abstractmethod
     def synthesize_value_program(

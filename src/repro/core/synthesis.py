@@ -145,7 +145,7 @@ def synthesize_extraction_program(
         try:
             with active_timer().stage("region-synth"):
                 region_program = domain.synthesize_region_program(
-                    group_regions
+                    group_regions, cluster.examples
                 )
             # The blueprint is computed on the region the *synthesized
             # program* produces (RegionSpec(doc) in the paper), not the

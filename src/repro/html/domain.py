@@ -98,6 +98,7 @@ class HtmlDomain(Domain):
     def synthesize_region_program(
         self,
         examples: Sequence[tuple[HtmlDocument, DomNode, HtmlRegion]],
+        cluster: Sequence[TrainingExample],
     ) -> region_dsl.HtmlRegionProgram:
         return region_dsl.synthesize_region_program(examples)
 

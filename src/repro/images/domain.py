@@ -3,7 +3,7 @@
 Wires box geometry, BoxSummary blueprints, landmark scoring and the Figure 6
 region DSL into the interface consumed by the domain-agnostic LRSyn
 algorithms.  The string-profiler patterns needed by ``Relative`` motions are
-derived lazily from the documents seen at synthesis time.
+profiled from the cluster whose region program is being synthesized.
 """
 
 from __future__ import annotations
@@ -18,6 +18,29 @@ from repro.images.boxes import ImageDocument, ImageRegion, TextBox, enclosing_re
 from repro.text.profiler import patterns_for_cluster
 
 
+def region_patterns(cluster: Sequence[TrainingExample]) -> tuple[str, ...]:
+    """Stop patterns for the Relative motions of ``cluster``'s region
+    programs.  The pattern pool profiles "all the common and field text
+    values present in the cluster" (Section 5.2): every box except the ones
+    annotated for *this* field — other fields' values (engine numbers,
+    dates) are exactly the stop patterns Example 5.3 needs."""
+    field_values = [
+        value for example in cluster for value in example.annotation.values
+    ]
+    annotated_ids = {
+        id(location)
+        for example in cluster
+        for location in example.annotation.locations
+    }
+    common_texts = [
+        box.text
+        for example in cluster
+        for box in example.doc.boxes
+        if id(box) not in annotated_ids
+    ]
+    return tuple(patterns_for_cluster(common_texts, field_values))
+
+
 class ImageDomain(Domain):
     """Domain adapter for scanned form images.
 
@@ -27,19 +50,12 @@ class ImageDomain(Domain):
     """
 
     layout_conditional = False
-    # landmark_candidates refreshes self._patterns as a side effect, so the
-    # caching layer must never skip a call (see Domain.pure_landmarks).
-    pure_landmarks = False
     # summary_distance matches greedily over its first argument (in
     # sorted order, so the value is a pure function of content), and
     # d(a, b) != d(b, a) in general; the cache must key on orientation.
     symmetric_distance = False
 
     substrate = "images"
-
-    def __init__(self) -> None:
-        # Patterns for Relative motions, refreshed per synthesis call.
-        self._patterns: tuple[str, ...] = ()
 
     # -- content fingerprints (persistent-store keys) --------------------
     def document_fingerprint(self, doc: ImageDocument) -> str:
@@ -108,39 +124,16 @@ class ImageDomain(Domain):
         examples: Sequence[TrainingExample],
         max_candidates: int = 10,
     ) -> list[ScoredLandmark]:
-        # Refresh Relative-motion patterns from this cluster's values.  The
-        # pattern pool profiles "all the common and field text values
-        # present in the cluster" (Section 5.2): every box except the ones
-        # annotated for *this* field — other fields' values (engine numbers,
-        # dates) are exactly the stop patterns Example 5.3 needs.
-        field_values = [
-            value
-            for example in examples
-            for value in example.annotation.values
-        ]
-        annotated_ids = {
-            id(location)
-            for example in examples
-            for location in example.annotation.locations
-        }
-        common_texts = [
-            box.text
-            for example in examples
-            for box in example.doc.boxes
-            if id(box) not in annotated_ids
-        ]
-        self._patterns = tuple(
-            patterns_for_cluster(common_texts, field_values)
-        )
         return lm.landmark_candidates(examples, max_candidates)
 
     # -- synthesis -----------------------------------------------------------
     def synthesize_region_program(
         self,
         examples: Sequence[tuple[ImageDocument, TextBox, ImageRegion]],
+        cluster: Sequence[TrainingExample],
     ) -> region_dsl.ImageRegionProgram:
         return region_dsl.synthesize_region_program(
-            examples, patterns=self._patterns
+            examples, patterns=region_patterns(cluster)
         )
 
     def synthesize_value_program(

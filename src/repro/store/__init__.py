@@ -101,7 +101,9 @@ __all__ = [
 # stale values.  (Covered by tests/core/test_store.py.)
 # 2: summary_distance greedy matching now iterates in sorted order (was
 #    hash-seed-dependent frozenset order for contended grams).
-BLUEPRINT_ALGO_VERSION = 2
+# 3: image region synthesis profiles the Relative-motion patterns of the
+#    cluster being synthesized (was: of the cluster scored last).
+BLUEPRINT_ALGO_VERSION = 3
 
 # Batched writes are flushed once this many puts accumulate (and at
 # interpreter exit / explicit flush()).  Large batches keep cold runs

@@ -137,7 +137,7 @@ class FakeDomain(Domain):
         candidates.sort(key=lambda c: (-c.score, c.value))
         return candidates[:max_candidates]
 
-    def synthesize_region_program(self, examples):
+    def synthesize_region_program(self, examples, cluster):
         offsets = set()
         for doc, loc, region in examples:
             offsets.add(region.end - loc)

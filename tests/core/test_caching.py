@@ -160,17 +160,6 @@ class TestLandmarkCache:
         assert first == second
         assert domain.landmark_calls == 1
 
-    def test_impure_domain_always_recomputes(self):
-        class ImpureDomain(CountingDomain):
-            pure_landmarks = False
-
-        domain = ImpureDomain()
-        cache = DistanceCache(domain, enabled=True)
-        examples = self.examples()
-        cache.landmark_candidates(examples, 10)
-        cache.landmark_candidates(examples, 10)
-        assert domain.landmark_calls == 2
-
     def test_returns_are_independent_copies(self):
         cache = DistanceCache(CountingDomain(), enabled=True)
         examples = self.examples()

@@ -1,6 +1,10 @@
 """Tests for joint clustering + landmark inference (Algorithm 3)."""
 
+import random
+
+from repro.core.caching import DistanceCache
 from repro.core.clustering import (
+    _merge_clusters,
     fine_cluster,
     infer_landmarks_and_clusters,
     pair_values_to_landmarks,
@@ -144,3 +148,100 @@ class TestInferLandmarksAndClusters:
         candidates = clusters[0].candidates
         assert candidates[0].value == "Depart:"
         assert candidates[0].score >= candidates[-1].score
+
+
+def reference_merges(clusters, roi_of, cache, merge_threshold):
+    """Algorithm 3's merge loop without memos: every round re-sums every
+    document pair of every cluster pair."""
+
+    def cluster_distance(cluster_a, cluster_b):
+        distances = []
+        for ex_a in cluster_a:
+            for ex_b in cluster_b:
+                roi_a = roi_of[id(ex_a)]
+                roi_b = roi_of[id(ex_b)]
+                shared = set(roi_a) & set(roi_b)
+                if not shared:
+                    distances.append(1.0)
+                    continue
+                distances.append(
+                    min(cache.distance(roi_a[m], roi_b[m]) for m in shared)
+                )
+        if not distances:
+            return 1.0
+        return sum(distances) / len(distances)
+
+    merges = []
+    merged = True
+    while merged and len(clusters) > 1:
+        merged = False
+        best_pair = None
+        best_distance = merge_threshold
+        for i in range(len(clusters)):
+            for j in range(i + 1, len(clusters)):
+                distance = cluster_distance(clusters[i], clusters[j])
+                if distance <= best_distance:
+                    best_pair = (i, j)
+                    best_distance = distance
+        if best_pair is not None:
+            i, j = best_pair
+            clusters[i] = clusters[i] + clusters[j]
+            del clusters[j]
+            merges.append(best_pair)
+            merged = True
+    return merges
+
+
+class AsymmetricDomain(FakeDomain):
+    """Directed distance: the share of the first blueprint the second
+    lacks, so the document-pair memo must keep orientations apart."""
+
+    symmetric_distance = False
+
+    def blueprint_distance(self, bp1, bp2):
+        return len(bp1 - bp2) / len(bp1) if bp1 else 0.0
+
+
+class TestMergeLoop:
+    def training_set(self, seed):
+        """Singleton clusters over seeded random ROI blueprints: each
+        document has a random subset of three landmarks, each with a
+        random cell set, so merges happen at many distances."""
+        rng = random.Random(seed)
+        examples = [
+            make_example([f"doc{i}", "v"], [1]) for i in range(14)
+        ]
+        roi_of = {}
+        for example in examples:
+            landmarks = [m for m in ("a:", "b:", "c:") if rng.random() < 0.7]
+            roi_of[id(example)] = {
+                m: frozenset(rng.sample(range(8), rng.randint(1, 5)))
+                for m in landmarks
+            }
+        return examples, roi_of
+
+    def test_merge_sequence_equals_unmemoized_loop(self):
+        for domain in (FakeDomain(), AsymmetricDomain()):
+            for seed in range(5):
+                for threshold in (0.3, 0.6, 0.9):
+                    examples, roi_of = self.training_set(seed)
+                    memoized = [[example] for example in examples]
+                    reference = [[example] for example in examples]
+                    merges = _merge_clusters(
+                        memoized,
+                        roi_of,
+                        DistanceCache(domain, enabled=False),
+                        threshold,
+                    )
+                    expected = reference_merges(
+                        reference,
+                        roi_of,
+                        DistanceCache(domain, enabled=False),
+                        threshold,
+                    )
+                    assert merges == expected
+                    assert memoized == reference
+        # The seeded sets really exercise the loop: several rounds, and
+        # merges of clusters that were themselves merged.
+        assert len(merges) >= 3
+        assert any(len(cluster) >= 3 for cluster in memoized)

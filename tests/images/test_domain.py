@@ -1,8 +1,12 @@
 """Tests for the ImageDomain adapter (repro.images.domain)."""
 
 from repro.core.document import Annotation, AnnotationGroup, TrainingExample
+from repro.core.synthesis import lrsyn
+from repro.harness.images import IMAGE_CONFIG
+from repro.images import domain as domain_mod
+from repro.images import region_dsl
 from repro.images.boxes import ImageDocument, ImageRegion, TextBox
-from repro.images.domain import ImageDomain
+from repro.images.domain import ImageDomain, region_patterns
 
 
 def box(text, x, y, tags=None):
@@ -63,17 +67,67 @@ class TestImageDomain:
         region_bp = self.domain.region_blueprint(self.doc, region, common)
         assert self.domain.blueprint_distance(region_bp, region_bp) == 0.0
 
-    def test_landmark_candidates_refresh_patterns(self):
+    def test_landmark_candidates_and_region_patterns(self):
         examples = [example(page("$12.00")), example(page("$94.50"))]
         candidates = self.domain.landmark_candidates(examples)
         assert candidates
         assert candidates[0].value in ("Total Due", "Total", "Due")
         # The date value of the *other* field is profiled as a stop pattern.
-        assert any("/" in pattern for pattern in self.domain._patterns)
+        assert any("/" in pattern for pattern in region_patterns(examples))
 
-    def test_pattern_pool_excludes_current_field_values(self):
+    def test_pattern_pool_excludes_current_field_values(self, monkeypatch):
+        seen = []
+
+        def spy(common_texts, field_values):
+            seen.append((list(common_texts), list(field_values)))
+            return ["p"]
+
+        monkeypatch.setattr(domain_mod, "patterns_for_cluster", spy)
         examples = [example(page("$12.00")), example(page("$94.50"))]
-        self.domain.landmark_candidates(examples)
-        # Exact money profiles appear only via field_values (allowed), but
-        # the point is label texts and other values are present too.
-        assert self.domain._patterns
+        assert region_patterns(examples) == ("p",)
+        [(common_texts, field_values)] = seen
+        assert field_values == ["$12.00", "$94.50"]
+        # Labels and other fields' values, never this field's boxes.
+        assert "12/04/2021" in common_texts and "Total Due" in common_texts
+        assert "$12.00" not in common_texts and "$94.50" not in common_texts
+
+
+def invoice(amount, ref):
+    """A second format: the amount sits under its label, with a reference
+    code instead of a date."""
+    return ImageDocument(
+        [
+            box("Invoice", 200, 0),
+            box("Ref No", 0, 40),
+            box(ref, 0, 60),
+            box("Total Due", 0, 100),
+            box(amount, 0, 120, tags={"amount": amount}),
+            box("Thank you", 0, 200),
+        ]
+    )
+
+
+def test_each_cluster_synthesizes_with_its_own_patterns(monkeypatch):
+    """Two formats end as two clusters; each cluster's region synthesis
+    gets the Relative-motion patterns profiled from that cluster."""
+    forms = [example(page(f"${i}2.00")) for i in range(3)]
+    invoices = [example(invoice(f"${i}4.50", f"AB-{i}234")) for i in range(3)]
+    calls = []
+    synthesize = region_dsl.synthesize_region_program
+
+    def spy(examples, patterns=()):
+        calls.append(({id(doc) for doc, _, _ in examples}, patterns))
+        return synthesize(examples, patterns=patterns)
+
+    monkeypatch.setattr(region_dsl, "synthesize_region_program", spy)
+    lrsyn(ImageDomain(), forms + invoices, IMAGE_CONFIG)
+    expected = {
+        frozenset(id(ex.doc) for ex in cluster): region_patterns(cluster)
+        for cluster in (forms, invoices)
+    }
+    assert expected[frozenset(map(id, (ex.doc for ex in forms)))] != (
+        expected[frozenset(map(id, (ex.doc for ex in invoices)))]
+    )
+    assert sorted(len(docs) for docs, _ in calls) == [3, 3]
+    for docs, patterns in calls:
+        assert patterns == expected[frozenset(docs)]
