@@ -23,6 +23,7 @@ center, and label evidence.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -53,17 +54,13 @@ class AfrModel(Extractor):
     # Inference
     # ------------------------------------------------------------------
     def extract(self, doc: ImageDocument) -> list[str] | None:
-        candidates = self._candidate_runs(doc)
-        matched = [
-            (run, text)
-            for run, text in candidates
-            if any(profile.matches(text) for profile in self.profiles)
-        ]
-        if not matched:
-            return None
-
-        scored: list[tuple[float, list[TextBox], str]] = []
-        for run, text in matched:
+        matches = _profile_matcher(
+            tuple(profile.pattern for profile in self.profiles)
+        )
+        scored: list[tuple[float, tuple[TextBox, ...], str]] = []
+        for run, text in _candidate_runs(doc):
+            if matches(text) is None:
+                continue
             cx = sum(box.cx for box in run) / len(run) / PAGE
             cy = sum(box.cy for box in run) / len(run) / PAGE
             distance = min(
@@ -71,9 +68,11 @@ class AfrModel(Extractor):
             )
             label_bonus = -0.02 if self._has_label_evidence(doc, run) else 0.0
             scored.append((distance + label_bonus, run, text))
+        if not scored:
+            return None
         scored.sort(key=lambda item: item[0])
 
-        accepted: list[tuple[list[TextBox], str]] = []
+        accepted: list[tuple[tuple[TextBox, ...], str]] = []
         used: set[int] = set()
         for distance, run, text in scored:
             if distance > RADIUS and accepted:
@@ -97,29 +96,6 @@ class AfrModel(Extractor):
         )
         return [text for _, text in ordered]
 
-    def _candidate_runs(
-        self, doc: ImageDocument
-    ) -> list[tuple[list[TextBox], str]]:
-        """Runs of up to MAX_RUN horizontally adjacent boxes."""
-        rows: dict[int, list[TextBox]] = {}
-        for box in doc.boxes:
-            rows.setdefault(round(box.cy / 14.0), []).append(box)
-        runs: list[tuple[list[TextBox], str]] = []
-        for row in rows.values():
-            row = sorted(row, key=lambda b: b.x)
-            for start in range(len(row)):
-                run: list[TextBox] = []
-                for offset in range(MAX_RUN):
-                    index = start + offset
-                    if index >= len(row):
-                        break
-                    if run and row[index].x - run[-1].x2 > 60.0:
-                        break
-                    run.append(row[index])
-                    text = " ".join(box.text for box in run)
-                    runs.append((list(run), text))
-        return runs
-
     def _has_label_evidence(
         self, doc: ImageDocument, run: Sequence[TextBox]
     ) -> bool:
@@ -128,6 +104,44 @@ class AfrModel(Extractor):
             if neighbour is not None and neighbour.text in self.neighbor_labels:
                 return True
         return False
+
+
+def _candidate_runs(
+    doc: ImageDocument,
+) -> list[tuple[tuple[TextBox, ...], str]]:
+    """Runs of up to MAX_RUN horizontally adjacent boxes, with their text.
+
+    Every field's model scores the same runs of a page, so they are found
+    once per document and kept in ``doc._runs`` (never pickled).
+    """
+    if doc._runs is not None:
+        return doc._runs
+    rows: dict[int, list[TextBox]] = {}
+    for box in doc.boxes:
+        rows.setdefault(round(box.cy / 14.0), []).append(box)
+    runs: list[tuple[tuple[TextBox, ...], str]] = []
+    for row in rows.values():
+        row = sorted(row, key=lambda b: b.x)
+        for start in range(len(row)):
+            run: list[TextBox] = []
+            for offset in range(MAX_RUN):
+                index = start + offset
+                if index >= len(row):
+                    break
+                if run and row[index].x - run[-1].x2 > 60.0:
+                    break
+                run.append(row[index])
+                runs.append((tuple(run), " ".join(box.text for box in run)))
+    doc._runs = runs
+    return runs
+
+
+@functools.lru_cache(maxsize=1024)
+def _profile_matcher(patterns: tuple[str, ...]):
+    """``fullmatch`` of one compiled alternation of ``patterns``: a text
+    matches it exactly when it fully matches one of them.  Cached here,
+    not on the model, so no compiled pattern enters a pickled model."""
+    return re.compile("|".join(f"(?:{p})" for p in patterns)).fullmatch
 
 
 def train_afr(examples: Sequence[TrainingExample]) -> AfrModel:

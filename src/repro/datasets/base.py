@@ -10,7 +10,7 @@ they cannot leak into learned programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro.core.document import Annotation, AnnotationGroup, TrainingExample
 from repro.html.dom import HtmlDocument
@@ -76,3 +76,20 @@ class Corpus:
             (extractor.extract(labeled.doc), labeled.gold(field_name))
             for labeled in self.test
         ]
+
+
+def reuse_train(
+    train: list[LabeledHtmlDocument],
+    train_size: int,
+    render: Callable[[], str],
+) -> None:
+    """Check that ``train`` is the training set ``render`` draws again.
+
+    Rendering each training page again, without parsing it, moves the
+    random stream on to the test pages exactly as generating it would, so
+    every test page stays byte-identical.
+    """
+    if len(train) != train_size or any(
+        render() != labeled.doc.source for labeled in train
+    ):
+        raise ValueError("train is not this corpus's training set")

@@ -52,6 +52,7 @@ from repro.datasets.base import (
     SETTINGS,
     Corpus,
     LabeledHtmlDocument,
+    reuse_train,
 )
 from repro.datasets.finance import LabeledImageDocument
 from repro.datasets.forge_transforms import (
@@ -531,23 +532,31 @@ def build_layout(
 # ----------------------------------------------------------------------
 # Corpus generation — HTML
 # ----------------------------------------------------------------------
+def render_document(
+    provider: str,
+    rng: random.Random,
+    setting: str = CONTEMPORARY,
+    seed: int = 0,
+) -> tuple[str, dict[str, list[str]]]:
+    """One page's HTML source and ground truth, unparsed: draws every
+    random value the page takes from ``rng``."""
+    spec = provider_spec(provider, seed)
+    record = random_order(rng, spec)
+    layout = build_layout(spec, record, rng)
+    if setting == LONGITUDINAL:
+        layout = transforms.apply_drift(layout, rng.randint(1, 3), rng)
+    return transforms.render_html(layout), field_values(record, spec.fields)
+
+
 def generate_document(
     provider: str,
     rng: random.Random,
     setting: str = CONTEMPORARY,
     seed: int = 0,
 ) -> LabeledHtmlDocument:
-    spec = provider_spec(provider, seed)
-    record = random_order(rng, spec)
-    layout = build_layout(spec, record, rng)
-    if setting == LONGITUDINAL:
-        layout = transforms.apply_drift(layout, rng.randint(1, 3), rng)
-    doc = parse_html(transforms.render_html(layout))
+    html, truth = render_document(provider, rng, setting, seed)
     return LabeledHtmlDocument(
-        doc=doc,
-        truth=field_values(record, spec.fields),
-        provider=provider,
-        setting=setting,
+        doc=parse_html(html), truth=truth, provider=provider, setting=setting
     )
 
 
@@ -557,14 +566,22 @@ def generate_corpus(
     test_size: int = 22,
     setting: str = CONTEMPORARY,
     seed: int = 0,
+    train: list[LabeledHtmlDocument] | None = None,
 ) -> Corpus:
     """Train on contemporary pages, test on ``setting`` pages — the same
-    split shape as :func:`repro.datasets.m2h.generate_corpus`."""
+    split shape, and the same reuse of a given ``train``, as
+    :func:`repro.datasets.m2h.generate_corpus`."""
     rng = random.Random(zlib.crc32(provider.encode("utf-8")) * 6841 + seed)
-    train = [
-        generate_document(provider, rng, CONTEMPORARY, seed)
-        for _ in range(train_size)
-    ]
+    if train is None:
+        train = [
+            generate_document(provider, rng, CONTEMPORARY, seed)
+            for _ in range(train_size)
+        ]
+    else:
+        reuse_train(
+            train, train_size,
+            lambda: render_document(provider, rng, CONTEMPORARY, seed)[0],
+        )
     test = [
         generate_document(provider, rng, setting, seed)
         for _ in range(test_size)

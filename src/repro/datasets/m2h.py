@@ -39,6 +39,7 @@ from repro.datasets.base import (
     Corpus,
     LabeledHtmlDocument,
     annotation_attr,
+    reuse_train,
 )
 from repro.datasets.fields import Itinerary
 from repro.html.parser import parse_html
@@ -501,10 +502,11 @@ RENDERERS: dict[str, Callable[[Itinerary, random.Random, str], str]] = {
 _SINGLE_LEG_PROVIDERS = frozenset({"aeromexico"})
 
 
-def generate_document(
+def render_document(
     provider: str, rng: random.Random, setting: str
-) -> LabeledHtmlDocument:
-    """Generate one labeled email for ``provider`` under ``setting``."""
+) -> tuple[str, dict[str, list[str]]]:
+    """One email's HTML source and ground truth, unparsed: draws every
+    random value the page takes from ``rng``."""
     max_legs = 1 if provider in _SINGLE_LEG_PROVIDERS else 3
     itinerary = F.random_itinerary(
         rng,
@@ -513,12 +515,19 @@ def generate_document(
         max_legs=max_legs,
     )
     html = RENDERERS[provider](itinerary, rng, setting)
-    doc = parse_html(html)
     truth = itinerary.field_values()
     if provider == "iflyalaskaair":
         truth.pop(F.PVDR, None)
+    return html, truth
+
+
+def generate_document(
+    provider: str, rng: random.Random, setting: str
+) -> LabeledHtmlDocument:
+    """Generate one labeled email for ``provider`` under ``setting``."""
+    html, truth = render_document(provider, rng, setting)
     return LabeledHtmlDocument(
-        doc=doc, truth=truth, provider=provider, setting=setting
+        doc=parse_html(html), truth=truth, provider=provider, setting=setting
     )
 
 
@@ -528,18 +537,28 @@ def generate_corpus(
     test_size: int = 520,
     setting: str = CONTEMPORARY,
     seed: int = 0,
+    train: list[LabeledHtmlDocument] | None = None,
 ) -> Corpus:
     """Train/test corpus for one provider.
 
     Training documents are always contemporary (the paper trains on one time
-    period); ``setting`` selects the test period.
+    period); ``setting`` selects the test period.  ``train``, the training
+    set of a corpus with the same provider, sizes and seed, becomes this
+    corpus's training set as it is (see
+    :func:`repro.datasets.base.reuse_train`).
     """
     provider_salt = zlib.crc32(provider.encode("utf-8"))
     rng = random.Random(provider_salt * 7919 + seed)
-    train = [
-        generate_document(provider, rng, CONTEMPORARY)
-        for _ in range(train_size)
-    ]
+    if train is None:
+        train = [
+            generate_document(provider, rng, CONTEMPORARY)
+            for _ in range(train_size)
+        ]
+    else:
+        reuse_train(
+            train, train_size,
+            lambda: render_document(provider, rng, CONTEMPORARY)[0],
+        )
     test = [
         generate_document(provider, rng, setting) for _ in range(test_size)
     ]

@@ -15,13 +15,14 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.datasets import forge
-from repro.datasets.base import CONTEMPORARY, LONGITUDINAL, Corpus
+from repro.datasets.base import Corpus
 from repro.harness.runner import (
     FieldResult,
     LrsynHtmlMethod,
     Method,
     NdsynMethod,
     cached_corpora,
+    paired_corpora,
     resolve_tasks,
     run_field_tasks,
     scale,
@@ -76,19 +77,14 @@ def forge_image_sizes() -> tuple[int, int]:
 def forge_corpora(
     provider: str, train_size: int, test_size: int, seed: int
 ) -> dict[str, Corpus]:
-    """Contemporary + longitudinal forge corpora through the corpus cache."""
+    """Contemporary + longitudinal forge corpora sharing one training set
+    (:func:`repro.harness.runner.paired_corpora`), through the corpus
+    cache."""
     return cached_corpora(
         "forge",
-        lambda: {
-            setting: forge.generate_corpus(
-                provider,
-                train_size=train_size,
-                test_size=test_size,
-                setting=setting,
-                seed=seed,
-            )
-            for setting in (CONTEMPORARY, LONGITUDINAL)
-        },
+        lambda: paired_corpora(
+            forge.generate_corpus, provider, train_size, test_size, seed
+        ),
         provider=provider,
         train_size=train_size,
         test_size=test_size,

@@ -665,25 +665,44 @@ def flush_corpus_store() -> None:
     shared_store().flush()
 
 
+def paired_corpora(
+    generate: Callable[..., Corpus],
+    provider: str,
+    train_size: int,
+    test_size: int,
+    seed: int,
+) -> dict[str, Corpus]:
+    """Contemporary + longitudinal corpora sharing one training set.
+
+    Both settings train on the same contemporary pages, so the
+    longitudinal corpus takes the contemporary ``train`` list as it is
+    instead of parsing those pages again; its test pages are unchanged.
+    Nothing may mutate the shared list.
+    """
+    contemporary = generate(
+        provider, train_size=train_size, test_size=test_size,
+        setting=CONTEMPORARY, seed=seed,
+    )
+    longitudinal = generate(
+        provider, train_size=train_size, test_size=test_size,
+        setting=LONGITUDINAL, seed=seed, train=contemporary.train,
+    )
+    return {CONTEMPORARY: contemporary, LONGITUDINAL: longitudinal}
+
+
 def m2h_corpora(
     provider: str,
     train_size: int,
     test_size: int,
     seed: int = 0,
 ) -> dict[str, Corpus]:
-    """Contemporary + longitudinal corpora sharing one training set."""
+    """Contemporary + longitudinal corpora sharing one training set
+    (:func:`paired_corpora`), through the corpus cache."""
     return cached_corpora(
         "m2h",
-        lambda: {
-            setting: m2h.generate_corpus(
-                provider,
-                train_size=train_size,
-                test_size=test_size,
-                setting=setting,
-                seed=seed,
-            )
-            for setting in (CONTEMPORARY, LONGITUDINAL)
-        },
+        lambda: paired_corpora(
+            m2h.generate_corpus, provider, train_size, test_size, seed
+        ),
         provider=provider,
         train_size=train_size,
         test_size=test_size,

@@ -108,12 +108,15 @@ class ImageDocument:
           BoxSummary or ``None``
           (:func:`repro.images.blueprint.region_blueprint`);
         * ``_grams``: the box-text n-gram set
-          (:func:`repro.images.landmarks._doc_grams`).
+          (:func:`repro.images.landmarks._doc_grams`);
+        * ``_runs``: AFR's candidate box runs
+          (:func:`repro.baselines.afr._candidate_runs`).
         """
         self._order = {id(box): i for i, box in enumerate(self.boxes)}
         self._neighbors: list[int | None] | None = None
         self._summaries: dict[frozenset[str], dict[int, tuple | None]] = {}
         self._grams: frozenset[str] | None = None
+        self._runs: list[tuple] | None = None
 
     def order_of(self, box: TextBox) -> int:
         return self._order.get(id(box), 0)
@@ -123,7 +126,7 @@ class ImageDocument:
         # unpickled copy carrying the original map would silently report
         # order 0 for every box, collapsing location fingerprints (and
         # with them every persistent-store key derived from them).  The
-        # neighbour, summary and gram tables are left out too, so the
+        # neighbour, summary, gram and run tables are left out too, so the
         # pickled bytes do not depend on which queries ran before the dump.
         return {"boxes": self.boxes, "_fingerprint": self._fingerprint}
 

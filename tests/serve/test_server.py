@@ -441,6 +441,44 @@ def test_too_deep_document_gets_400_with_depth_message(run_app, sample_docs):
     run_app(scenario)
 
 
+def test_too_deep_document_on_the_fallback_gets_the_same_400(
+    run_app, sample_docs
+):
+    # A comment sends the document to the stdlib tokenizer instead of the
+    # parser's regex fast path; the depth limit answers the same there,
+    # and the server goes on answering.
+    from repro.html.parser import MAX_DEPTH, _fast_tree
+
+    deep = "<div>" * (MAX_DEPTH + 1)
+    forced = "<!-- forced onto the fallback -->" + deep
+    assert _fast_tree(forced) is None
+    docs = sample_docs["forge000"]
+
+    async def scenario(app):
+        answers = []
+        for html in (deep, forced):
+            status, body, _ = await http_request(
+                app.port, "POST", "/extract",
+                {"html": html, "field": docs.field},
+            )
+            answers.append((status, body))
+        assert answers[0] == answers[1] == (
+            400,
+            {
+                "error": "unparseable document: document nests deeper"
+                f" than {MAX_DEPTH} elements"
+            },
+        )
+        status, body, _ = await http_request(
+            app.port, "POST", "/extract",
+            {"html": docs.test[0].source, "field": docs.field},
+        )
+        assert status == 200
+        assert body["provider"] == "forge000"
+
+    run_app(scenario)
+
+
 @pytest.mark.parametrize("depth", [992, "max"])
 def test_deep_document_within_limit_parses_and_blueprints(depth):
     from repro.html.domain import HtmlDomain
