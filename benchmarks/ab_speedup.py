@@ -10,8 +10,9 @@ round-robin so machine drift hits every arm equally:
 * **cold** — cache + parallel harness on, persistent store enabled but
   pointing at a *fresh* directory every round;
 * **warm** — same knobs, store directory pre-populated by one untimed
-  priming run (it stores programs and its memo-laden corpora — see
-  ``repro.harness.runner.cached_corpora``).
+  priming run (it stores the trained programs, so the warm arm trains
+  nothing but still builds and parses its corpora — see
+  ``repro.harness.runner.train_method``).
 
 For each run the experiment wall-clock is read from the ``m2h`` entry the
 benches append to ``BENCH_synthesis_speed.json``, and the rendered tables

@@ -14,7 +14,7 @@ this bench quantifies each:
 
 The first two run as the ``ablations`` experiment of the ``repro-shard``
 registry (:mod:`repro.harness.ablations`) — through the harness method
-layer, so the program/corpus store and every ``REPRO_*`` knob apply, and
+layer, so the program store and every ``REPRO_*`` knob apply, and
 synthesis failures surface as NaN *only* for ``SynthesisFailure`` (the
 old bench swallowed every exception, so a store or schema bug read as
 "ablation hurt F1").  The layout study stays local: its corpus is a

@@ -10,9 +10,9 @@ Two checks from the paper:
   no program extracts the values from them.
 
 Both run through the experiment harness (``run_m2h_robustness_experiment``
-/ ``train_method`` + the cached-corpus helpers) rather than hand-rolled
+/ ``train_method`` + the harness corpus helpers) rather than hand-rolled
 ``generate_corpus``/``train`` loops, so the memo tables, the persistent
-program/corpus store, ``REPRO_JOBS`` and ``REPRO_SHARD`` cover this bench
+program store, ``REPRO_JOBS`` and ``REPRO_SHARD`` cover this bench
 exactly like the table benches — the training-set study is the
 ``robustness`` experiment of the ``repro-shard`` registry.
 """

@@ -26,10 +26,9 @@ A first run that was fully or even partially warm — a restored cache
 from a prior workflow run, or from an older commit via the
 ``restore-keys`` fallback after a task-graph change — leaves the reruns
 no margin at all, so only score identity is enforced there.  Probing the
-partial's own counters — rather than "does the store hold any corpus
-entry" — keeps the gate live when the restored cache was warmed by a
-*different* experiment, and keeps it from false-failing when eviction
-stripped corpus rows but left the program rows warm.
+partial's own counters — rather than "does the store hold any program
+row" — keeps the gate live when the restored cache was warmed by a
+*different* experiment.
 
 The first partial is kept at ``--out`` for the downstream merge job, so
 the gate rides along the existing shard-smoke topology at no extra

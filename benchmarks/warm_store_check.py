@@ -67,20 +67,21 @@ def run_once(env: dict[str, str]) -> tuple[float, dict[str, str], dict]:
 
 
 def store_is_warm() -> bool:
-    """Whether the store already holds corpus entries (restored cache).
+    """Whether the store already holds program rows (restored cache).
 
-    Corpus entries are only ever written by a prior run's store flush,
-    so their presence is the reliable "this store has history" signal —
-    unlike blueprint hits, which accumulate within a single cold run
-    across its field tasks.
+    Program rows are only ever written by a prior run's store flush,
+    so their presence before the first run is the reliable "this store
+    has history" signal.
     """
     sys.path.insert(0, str(REPO / "src"))
     from repro.store import BlueprintStore
 
     directory = os.environ.get("REPRO_STORE_DIR")
     store = BlueprintStore(directory=directory, enabled=True)
-    corpus = store.stats()["by_kind"].get("corpus/corpus")
-    warm = corpus is not None and corpus["entries"] > 0
+    warm = any(
+        bucket.endswith("/program") and detail["entries"] > 0
+        for bucket, detail in store.stats()["by_kind"].items()
+    )
     store.close()
     return warm
 

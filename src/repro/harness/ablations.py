@@ -16,15 +16,15 @@ LRSyn's design mechanisms against corpora from the real datasets:
 Each canonical task is ``(mechanism, provider, field)``; the driver runs
 the mechanism's baseline *and* ablated method variant on the task's
 corpus and labels results with the mechanism in ``FieldResult.setting``.
-Everything routes through the harness layer (:func:`cached_corpora`,
-:func:`train_method` via :func:`evaluate_on_corpus`, the ``REPRO_JOBS``
-pool, ``REPRO_SHARD``), so the memo tables, the persistent store and
-the shard scheduler apply — including whichever :mod:`repro.store` backend
-``shared_store()`` resolves (``REPRO_STORE_BACKEND``).
+Everything routes through the harness layer
+(:func:`~repro.harness.runner.held`, :func:`train_method` via
+:func:`evaluate_on_corpus`, the ``REPRO_JOBS`` pool, ``REPRO_SHARD``),
+so the memo tables, the persistent program store and the shard
+scheduler apply.
 
 (The third prose mechanism, layout-conditional synthesis, is exercised on
 a purpose-built synthetic corpus directly in the bench: it has no dataset
-generator to cache and completes in milliseconds.)
+generator and completes in milliseconds.)
 """
 
 from __future__ import annotations

@@ -4,8 +4,8 @@
 both settings (drifted longitudinal test pages); ``forge_images`` runs the
 image method set over degraded scans.  Both are a task graph run by the
 table drivers' own task function (:func:`repro.harness.runner.table_task`)
-— corpus store, program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD``
-task resolution — so the forge doubles as a store/scheduler stress
+— program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD`` task
+resolution — so the forge doubles as a store/scheduler stress
 workload at whatever size ``REPRO_FORGE_PROVIDERS`` ×
 ``REPRO_FORGE_DOCS`` dials in.
 """
@@ -21,7 +21,6 @@ from repro.harness.runner import (
     LrsynHtmlMethod,
     Method,
     NdsynMethod,
-    cached_corpora,
     paired_corpora,
     resolve_tasks,
     run_field_tasks,
@@ -78,17 +77,9 @@ def forge_corpora(
     provider: str, train_size: int, test_size: int, seed: int
 ) -> dict[str, Corpus]:
     """Contemporary + longitudinal forge corpora sharing one training set
-    (:func:`repro.harness.runner.paired_corpora`), through the corpus
-    cache."""
-    return cached_corpora(
-        "forge",
-        lambda: paired_corpora(
-            forge.generate_corpus, provider, train_size, test_size, seed
-        ),
-        provider=provider,
-        train_size=train_size,
-        test_size=test_size,
-        seed=seed,
+    (:func:`repro.harness.runner.paired_corpora`)."""
+    return paired_corpora(
+        forge.generate_corpus, provider, train_size, test_size, seed
     )
 
 

@@ -13,7 +13,6 @@ from repro.datasets.base import Corpus
 from repro.harness.runner import (
     FieldResult,
     Method,
-    cached_corpora,
     resolve_tasks,
     run_field_tasks,
     scaled,
@@ -143,13 +142,11 @@ def run_image_tasks(
 def image_corpus(
     dataset: str, provider: str, train_size: int, test_size: int, seed: int
 ) -> Corpus:
-    """Generate (or load from the persistent store) one image corpus.
+    """Generate one image corpus.
 
     Shared by the table drivers here and the blueprint-check ablation
-    (:mod:`repro.harness.ablations`), so both hit the same corpus-store
-    entries — against whichever backend ``shared_store()`` resolved —
-    and with the liveness markers ``repro-store gc`` needs written along
-    the way.  ``forge_images`` is the forge's degraded-scan corpus.
+    (:mod:`repro.harness.ablations`).  ``forge_images`` is the forge's
+    degraded-scan corpus.
     """
     if dataset == "forge_images":
         from repro.datasets.forge import generate_image_corpus as generate
@@ -157,15 +154,8 @@ def image_corpus(
         generate = finance.generate_corpus
     else:
         generate = m2h_images.generate_corpus
-    return cached_corpora(
-        dataset,
-        lambda: generate(
-            provider, train_size=train_size, test_size=test_size, seed=seed
-        ),
-        provider=provider,
-        train_size=train_size,
-        test_size=test_size,
-        seed=seed,
+    return generate(
+        provider, train_size=train_size, test_size=test_size, seed=seed
     )
 
 

@@ -192,7 +192,7 @@ def record_synthesis_speed(
                 if name.startswith("cache.") and name.endswith(".miss")
             ),
         },
-        # The persistent store (programs, corpora): hits measure how much
+        # The persistent program store: hits measure how much
         # of the run was served from previous runs' work.
         "store": {
             "hits": sum(

@@ -45,13 +45,10 @@ Environment knobs
 
 ``REPRO_STORE`` / ``REPRO_STORE_DIR``
     The persistent content-hash store (:mod:`repro.store`): trained
-    extractors and generated corpora survive across runs and CI jobs.
-    ``REPRO_STORE=0`` disables it; ``REPRO_STORE_DIR`` overrides
-    ``~/.cache/repro``.  See ``docs/performance.md``.
-
-``REPRO_STORE_BACKEND``
-    Store backend selection (``sqlite``/``memory``).  Shard jobs on one
-    machine share one warm cache by sharing the sqlite file.
+    extractors survive across runs and CI jobs.  ``REPRO_STORE=0``
+    disables it; ``REPRO_STORE_DIR`` overrides ``~/.cache/repro``.
+    Shard jobs on one machine share one warm cache by sharing the
+    sqlite file.  See ``docs/performance.md``.
 """
 
 from __future__ import annotations
@@ -68,7 +65,7 @@ from typing import Any, Callable, Sequence
 
 from repro.core import parallel
 from repro.core.caching import StageTimer, active_timer, cache_enabled, use_timer
-from repro.store import default_generation, entry_key, shared_store
+from repro.store import entry_key, shared_store
 
 from repro.core.document import SynthesisFailure, TrainingExample
 from repro.core.dsl import Extractor, ProgramExtractor
@@ -393,9 +390,8 @@ def run_field_tasks(
     :class:`StageTimer`; the snapshot travels back with the results and is
     merged into the parent's active timer, so stage timings and cache
     counters aggregate across processes.  The :func:`held` slot is emptied
-    before and after, so every call loads its corpora through the corpus
-    cache afresh.  The tasks run under :func:`gc_policy`, which is undone
-    on return or raise.
+    before and after, so every call builds its corpora afresh.  The tasks
+    run under :func:`gc_policy`, which is undone on return or raise.
     """
     _drop_held()
     try:
@@ -430,8 +426,8 @@ def _run_field_task(
     (:mod:`repro.core.parallel`) stay serial instead of forking nested
     pools, runs the task under :func:`gc_policy` like the in-process path,
     and flushes the persistent store before returning so a worker's
-    programs and corpora are durable even if the pool recycles it.  The
-    worker's held corpus stays frozen between its tasks.
+    programs are durable even if the pool recycles it.  The worker's
+    held corpus stays frozen between its tasks.
     """
     parallel.mark_worker()
     timer = StageTimer()
@@ -498,16 +494,18 @@ _held: dict[tuple, Any] = {}
 def _drop_held() -> None:
     """Empty the held() slot and hand its corpus back to the collector.
 
-    With the corpus store on, the store front keeps every corpus it put
-    or loaded, so no collection could reclaim the dropped one.  With it
-    off, the slot held the only reference: dropping it leaves cyclic
+    The slot held the only reference, so dropping it leaves cyclic
     garbage in the oldest generation, which the next held() load would
-    freeze again, so one collection reclaims it first.
+    freeze again.  One collection reclaims it first, but only while the
+    store or ``REPRO_CACHE`` is off; with both on, collecting at every
+    switch measured slower on perfsuite's workloads (docs/performance.md,
+    "GC policy").  The rule changes when memory is reclaimed, never what
+    any task computes.
     """
     dropped = bool(_held)
     _held.clear()
     gc.unfreeze()
-    if dropped and not _corpus_store_on():
+    if dropped and not (shared_store().enabled and cache_enabled()):
         gc.collect()
 
 
@@ -575,87 +573,9 @@ def labelled_task(
         ]
 
 
-# ----------------------------------------------------------------------
-# Persistent corpus cache (a store kind of its own)
-# ----------------------------------------------------------------------
-# Corpus generation is deterministic in (dataset, provider, sizes, seed),
-# so generated corpora are persisted in the blueprint store and warm runs
-# skip generation entirely.  A cold run puts each corpus as soon as it is
-# built; the store pickles it at its next flush.  A parsed HTML document
-# pickles as its source string (see ``HtmlDocument.__reduce_ex__``), so
-# the row is the same whatever memos the experiment fills in before the
-# flush, and a warm run parses the documents again on load.  The flush is
-# inside perfsuite's timed window.  Bump the version when a dataset
-# generator, the parser or the stored row shape changes observable output.
-CORPUS_GENERATOR_VERSION = 3
-
-
-def corpus_store_generation() -> str:
-    """Generation stamp for corpus-shaped store rows (``corpus`` /
-    ``corpus_ref``): the blueprint algo version plus the corpus generator
-    version, so ``repro-store gc`` can drop corpus rows stranded by
-    either bump."""
-    return f"{default_generation()}|corpus={CORPUS_GENERATOR_VERSION}"
-
-
-def _corpus_store_on() -> bool:
-    """Whether :func:`cached_corpora` puts corpora in the store."""
-    return shared_store().enabled and cache_enabled()
-
-
-def _corpus_store_key(dataset: str, **params) -> str | None:
-    if not _corpus_store_on():
-        return None
-    parts = [f"gen={CORPUS_GENERATOR_VERSION}"] + [
-        f"{name}={params[name]}" for name in sorted(params)
-    ]
-    return entry_key(dataset, "corpus", *parts)
-
-
-def _note_corpus_ref(dataset: str, corpus_key: str) -> None:
-    """Record that a live configuration uses ``corpus_key``.
-
-    The marker row (value = the corpus key it references) is what lets
-    ``repro-store gc`` distinguish corpora some current configuration
-    still loads from dead weight: every build *and* every warm load
-    writes/touches the ref, so a corpus with no current-generation ref
-    is provably unused by the harness.  Re-putting an existing ref just
-    refreshes its LRU stamp.
-    """
-    shared_store().put(
-        "corpus_ref",
-        entry_key(dataset, "corpus_ref", corpus_key),
-        dataset,
-        corpus_key,
-        generation=corpus_store_generation(),
-    )
-
-
-def cached_corpora(dataset: str, build: Callable[[], Any], **params):
-    """Build (or load) corpora through the persistent corpus cache.
-
-    See the module comment above for when the corpora are written.
-    """
-    key = _corpus_store_key(dataset, **params)
-    if key is None:
-        return build()
-    store = shared_store()
-    _note_corpus_ref(dataset, key)
-    stored = store.get("corpus", key)
-    if stored is not store.MISS:
-        active_timer().count("store.corpus.hit")
-        return stored
-    active_timer().count("store.corpus.miss")
-    corpora = build()
-    store.put(
-        "corpus", key, "corpus", corpora,
-        generation=corpus_store_generation(),
-    )
-    return corpora
-
-
 def flush_corpus_store() -> None:
-    """Persist the corpora (and everything else) put this run.
+    """Persist the programs put this run (the name predates the store
+    holding programs only).
 
     Benchmarks call it after the experiment (perfsuite's ``wall_s``
     includes it); the store's own ``atexit`` hook covers ad-hoc callers,
@@ -697,16 +617,9 @@ def m2h_corpora(
     seed: int = 0,
 ) -> dict[str, Corpus]:
     """Contemporary + longitudinal corpora sharing one training set
-    (:func:`paired_corpora`), through the corpus cache."""
-    return cached_corpora(
-        "m2h",
-        lambda: paired_corpora(
-            m2h.generate_corpus, provider, train_size, test_size, seed
-        ),
-        provider=provider,
-        train_size=train_size,
-        test_size=test_size,
-        seed=seed,
+    (:func:`paired_corpora`)."""
+    return paired_corpora(
+        m2h.generate_corpus, provider, train_size, test_size, seed
     )
 
 
@@ -779,28 +692,18 @@ def run_m2h_experiment(
 def m2h_contemporary_corpus(
     provider: str, train_size: int, test_size: int, seed: int
 ) -> Corpus:
-    """One contemporary-setting M2H corpus through the corpus cache.
+    """One contemporary-setting M2H corpus.
 
     The robustness and ablation drivers test on the contemporary period
-    only, so they cache a single corpus per configuration instead of the
-    contemporary+longitudinal pair :func:`m2h_corpora` holds.  The
-    ``setting`` parameter keeps these entries distinct from the pair
-    entries in the store.
+    only, so they build a single corpus per configuration instead of the
+    contemporary+longitudinal pair :func:`m2h_corpora` builds.
     """
-    return cached_corpora(
-        "m2h",
-        lambda: m2h.generate_corpus(
-            provider,
-            train_size=train_size,
-            test_size=test_size,
-            setting=CONTEMPORARY,
-            seed=seed,
-        ),
-        provider=provider,
+    return m2h.generate_corpus(
+        provider,
         train_size=train_size,
         test_size=test_size,
-        seed=seed,
         setting=CONTEMPORARY,
+        seed=seed,
     )
 
 
@@ -855,8 +758,8 @@ def run_m2h_robustness_experiment(
     ``seed + K`` and scores on that corpus's contemporary test split; the
     seed label lands in ``FieldResult.setting`` so the per-seed scores of
     one field task stay distinguishable.  Routed through the harness
-    layer — :func:`cached_corpora`, :func:`train_method`, the
-    ``REPRO_JOBS`` pool and ``REPRO_SHARD``.
+    layer — :func:`held`, :func:`train_method`, the ``REPRO_JOBS`` pool
+    and ``REPRO_SHARD``.
     """
     methods = list(methods) if methods is not None else [LrsynHtmlMethod()]
     train_size = train_size if train_size is not None else scaled(

@@ -30,8 +30,8 @@ run shards twice and forks eight ways.
 
 Round-robin assignment balances task *counts*, not seconds; it is the
 only scheduler.  Shards on one machine that share a ``REPRO_STORE_DIR``
-share a single warm sqlite store (:mod:`repro.store`) — blueprints,
-corpora and programs discovered by one shard are hits for the rest.
+share a single warm sqlite store (:mod:`repro.store`) — programs
+trained by one shard are hits for the rest.
 
 Command line (installed as ``repro-shard``)::
 

@@ -41,13 +41,13 @@ process answers diagnostics, it never unpickles-and-crashes:
 from __future__ import annotations
 
 import hashlib
+import pickle
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
 import repro.store as store_mod
 from repro.core.bitset import BitsetUniverse, bitset_enabled, jaccard_bits
 from repro.core.distance import jaccard_distance
-from repro.store.backend import decode_value
 
 try:  # Same optionality stance as repro.core.bitset.
     import numpy as _np
@@ -167,9 +167,9 @@ def load_catalog(store) -> ServingCatalog:
     unreadable = 0
     program_cache: dict[str, tuple[object | None, str | None]] = {}
     for key in sorted(rows):
-        blob, codec = rows[key]
+        blob, _codec = rows[key]
         try:
-            payload = decode_value(blob, codec)
+            payload = pickle.loads(blob)
             if not isinstance(payload, dict):
                 raise TypeError(f"serving row is {type(payload).__name__}")
             entry = CatalogEntry(
@@ -230,7 +230,7 @@ def _load_program(
     if row is None:
         return None, REASON_MISSING
     try:
-        value = decode_value(row[0], row[1])
+        value = pickle.loads(row[0])
     except Exception:
         return None, REASON_UNREADABLE
     if value == sentinel:

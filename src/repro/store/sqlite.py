@@ -1,4 +1,4 @@
-"""The sqlite store backend (the historical on-disk behavior).
+"""The sqlite file behind :class:`repro.store.BlueprintStore`.
 
 One database file (``blueprints.sqlite``) under the store directory,
 written in batched transactions under an advisory file lock so
@@ -6,14 +6,19 @@ concurrent CI jobs sharing a cache directory cannot corrupt it.  WAL
 mode + a 30 s busy timeout are the backstop on platforms without
 ``fcntl``.
 
+The backend only ever sees *rows* — ``(key, kind, substrate, blob,
+codec, size, generation)`` tuples whose blob is an already-pickled
+payload; the front owns keys, pickling and batching.
+
 Since schema v4 every row records its **generation** — the
-``algo=<BLUEPRINT_ALGO_VERSION>`` (plus, for corpus-shaped kinds, the
-corpus generator version) stamp current code would write it with — so
-``repro-store gc`` can enumerate and drop entries stranded by a version
-bump without reverse-engineering the key hashes.  v2/v3 databases
-migrate in place: the ``codec`` and ``generation`` columns are pure
-additions (old rows read as ``raw`` / unknown generation), so a warm CI
-cache survives the upgrade instead of recomputing from scratch.
+``algo=<BLUEPRINT_ALGO_VERSION>`` stamp current code would write it
+with — so ``repro-store gc`` can enumerate and drop entries stranded by
+a version bump without reverse-engineering the key hashes.  v2/v3
+databases migrate in place: the ``codec`` and ``generation`` columns
+are pure additions (old rows read as ``raw`` / unknown generation), so
+a warm CI cache survives the upgrade instead of recomputing from
+scratch.  Current code writes every row ``raw``; the column stays so
+older stores open unchanged.
 
 A corrupt or truncated database never kills the run: the first failing
 open/DDL degrades the backend to a disabled state — one warning, then
@@ -22,6 +27,7 @@ every read is a miss and every write a no-op, i.e. cold-path recompute.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import sqlite3
 import time
@@ -29,21 +35,20 @@ import warnings
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.store.backend import (
-    DB_NAME,
-    LOCK_NAME,
-    StoreBackend,
-    StoreRow,
-    file_lock,
-)
+# The on-disk artifacts (stable across releases so existing cache
+# directories keep working).
+DB_NAME = "blueprints.sqlite"
+LOCK_NAME = "store.lock"
+
+# One store row as the front ships it:
+# (key, kind, substrate, blob, codec, size, generation).
+StoreRow = tuple[str, str, str, bytes, str, int, str]
 
 # Bump when the sqlite layout itself changes.  (2: last_used + size
-# columns for LRU eviction and per-kind byte accounting.  3: codec
-# column for transparent blob compression.  4: generation column for
-# generation-aware GC.)  v2/v3 databases migrate in place — both new
-# columns are pure additions whose defaults describe the old rows
-# exactly; any other mismatch wipes the database on open rather than
-# attempting migration.
+# columns.  3: codec column.  4: generation column for generation-aware
+# GC.)  v2/v3 databases migrate in place — both new columns are pure
+# additions whose defaults describe the old rows exactly; any other
+# mismatch wipes the database on open rather than attempting migration.
 SCHEMA_VERSION = 4
 
 # sqlite's host-parameter limit is 999 in older builds; chunk IN (...)
@@ -51,8 +56,36 @@ SCHEMA_VERSION = 4
 _SELECT_CHUNK = 400
 
 
-class SqliteBackend(StoreBackend):
-    """Rows in one sqlite file, flushed under an advisory ``flock``."""
+@contextlib.contextmanager
+def file_lock(path: Path):
+    """Advisory exclusive lock for cross-process write serialization.
+
+    Uses ``fcntl.flock`` where available (Linux/macOS — including every CI
+    runner this repo targets); on platforms without ``fcntl`` it degrades
+    to sqlite's own locking, which still guarantees consistency, just with
+    busy-retry instead of blocking.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        import fcntl
+    except ImportError:  # pragma: no cover - non-POSIX fallback
+        yield
+        return
+    with open(path, "a+b") as handle:
+        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        try:
+            yield
+        finally:
+            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
+
+
+class SqliteBackend:
+    """Rows in one sqlite file, flushed under an advisory ``flock``.
+
+    Tolerant rather than fatal: a damaged or unreachable database
+    degrades to misses and dropped writes (cold-path recompute) — it
+    never kills the experiment using it.
+    """
 
     name = "sqlite"
 
@@ -176,6 +209,12 @@ class SqliteBackend(StoreBackend):
     def get_many(
         self, kind: str, keys: Sequence[str] | None = None
     ) -> dict[str, tuple[bytes, str]]:
+        """Rows of ``kind`` as ``{key: (blob, codec)}``.
+
+        ``keys=None`` reads the whole kind (the front's hydration);
+        an explicit list performs batched point lookups (the serving
+        router's program reads).  Missing keys are simply absent.
+        """
         conn = self._connect()
         if conn is None:
             return {}
@@ -206,146 +245,34 @@ class SqliteBackend(StoreBackend):
         return result
 
     # -- writes ----------------------------------------------------------
-    def put_many(self, rows: Sequence[StoreRow]) -> None:
-        self.commit(rows, ())
+    def commit(self, rows: Sequence[StoreRow], stamps: Iterable[str]) -> None:
+        """Upsert ``rows`` in one transaction under the file lock.
 
-    def touch_many(self, keys: Iterable[str]) -> None:
-        self.commit((), keys)
-
-    def commit(
-        self,
-        rows: Sequence[StoreRow],
-        stamps: Iterable[str],
-        budget: int | None = None,
-        protected: frozenset[str] | set[str] = frozenset(),
-    ) -> None:
+        ``stamps`` is always empty from the front; the two-argument call
+        is the shape perfsuite's row counter wraps.
+        """
         conn = self._connect()
-        if conn is None:
+        if conn is None or not rows:
             return
         now = time.time()
         db_rows = [
             (key, kind, substrate, blob, now, now, size, codec, generation)
             for key, kind, substrate, blob, codec, size, generation in rows
         ]
-        written = {row[0] for row in db_rows}
-        stamp_rows = [(now, key) for key in stamps if key not in written]
-        if not db_rows and not stamp_rows:
-            return
         with file_lock(self._lock_path):
-            if db_rows:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO entries VALUES"
-                    " (?, ?, ?, ?, ?, ?, ?, ?, ?)",
-                    db_rows,
-                )
-            if stamp_rows:
-                conn.executemany(
-                    "UPDATE entries SET last_used = ? WHERE key = ?",
-                    stamp_rows,
-                )
-            conn.commit()
-            if db_rows and budget is not None:
-                try:
-                    self._evict_locked(conn, budget, protected)
-                except sqlite3.OperationalError:
-                    # VACUUM needs exclusivity; under reader contention
-                    # from a concurrent job, skip — the budget is cache
-                    # hygiene, and the next flush/evict retries.
-                    pass
-
-    # -- eviction --------------------------------------------------------
-    def evict(
-        self,
-        budget: int,
-        protected: frozenset[str] | set[str] = frozenset(),
-    ) -> tuple[int, int]:
-        conn = self._connect()
-        if conn is None:
-            return (0, 0)
-        with file_lock(self._lock_path):
-            try:
-                return self._evict_locked(conn, budget, protected)
-            except sqlite3.OperationalError:
-                return (0, 0)
-
-    def _evict_locked(
-        self,
-        conn: sqlite3.Connection,
-        budget: int,
-        protected: frozenset[str] | set[str],
-    ) -> tuple[int, int]:
-        """LRU deletion under the already-held file lock, then VACUUM.
-
-        Candidates are ordered oldest-``last_used`` first (``created``
-        and key as deterministic tie-breaks); ``protected`` keys (the
-        calling run's working set) are always skipped.  The first pass
-        trims by payload accounting; the file is then VACUUMed, the WAL
-        folded back in, and — because sqlite page/overflow overhead
-        makes the file larger than the payload — further passes keep
-        trimming the LRU tail until the *on-disk file* fits the budget
-        or only protected entries remain.
-
-        Eviction triggers at ``budget`` but trims down to ~90% of it:
-        the hysteresis means a store hovering at its budget pays one
-        VACUUM (a whole-file rewrite) per ~10%-of-budget of fresh
-        writes, not one per flush.
-        """
-        evicted = 0
-        evicted_bytes = 0
-        target = budget - budget // 10
-        payload = conn.execute(
-            "SELECT COALESCE(SUM(size), 0) FROM entries"
-        ).fetchone()[0]
-        excess = payload - target if payload > budget else 0
-        while excess > 0:
-            rows = conn.execute(
-                "SELECT key, size FROM entries"
-                " ORDER BY last_used ASC, created ASC, key ASC"
-            ).fetchall()
-            doomed: list[tuple[str, int]] = []
-            remaining = excess
-            for key, size in rows:
-                if remaining <= 0:
-                    break
-                if key in protected:
-                    continue
-                doomed.append((key, size))
-                remaining -= size
-            if not doomed:
-                break
             conn.executemany(
-                "DELETE FROM entries WHERE key = ?",
-                [(key,) for key, _ in doomed],
+                "INSERT OR REPLACE INTO entries VALUES"
+                " (?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                db_rows,
             )
             conn.commit()
-            evicted += len(doomed)
-            evicted_bytes += sum(size for _, size in doomed)
-            if not self._vacuum(conn):
-                # Deletes are durable; space reclaim retries on the next
-                # evict/flush (the freelist pass below picks it up).
-                return (evicted, evicted_bytes)
-            file_size = self.path.stat().st_size
-            excess = file_size - target if file_size > budget else 0
-        if (
-            evicted == 0
-            and self.path.exists()
-            and self.path.stat().st_size > budget
-            and conn.execute("PRAGMA freelist_count").fetchone()[0] > 0
-        ):
-            # The payload fits the budget but the file does not, and free
-            # pages exist (e.g. an earlier VACUUM was skipped under
-            # contention): reclaim them.  Gating on the freelist keeps
-            # this from re-VACUUMing every flush when the file is over
-            # budget purely because protected entries exceed it.
-            self._vacuum(conn)
-        return (evicted, evicted_bytes)
 
     def _vacuum(self, conn: sqlite3.Connection) -> bool:
         """VACUUM + fold the WAL back in; False under reader contention.
 
         VACUUM needs exclusive access; concurrent jobs' readers do not
-        take the file lock, so contention is tolerated (the budget is
-        cache hygiene, not correctness) rather than raised.
+        take the file lock, so contention is tolerated (reclaiming space
+        is hygiene, not correctness) rather than raised.
         """
         try:
             conn.execute("VACUUM")
@@ -356,6 +283,11 @@ class SqliteBackend(StoreBackend):
 
     # -- GC primitives ---------------------------------------------------
     def scan(self) -> list[tuple[str, str, str, int, str]]:
+        """Every row's metadata: ``(key, kind, substrate, size, generation)``.
+
+        GC's enumeration primitive — no blobs, so a large store scans
+        cheaply.
+        """
         conn = self._connect()
         if conn is None:
             return []
@@ -368,6 +300,7 @@ class SqliteBackend(StoreBackend):
             return []
 
     def delete_many(self, keys: Sequence[str]) -> tuple[int, int]:
+        """Delete ``keys``, then VACUUM; ``(deleted_entries, bytes)``."""
         conn = self._connect()
         if conn is None or not keys:
             return (0, 0)
@@ -394,6 +327,8 @@ class SqliteBackend(StoreBackend):
 
     # -- hygiene ---------------------------------------------------------
     def stats(self) -> dict:
+        """Raw aggregates: ``path``, ``entries``, ``by_kind`` (with
+        per-generation counts), ``payload_bytes``, ``bytes``."""
         counts: dict[str, dict] = {}
         total = 0
         payload = 0
@@ -448,9 +383,3 @@ class SqliteBackend(StoreBackend):
         if self._conn is not None and self._pid == os.getpid():
             self._conn.close()
         self._conn = None
-
-    def reopen(self) -> "SqliteBackend":
-        # Post-fork: drop (never close) the parent's connection.
-        self._conn = None
-        self._pid = os.getpid()
-        return self

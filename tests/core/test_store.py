@@ -3,17 +3,15 @@
 import pickle
 import sqlite3
 
-import pytest
-
 import repro.store as store_mod
 from repro.store import (
     BlueprintStore,
     entry_key,
-    file_lock,
     shared_store,
     store_dir,
     store_enabled,
 )
+from repro.store.sqlite import file_lock
 from repro.core.caching import DistanceCache
 from repro.html.domain import HtmlDomain
 from repro.html.parser import parse_html
@@ -233,6 +231,49 @@ class TestHygiene:
         assert reopened.get("dist", "bad") is BlueprintStore.MISS
         assert reopened.get("dist", "good") == 0.5
 
+    def test_v2_store_migrates_in_place(self, tmp_path):
+        """A schema-v2 database (pre-codec) keeps its entries readable."""
+        directory = tmp_path / "store"
+        directory.mkdir(parents=True)
+        conn = sqlite3.connect(directory / "blueprints.sqlite")
+        conn.execute(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        )
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '2')")
+        conn.execute(
+            "CREATE TABLE entries ("
+            " key TEXT PRIMARY KEY, kind TEXT NOT NULL,"
+            " substrate TEXT NOT NULL, value BLOB NOT NULL,"
+            " created REAL NOT NULL, last_used REAL NOT NULL,"
+            " size INTEGER NOT NULL)"
+        )
+        for key, kind, value in (
+            ("p", "program", "extractor"),
+            ("d", "dist", 0.5),
+        ):
+            blob = pickle.dumps(value)
+            conn.execute(
+                "INSERT INTO entries VALUES (?, ?, 'html', ?, 0, 0, ?)",
+                (key, kind, blob, len(blob)),
+            )
+        conn.commit()
+        conn.close()
+
+        store = BlueprintStore(directory=directory, enabled=True)
+        # Old entries are served (codec defaulted to raw)...
+        assert store.get("program", "p") == "extractor"
+        assert store.get("dist", "d") == 0.5
+        assert store.stats()["schema_version"] == store_mod.SCHEMA_VERSION
+        # ...and new writes land alongside them.
+        store.put("program", "new", "html", "other")
+        store.flush()
+        rows = dict(
+            store._connect().execute(
+                "SELECT key, codec FROM entries WHERE kind = 'program'"
+            ).fetchall()
+        )
+        assert rows == {"p": "raw", "new": "raw"}
+
     def test_file_lock_serializes(self, tmp_path):
         # Smoke test: the lock context is reentrant-free and releases.
         lock = tmp_path / "store.lock"
@@ -261,126 +302,3 @@ class TestCli:
         assert store_mod.main(["--dir", str(tmp_path / "store"), "clear"]) == 0
         assert "cleared 1 entries" in capsys.readouterr().out
         assert make_store(tmp_path).get("dist", "k") is BlueprintStore.MISS
-
-
-def _corpus_like_value():
-    """A corpus-shaped payload with the redundancy real corpora have."""
-    documents = [
-        f"<html><body><table><tr><td>Depart:</td><td>{hour}:{minute:02d} PM"
-        "</td></tr><tr><td>Arrive:</td><td>LAX</td></tr></table>"
-        "</body></html>"
-        for hour in range(1, 11)
-        for minute in range(0, 60, 7)
-    ]
-    return (False, documents)
-
-
-class TestCompression:
-    def test_corpus_kind_round_trips_compressed(self, tmp_path):
-        value = _corpus_like_value()
-        store = make_store(tmp_path)
-        store.put("corpus", "k", "corpus", value)
-        store.flush()
-        row = store._connect().execute(
-            "SELECT codec, size, value FROM entries WHERE key = 'k'"
-        ).fetchone()
-        assert row[0] == "zlib"
-        assert row[1] == len(row[2])
-        # The acceptance bar: the stored footprint shrinks >= 2x vs the
-        # raw pickle the store used to write.
-        assert row[1] * 2 <= len(pickle.dumps(value))
-        store.close()
-        # Cross-instance read decodes per the row's codec.
-        assert make_store(tmp_path).get("corpus", "k") == value
-
-    def test_small_kinds_stay_raw(self, tmp_path):
-        store = make_store(tmp_path)
-        store.put("dist", "k", "html", 0.25)
-        store.flush()
-        codec = store._connect().execute(
-            "SELECT codec FROM entries WHERE key = 'k'"
-        ).fetchone()[0]
-        assert codec == "raw"
-
-    def test_codec_knob_disables_compression(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_CODEC", "raw")
-        store = make_store(tmp_path)
-        value = _corpus_like_value()
-        store.put("corpus", "k", "corpus", value)
-        store.flush()
-        codec = store._connect().execute(
-            "SELECT codec FROM entries WHERE key = 'k'"
-        ).fetchone()[0]
-        assert codec == "raw"
-        store.close()
-        # Raw rows read back fine with the knob unset again.
-        monkeypatch.delenv("REPRO_STORE_CODEC")
-        assert make_store(tmp_path).get("corpus", "k") == value
-
-    def test_codec_knob_rejects_unknown(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_CODEC", "lz4")
-        with pytest.raises(ValueError, match="REPRO_STORE_CODEC"):
-            store_mod.store_codec()
-
-    def test_v2_store_migrates_in_place(self, tmp_path):
-        """A schema-v2 database (pre-codec) keeps its entries readable."""
-        directory = tmp_path / "store"
-        directory.mkdir(parents=True)
-        conn = sqlite3.connect(directory / "blueprints.sqlite")
-        conn.execute(
-            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)"
-        )
-        conn.execute("INSERT INTO meta VALUES ('schema_version', '2')")
-        conn.execute(
-            "CREATE TABLE entries ("
-            " key TEXT PRIMARY KEY, kind TEXT NOT NULL,"
-            " substrate TEXT NOT NULL, value BLOB NOT NULL,"
-            " created REAL NOT NULL, last_used REAL NOT NULL,"
-            " size INTEGER NOT NULL)"
-        )
-        old_corpus = _corpus_like_value()
-        for key, kind, value in (
-            ("c", "corpus", old_corpus),
-            ("d", "dist", 0.5),
-        ):
-            blob = pickle.dumps(value)
-            conn.execute(
-                "INSERT INTO entries VALUES (?, ?, 'html', ?, 0, 0, ?)",
-                (key, kind, blob, len(blob)),
-            )
-        conn.commit()
-        conn.close()
-
-        store = BlueprintStore(directory=directory, enabled=True)
-        # Old uncompressed entries are served (codec defaulted to raw)...
-        assert store.get("corpus", "c") == old_corpus
-        assert store.get("dist", "d") == 0.5
-        assert store.stats()["schema_version"] == store_mod.SCHEMA_VERSION
-        # ...and new corpus writes compress alongside them.
-        store.put("corpus", "new", "corpus", old_corpus)
-        store.flush()
-        codecs = dict(
-            store._connect().execute(
-                "SELECT key, codec FROM entries WHERE kind = 'corpus'"
-            ).fetchall()
-        )
-        assert codecs == {"c": "raw", "new": "zlib"}
-
-    def test_eviction_budgets_against_compressed_bytes(self, tmp_path):
-        """A budget that fits the compressed payload evicts nothing, even
-        though the raw pickles would blow it many times over."""
-        value = _corpus_like_value()
-        raw_size = len(pickle.dumps(value))
-        store = make_store(tmp_path)
-        for index in range(4):
-            store.put("corpus", f"k{index}", "corpus", (index, value))
-        store.flush()
-        payload = store.stats()["payload_bytes"]
-        assert payload * 2 <= 4 * raw_size
-        # Forget the touched-key protection so eviction *could* act.
-        store._touched = set()
-        budget = max(payload * 2, 4096)
-        assert budget < 4 * raw_size
-        evicted, _ = store.evict(budget)
-        assert evicted == 0
-        assert store.stats()["entries"] == 4

@@ -6,6 +6,7 @@ import weakref
 import pytest
 
 from repro.core.caching import StageTimer, use_timer
+from repro.datasets.base import CONTEMPORARY
 from repro.harness import runner
 from repro.harness.runner import (
     GC_THRESHOLDS,
@@ -132,9 +133,9 @@ class TestPolicyWindow:
         held(load, "a")
         held(load, "b")
         runner._drop_held()
-        # Without the store nothing else keeps a dropped corpus, so each
-        # drop also collects the cycles it leaves behind; with it, the
-        # store front keeps every corpus and a collection would be waste.
+        # Without the store each drop also collects the cycles it leaves
+        # behind; with the store and REPRO_CACHE on, the cycles wait for
+        # the collector's own schedule (see runner._drop_held).
         drop = ["unfreeze", "collect"] if store == "0" else ["unfreeze"]
         assert calls == [
             "unfreeze", "load a", "freeze",
@@ -158,6 +159,23 @@ class TestPolicyWindow:
         assert ref() is None
         runner._drop_held()
         assert gc.get_freeze_count() == 0
+
+
+class TestNothingElseHoldsACorpus:
+    def test_dropped_corpus_is_collectable_with_the_store_on(
+        self, default_gc, monkeypatch, tmp_path
+    ):
+        """The store keeps programs only: once held() drops a corpus,
+        no store table keeps its documents alive."""
+        monkeypatch.setenv("REPRO_STORE", "1")
+        monkeypatch.setenv("REPRO_CACHE", "1")
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        corpora = held(runner.m2h_corpora, "getthere", 3, 4, 0)
+        ref = weakref.ref(corpora[CONTEMPORARY].test[0].doc)
+        del corpora
+        runner._drop_held()
+        gc.collect()
+        assert ref() is None
 
 
 class TestPauseCounters:

@@ -1,12 +1,11 @@
 """Image-table persistence: warm image runs must skip training.
 
 Mirror of ``tests/harness/test_program_store.py`` for the image domain —
-plus the invariants it depends on: content fingerprints must survive the
-pickle round-trip the corpus store performs (historically broken: the
-``ImageDocument._order`` map is keyed by process-local ids), symmetric
-metrics must serve both orientations from one in-memory cache entry while
-the image domain's asymmetric BoxSummary metric must keep orientations
-separate.
+plus the invariants it depends on: content fingerprints must survive a
+pickle round-trip (historically broken: the ``ImageDocument._order`` map
+is keyed by process-local ids), symmetric metrics must serve both
+orientations from one in-memory cache entry while the image domain's
+asymmetric BoxSummary metric must keep orientations separate.
 """
 
 import math
@@ -27,6 +26,7 @@ from repro.html.parser import parse_html
 from repro.images import blueprint as bp
 from repro.images.boxes import DIRECTIONS
 from repro.images.domain import ImageDomain
+from tests.harness.test_bench_experiment_store import assert_trained_nothing
 
 
 def assert_identical(first, second):
@@ -80,9 +80,8 @@ class TestFingerprintStability:
 
     def test_neighbour_table_stays_out_of_pickles(self):
         """Neighbour queries fill the document's neighbour table; neither
-        the document's nor the corpus's pickled bytes (what the corpus
-        store writes) may change, and an unpickled copy must answer
-        every query the same way."""
+        the document's nor the corpus's pickled bytes may change, and an
+        unpickled copy must answer every query the same way."""
         corpus = finance.generate_corpus(
             "CashInvoice", train_size=2, test_size=1, seed=0
         )
@@ -153,8 +152,7 @@ class TestWarmImageRuns:
         # Every training request — both methods, every field — must be
         # served from the store: the warm image table skips synthesis.
         assert warm_timer.counters.get("store.program.hit", 0) > 0
-        assert warm_timer.counters.get("store.program.miss", 0) == 0
-        assert warm_timer.counters.get("store.corpus.hit", 0) > 0
+        assert_trained_nothing(warm_timer)
 
     def test_warm_m2h_images_run_skips_training(self, tmp_path, monkeypatch):
         store_dir = tmp_path / "imgstore2"
@@ -171,7 +169,7 @@ class TestWarmImageRuns:
                 methods, providers=["getthere"], train_size=3, test_size=4
             )
         assert_identical(cold, warm)
-        assert warm_timer.counters.get("store.program.miss", 0) == 0
+        assert_trained_nothing(warm_timer)
         assert warm_timer.counters.get("store.program.hit", 0) == len(
             m2h_images.fields_for("getthere")
         )

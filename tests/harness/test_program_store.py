@@ -1,4 +1,4 @@
-"""Persistent program/corpus store: warm runs must be score-identical."""
+"""Persistent program store: warm runs must be score-identical."""
 
 import math
 
@@ -10,6 +10,7 @@ from repro.harness.runner import (
     flush_corpus_store,
     run_m2h_experiment,
 )
+from tests.harness.test_bench_experiment_store import assert_trained_nothing
 
 
 def result_keys(results):
@@ -29,7 +30,7 @@ def assert_identical(first, second):
 
 
 class TestWarmRunsIdentical:
-    def test_program_and_corpus_store_round_trip(self, tmp_path, monkeypatch):
+    def test_program_store_round_trip(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "1")
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
         monkeypatch.setenv("REPRO_CACHE", "1")
@@ -45,8 +46,8 @@ class TestWarmRunsIdentical:
         assert cold_timer.counters.get("store.program.miss", 0) > 0
 
         # Second run: same process, but every lrsyn/NDSyn training request
-        # must be served from the persistent program store, and the corpus
-        # from the corpus store — with byte-identical scores.
+        # must be served from the persistent program store — with
+        # byte-identical scores.
         warm_timer = StageTimer()
         with use_timer(warm_timer):
             warm = run_m2h_experiment(
@@ -54,15 +55,12 @@ class TestWarmRunsIdentical:
             )
         assert_identical(cold, warm)
         assert warm_timer.counters.get("store.program.hit", 0) > 0
-        assert warm_timer.counters.get("store.program.miss", 0) == 0
-        assert warm_timer.counters.get("store.corpus.hit", 0) > 0
+        assert_trained_nothing(warm_timer)
 
-    def test_cold_run_stores_only_programs_and_corpora(
-        self, tmp_path, monkeypatch
-    ):
-        """Blueprints, distances and landmark lists stay in memory: a cold
-        run writes program, corpus and corpus_ref rows only, and that is
-        all its warm rerun needs."""
+    def test_cold_run_stores_only_programs(self, tmp_path, monkeypatch):
+        """Corpora, blueprints, distances and landmark lists stay in
+        memory: a cold run writes program rows only, and that is all its
+        warm rerun needs."""
         flush_corpus_store()  # flush earlier tests' pending puts
         store_dir = tmp_path / "only"
         monkeypatch.setenv("REPRO_STORE", "1")
@@ -82,7 +80,7 @@ class TestWarmRunsIdentical:
             bucket.split("/", 1)[1]
             for bucket in shared_store().stats()["by_kind"]
         }
-        assert kinds == {"program", "corpus", "corpus_ref"}
+        assert kinds == {"program"}
 
         # A fresh store front: the rerun reads everything from sqlite.
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "rotate"))
@@ -131,12 +129,11 @@ class TestWarmRunsIdentical:
 
 
 class TestWarmRetrain:
-    def test_retraining_on_stored_corpora_matches_cold(
+    def test_retraining_on_rebuilt_corpora_matches_cold(
         self, tmp_path, monkeypatch
     ):
-        """A warm run that must retrain synthesizes, on unpickled
-        documents, exactly the programs the cold run synthesized on the
-        live ones."""
+        """A warm run that must retrain synthesizes, on corpora built
+        afresh, exactly the programs the cold run synthesized."""
         flush_corpus_store()  # flush earlier tests' pending puts
         store_dir = tmp_path / "store"
         monkeypatch.setenv("REPRO_STORE", "1")
@@ -174,10 +171,9 @@ class TestWarmRetrain:
         with use_timer(warm_timer):
             warm = run()
         flush_corpus_store()
-        assert warm_timer.counters.get("store.corpus.hit", 0) > 0
         assert warm_timer.counters.get("store.program.miss", 0) > 0
         assert warm_timer.counters.get("store.program.hit", 0) == 0
-        assert "corpus" not in written
+        assert set(written) == {"program"}
         assert_identical(cold, warm)
         # Every retrained program equals the one the cold run trained.
         assert all(r.extractor is not None for r in cold)

@@ -13,6 +13,7 @@ import pytest
 
 from repro.datasets import forge, m2h
 from repro.datasets.base import CONTEMPORARY, LONGITUDINAL, SETTINGS
+from repro.harness import forge as harness_forge, runner
 from repro.harness.forge import forge_corpora, run_forge_html_experiment
 from repro.harness.runner import (
     ForgivingXPathsMethod,
@@ -67,21 +68,21 @@ def snapshot(corpora):
     ]
 
 
-@pytest.fixture
-def store_on(tmp_path, monkeypatch):
-    # With the store on, the experiment's corpus load returns the very
-    # corpora built by the test (the pending store row).
-    monkeypatch.setenv("REPRO_STORE", "1")
-    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-    monkeypatch.setenv("REPRO_CACHE", "1")
+def serve(monkeypatch, module, name, corpora):
+    """Make the experiment load ``corpora``, the very objects the test
+    built, wherever its driver looks ``name`` up, and train on them
+    (no stored program stands in)."""
     monkeypatch.setenv("REPRO_JOBS", "1")
+    monkeypatch.setenv("REPRO_STORE", "0")
+    monkeypatch.setattr(module, name, lambda *key: corpora)
 
 
-def test_m2h_experiment_leaves_the_shared_list_alone(store_on):
+def test_m2h_experiment_leaves_the_shared_list_alone(monkeypatch):
     corpora = m2h_corpora("getthere", train_size=4, test_size=5, seed=0)
     train = corpora[CONTEMPORARY].train
     assert corpora[LONGITUDINAL].train is train
     before = snapshot(corpora)
+    serve(monkeypatch, runner, "m2h_corpora", corpora)
     results = run_m2h_experiment(
         [ForgivingXPathsMethod(), NdsynMethod(), LrsynHtmlMethod()],
         providers=["getthere"], train_size=4, test_size=5,
@@ -94,12 +95,13 @@ def test_m2h_experiment_leaves_the_shared_list_alone(store_on):
     assert snapshot(corpora) == before
 
 
-def test_forge_experiment_leaves_the_shared_list_alone(store_on):
+def test_forge_experiment_leaves_the_shared_list_alone(monkeypatch):
     provider = forge.forge_providers()[0]
     corpora = forge_corpora(provider, 3, 4, 0)
     train = corpora[CONTEMPORARY].train
     assert corpora[LONGITUDINAL].train is train
     before = snapshot(corpora)
+    serve(monkeypatch, harness_forge, "forge_corpora", corpora)
     field = forge.fields_for(provider)[0]
     run_forge_html_experiment(
         [NdsynMethod(), LrsynHtmlMethod()], train_size=3, test_size=4,

@@ -225,9 +225,10 @@ def test_missing_and_unreadable_programs(tmp_path):
         programs={"pk": FixedExtractor(["v"])},
     )
     # A blob that is not a pickle at all.
-    store.backend.put_many(
+    store.backend.commit(
         [("garbage", "program", "html", b"\x00not-a-pickle", "raw", 14,
-          store_mod.default_generation())]
+          store_mod.default_generation())],
+        (),
     )
     router = Router(load_catalog(store))
     reasons = {

@@ -1,4 +1,4 @@
-"""`repro-store` CLI: stats --json, gc, evict guard rails, module entry."""
+"""`repro-store` CLI: stats --json, gc, module entry."""
 
 import json
 import os
@@ -89,16 +89,6 @@ class TestGcCommand:
         assert report["stale"]["by_kind"] == {"html/program": 1}
         assert report["deleted_entries"] == 1
         assert not report["dry_run"]
-
-
-class TestEvictGuard:
-    def test_no_budget_anywhere_is_an_error(self, tmp_path, capsys,
-                                            monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_MAX_MB", raising=False)
-        directory = seeded_dir(tmp_path)
-        assert main(["--dir", str(directory), "evict"]) == 2
-        out = capsys.readouterr().out
-        assert "no budget" in out
 
 
 class TestModuleEntryPoint:

@@ -19,22 +19,22 @@ WRITER = """
 import sys
 from repro.store import BlueprintStore
 
-directory, backend, start, count = sys.argv[1:5]
-store = BlueprintStore(directory=directory, enabled=True, backend=backend)
+directory, start, count = sys.argv[1:4]
+store = BlueprintStore(directory=directory, enabled=True)
 for i in range(int(start), int(start) + int(count)):
     store.put("dist", "k%d" % i, "html", float(i))
 store.close()
 """
 
 
-def run_writers(directory, backend):
+def run_writers(directory):
     """Two concurrent processes writing overlapping ranges 0-49 and 25-74."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[2] / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     procs = [
         subprocess.Popen(
-            [sys.executable, "-c", WRITER, str(directory), backend,
+            [sys.executable, "-c", WRITER, str(directory),
              str(start), "50"],
             env=env,
             stdout=subprocess.PIPE,
@@ -55,7 +55,7 @@ def assert_union_present(store):
 class TestSqliteMultiWriter:
     def test_overlapping_flushes_lose_no_entries(self, tmp_path):
         directory = tmp_path / "shared"
-        run_writers(directory, "sqlite")
+        run_writers(directory)
         reader = BlueprintStore(directory=directory, enabled=True)
         assert_union_present(reader)
         first = reader.stats()
@@ -91,7 +91,7 @@ class TestGcVsWarmReader:
         # cache reset, from the backend itself.
         for index in range(10):
             assert reader.get("program", f"warm{index}") == float(index)
-        reader._forget_unprotected()
+        reader._forget()
         for index in range(10):
             assert reader.get("program", f"warm{index}") == float(index)
         reader.close()

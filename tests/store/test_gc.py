@@ -1,39 +1,18 @@
-"""Generation-aware GC: stale generations, corpus liveness, acceptance."""
+"""Generation-aware GC: retired kinds, stale generations, acceptance."""
 
 import math
-
-import pytest
+import pickle
+import sqlite3
+import zlib
 
 import repro.store as store_mod
-from repro.store import BlueprintStore, default_generation, entry_key
-from repro.store.gc import plan_gc, run_gc
+from repro.store import BlueprintStore, entry_key
+from repro.store.cli import main as store_cli
+from repro.store.gc import RETIRED_KINDS, plan_gc, run_gc
 
 
 def make_store(tmp_path):
     return BlueprintStore(directory=tmp_path / "store", enabled=True)
-
-
-def corpus_gen():
-    from repro.harness.runner import corpus_store_generation
-
-    return corpus_store_generation()
-
-
-def put_corpus(store, key, payload="corpus-data"):
-    store.put(
-        "corpus", key, "corpus", [payload] * 20,
-        generation=corpus_gen(),
-    )
-
-
-def put_ref(store, corpus_key):
-    store.put(
-        "corpus_ref",
-        entry_key("ds", "corpus_ref", corpus_key),
-        "ds",
-        corpus_key,
-        generation=corpus_gen(),
-    )
 
 
 class TestStalePass:
@@ -74,7 +53,7 @@ class TestStalePass:
 
 
 class TestRetiredKinds:
-    RETIRED = ("doc_bp", "roi_bp", "dist", "landmark")
+    RETIRED = tuple(sorted(RETIRED_KINDS))
 
     def test_retired_kinds_dropped_live_kinds_kept(self, tmp_path):
         store = make_store(tmp_path)
@@ -83,20 +62,19 @@ class TestRetiredKinds:
             store.put(kind, f"{kind}-old", "html", 0.5, generation="algo=1")
         store.put("program", "prog", "html", "extractor")
         store.put("serving", "catalog", "html", {"programs": []})
-        put_corpus(store, "live")
-        put_ref(store, "live")
         report = run_gc(store)
-        assert report["retired"]["entries"] == 8
+        retired = 2 * len(self.RETIRED)
+        assert report["retired"]["entries"] == retired
         assert report["retired"]["by_kind"] == {
             f"html/{kind}": 2 for kind in self.RETIRED
         }
         assert report["stale"]["entries"] == 0
-        assert report["deleted_entries"] == 8
+        assert report["deleted_entries"] == retired
         kinds = {
             bucket.split("/", 1)[1] for bucket in store.stats()["by_kind"]
         }
-        assert kinds == {"program", "serving", "corpus", "corpus_ref"}
-        assert store.stats()["entries"] == 4
+        assert kinds == {"program", "serving"}
+        assert store.stats()["entries"] == 2
         assert store.get("program", "prog") == "extractor"
 
     def test_warm_run_over_a_collected_store_is_identical(
@@ -126,14 +104,15 @@ class TestRetiredKinds:
         for index, kind in enumerate(self.RETIRED * 5):
             store.put(kind, f"{kind}{index}", "html", frozenset({index}))
         store.flush()
-        live = store.stats()["entries"] - 20
+        retired = 5 * len(self.RETIRED)
+        live = store.stats()["entries"] - retired
 
         gc_store = BlueprintStore(directory=store_dir, enabled=True)
         report = run_gc(gc_store)
         after = gc_store.stats()
         gc_store.close()
-        assert report["retired"]["entries"] == 20
-        assert report["deleted_entries"] == 20
+        assert report["retired"]["entries"] == retired
+        assert report["deleted_entries"] == retired
         assert after["entries"] == live
         assert not any(
             bucket.split("/", 1)[1] in self.RETIRED
@@ -160,55 +139,64 @@ class TestRetiredKinds:
                 assert (math.isnan(a) and math.isnan(b)) or a == b
 
 
-class TestCorpusLiveness:
-    def test_unreferenced_corpus_dropped_referenced_kept(self, tmp_path):
-        store = make_store(tmp_path)
-        put_corpus(store, "live")
-        put_corpus(store, "dead")
-        put_ref(store, "live")
-        report = run_gc(store)
-        assert report["unreferenced_corpora"]["entries"] == 1
-        assert store.get("corpus", "live") is not BlueprintStore.MISS
-        assert store.get("corpus", "dead") is BlueprintStore.MISS
+class TestParentStore:
+    """A store written before corpora left the store opens and is
+    cleaned: its rows are shaped exactly as that code wrote them."""
 
-    def test_dangling_refs_removed(self, tmp_path):
-        store = make_store(tmp_path)
-        put_corpus(store, "live")
-        put_ref(store, "live")
-        put_ref(store, "vanished")
-        report = run_gc(store)
-        assert report["dangling_refs"]["entries"] == 1
-        assert report["unreferenced_corpora"]["entries"] == 0
-        assert store.get("corpus", "live") is not BlueprintStore.MISS
+    GENERATION = f"algo={store_mod.BLUEPRINT_ALGO_VERSION}"
+    CORPUS_GENERATION = f"{GENERATION}|corpus=3"
 
-    def test_refless_store_skips_the_liveness_pass(self, tmp_path):
-        """A store with corpora but zero refs was not populated through
-        the harness: treat liveness as unknowable, delete nothing."""
-        store = make_store(tmp_path)
-        put_corpus(store, "handmade")
-        report = run_gc(store)
-        assert report["skipped_unreferenced_pass"]
-        assert report["deleted_entries"] == 0
-        assert store.get("corpus", "handmade") is not BlueprintStore.MISS
+    def seed(self, directory):
+        directory.mkdir(parents=True)
+        conn = sqlite3.connect(directory / "blueprints.sqlite")
+        conn.execute(
+            "CREATE TABLE meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)"
+        )
+        conn.execute("INSERT INTO meta VALUES ('schema_version', '4')")
+        conn.execute(
+            "CREATE TABLE entries (key TEXT PRIMARY KEY,"
+            " kind TEXT NOT NULL, substrate TEXT NOT NULL,"
+            " value BLOB NOT NULL, created REAL NOT NULL,"
+            " last_used REAL NOT NULL, size INTEGER NOT NULL,"
+            " codec TEXT NOT NULL DEFAULT 'raw',"
+            " generation TEXT NOT NULL DEFAULT '')"
+        )
+        corpus_key = entry_key("m2h", "corpus", "gen=3", "provider=delta")
+        program_key = entry_key("html", "program", "LRSyn", "fp")
+        corpus = zlib.compress(pickle.dumps({"train": ["<p>x</p>"] * 40}), 6)
+        rows = [
+            (corpus_key, "corpus", "corpus", corpus, "zlib",
+             self.CORPUS_GENERATION),
+            (entry_key("m2h", "corpus_ref", corpus_key), "corpus_ref", "m2h",
+             pickle.dumps(corpus_key), "raw", self.CORPUS_GENERATION),
+            (program_key, "program", "html", pickle.dumps("extractor"),
+             "raw", self.GENERATION),
+        ]
+        conn.executemany(
+            "INSERT INTO entries VALUES (?, ?, ?, ?, 0, 0, ?, ?, ?)",
+            [(key, kind, substrate, blob, len(blob), codec, generation)
+             for key, kind, substrate, blob, codec, generation in rows],
+        )
+        conn.commit()
+        conn.close()
+        return corpus_key, program_key
 
-    def test_cached_corpora_writes_ref_markers(self, tmp_path, monkeypatch):
-        """The harness choke point records liveness as it runs."""
-        from repro.harness.runner import cached_corpora, flush_corpus_store
+    def test_opens_serves_programs_and_gc_drops_corpus_rows(
+        self, tmp_path, capsys
+    ):
+        directory = tmp_path / "parent"
+        corpus_key, program_key = self.seed(directory)
+        store = BlueprintStore(directory=directory, enabled=True)
+        assert store.get("program", program_key) == "extractor"
+        assert store.get("corpus", corpus_key) is BlueprintStore.MISS
+        store.close()
 
-        # Drain corpora queued by earlier tests into *their* store before
-        # re-pointing the store directory.
-        flush_corpus_store()
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "hstore"))
-        cached_corpora("m2h", lambda: ["corpus"], provider="p", seed=1)
-        flush_corpus_store()
-        from repro.store import shared_store
-
-        stats = shared_store().stats()
-        assert "m2h/corpus_ref" in stats["by_kind"]
-        assert "corpus/corpus" in stats["by_kind"]
-        # And the GC therefore keeps the corpus.
-        report = run_gc(shared_store())
-        assert report["deleted_entries"] == 0
+        assert store_cli(["--dir", str(directory), "gc"]) == 0
+        assert "retired kinds: 2 entries" in capsys.readouterr().out
+        store = BlueprintStore(directory=directory, enabled=True)
+        assert set(store.stats()["by_kind"]) == {"html/program"}
+        assert store.get("program", program_key) == "extractor"
+        store.close()
 
 
 class TestAlgoBumpAcceptance:
@@ -288,12 +276,13 @@ class TestPlanReport:
     def test_plan_reports_without_mutating(self, tmp_path):
         store = make_store(tmp_path)
         store.put("program", "old", "html", 1.0, generation="algo=1")
-        put_corpus(store, "dead")
-        put_ref(store, "missing")
+        store.put("corpus", "dead", "corpus", ["corpus-data"] * 20)
+        store.put("corpus_ref", "missing", "ds", "dead")
         report = plan_gc(store)
         assert report["scanned"] == 3
         assert report["stale"]["entries"] == 1
-        assert report["dangling_refs"]["entries"] == 1
-        assert report["unreferenced_corpora"]["entries"] == 1
-        assert sorted(report["doomed_keys"])
+        assert report["retired"]["by_kind"] == {
+            "corpus/corpus": 1, "ds/corpus_ref": 1,
+        }
+        assert sorted(report["doomed_keys"]) == ["dead", "missing", "old"]
         assert store.stats()["entries"] == 3
