@@ -4,9 +4,9 @@ Runs the two timed benches (``bench_program_size`` +
 ``bench_table1_m2h_overall``) under three configurations, interleaved
 round-robin so machine drift hits every arm equally:
 
-* **baseline** — ``REPRO_STORE=0 REPRO_CACHE=0 REPRO_JOBS=1
-  REPRO_BITSET=0`` (the uncached, serial, scalar-kernel reference the
-  acceptance criteria compare against);
+* **baseline** — ``REPRO_STORE=0 REPRO_CACHE=0 REPRO_JOBS=1`` (the
+  uncached, serial reference the acceptance criteria compare against;
+  ``REPRO_BITSET`` gates only the serving router, so no arm sets it);
 * **cold** — cache + parallel harness on, persistent store enabled but
   pointing at a *fresh* directory every round;
 * **warm** — same knobs, store directory pre-populated by one untimed
@@ -100,7 +100,6 @@ def main(argv: list[str] | None = None) -> int:
             "REPRO_STORE": "0",
             "REPRO_CACHE": "0",
             "REPRO_JOBS": "1",
-            "REPRO_BITSET": "0",
         },
         "cold": {
             **base_env,

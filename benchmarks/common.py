@@ -68,8 +68,8 @@ def run_shard_subprocess(
     Shared by ``shard_equivalence_check`` (which pins a distinct
     ``PYTHONHASHSEED`` per arm to emulate separate machines),
     ``shard_prewarm_check`` (which inherits the ambient one) and
-    ``bitset_equivalence_check`` (which sets its kernel and store knobs
-    via ``extra_env``).  Every arm is a round-robin ``repro-shard run``.
+    ``forge_smoke_check`` (which sets its forge knobs via
+    ``extra_env``).  Every arm is a round-robin ``repro-shard run``.
     """
     env = {**os.environ, "REPRO_SCALE": scale, **(extra_env or {})}
     if hash_seed is not None:

@@ -252,40 +252,6 @@ class DistanceCache:
             (bp_b, bp_a) in self._distances
         )
 
-    def prime_distance(
-        self, bp_a: Hashable, bp_b: Hashable, value: float
-    ) -> None:
-        """Seed one pairwise distance computed out-of-band.
-
-        Used by the blocked parallel kernel
-        (:func:`repro.core.clustering.pairwise_distance_matrix`): workers
-        compute ``domain.blueprint_distance`` directly and the parent
-        seeds the results here, so the serial merge loop afterwards only
-        performs lookups.  ``value`` must equal what
-        ``domain.blueprint_distance(bp_a, bp_b)`` would return.
-        """
-        if not self.enabled:
-            return
-        self._distances.setdefault((bp_a, bp_b), value)
-
-    def prime_distances(
-        self,
-        pairs: Sequence[tuple[Hashable, Hashable]],
-        values: Sequence[float],
-    ) -> None:
-        """Seed many out-of-band distances at once (see `prime_distance`).
-
-        The whole batch lands in one C-level ``dict.update`` — the
-        vectorized prefill kernel hands over tens of thousands of values,
-        and a per-pair python loop here would cost more than computing
-        them did.  Overwriting an existing entry is harmless by the
-        priming contract (every seeded value equals what
-        ``blueprint_distance`` would return).
-        """
-        if not self.enabled:
-            return
-        self._distances.update(zip(pairs, values))
-
     # -- landmarks ------------------------------------------------------
     def landmark_candidates(
         self, examples: Sequence, max_candidates: int = 10

@@ -19,11 +19,9 @@ The procedure works in three phases, mirroring Section 4.2:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Hashable, Sequence
 
-from repro.core import bitset, parallel
 from repro.core.caching import DistanceCache, active_timer
 from repro.core.document import (
     Annotation,
@@ -32,13 +30,6 @@ from repro.core.document import (
     ScoredLandmark,
     TrainingExample,
 )
-
-# Blocked-kernel tuning: edge length of one tile of the distance matrix,
-# and the minimum number of pairwise computations before forking a worker
-# pool pays for itself (pool startup is ~tens of ms; a Jaccard distance is
-# microseconds, so small problems stay serial).
-DISTANCE_TILE = 64
-MIN_PARALLEL_PAIRS = 2048
 
 
 @dataclass
@@ -53,191 +44,6 @@ class ClusterInfo:
         return len(self.examples)
 
 
-# ----------------------------------------------------------------------
-# Blocked shared-memory pairwise kernel (PaLD-style tiling)
-# ----------------------------------------------------------------------
-def _matrix_tile(tile) -> list[tuple[int, int, float]]:
-    """Worker: distances for one ``(rows, cols)`` tile of the matrix."""
-    domain, blueprints, symmetric = parallel.shared_payload()
-    (row_start, row_stop), (col_start, col_stop) = tile
-    out: list[tuple[int, int, float]] = []
-    for i in range(row_start, row_stop):
-        for j in range(col_start, col_stop):
-            if i == j or (symmetric and j < i):
-                continue
-            out.append(
-                (i, j, domain.blueprint_distance(blueprints[i], blueprints[j]))
-            )
-    return out
-
-
-def _bitset_tile(tile) -> list[tuple[tuple[int, int], float]]:
-    """Worker: one matrix tile through the vectorized bitset kernel.
-
-    The fork payload carries the interned int masks and the packed uint64
-    array instead of frozenset lists, so children inherit a few numpy
-    pages through copy-on-write rather than re-hashing blueprint sets.
-    Returns ``((i, j), d)`` items so the parent merges each tile with one
-    ``dict.update`` instead of a per-pair loop.
-    """
-    masks, packed, symmetric = parallel.shared_payload()
-    rows, cols = tile
-    return bitset.tile_distance_items(masks, packed, rows, cols, symmetric)
-
-
-def pairwise_distance_matrix(
-    domain: Domain,
-    blueprints: Sequence[Hashable],
-    tile: int = DISTANCE_TILE,
-    n_jobs: int | None = None,
-) -> dict[tuple[int, int], float]:
-    """All pairwise blueprint distances, computed in blocked tiles.
-
-    The index space ``[0, n)²`` is partitioned into ``tile × tile`` blocks
-    that fan out over a fork-shared worker pool (see
-    :mod:`repro.core.parallel`); for symmetric metrics only the upper
-    triangle is computed, for asymmetric metrics (image BoxSummary
-    matching) both orientations.  Results merge in tile submission order,
-    so the returned mapping is identical to a serial double loop —
-    parallelism never changes a value.
-
-    When every blueprint is a plain string set under Jaccard (see
-    :func:`repro.core.bitset.universe_for`), the blueprints are interned
-    once and each tile is evaluated by the vectorized bitset kernel —
-    serially or fanned out — producing bit-identical values.  Otherwise
-    small inputs (fewer than :data:`MIN_PARALLEL_PAIRS` pairs) return via
-    a serial double loop before any tile bookkeeping is built.
-    """
-    n = len(blueprints)
-    if n <= 1:
-        return {}
-    symmetric = getattr(domain, "symmetric_distance", True)
-    total_pairs = n * (n - 1) // (2 if symmetric else 1)
-    n_jobs = parallel.kernel_jobs() if n_jobs is None else n_jobs
-    if total_pairs < MIN_PARALLEL_PAIRS:
-        n_jobs = 1
-    encoded = bitset.universe_for(domain, blueprints)
-    if encoded is None and n_jobs <= 1:
-        matrix: dict[tuple[int, int], float] = {}
-        for i in range(n):
-            for j in range(n):
-                if i == j or (symmetric and j < i):
-                    continue
-                matrix[(i, j)] = domain.blueprint_distance(
-                    blueprints[i], blueprints[j]
-                )
-        return matrix
-    ranges = parallel.tile_ranges(n, tile)
-    tiles = [
-        (rows, cols)
-        for rows in ranges
-        for cols in ranges
-        if not (symmetric and cols[1] <= rows[0])
-    ]
-    matrix = {}
-    if encoded is not None:
-        universe, masks = encoded
-        payload = (masks, universe.pack(masks), symmetric)
-        results = parallel.run_sharded(payload, _bitset_tile, tiles, n_jobs)
-        for tile_result in results:
-            matrix.update(tile_result)
-        return matrix
-    payload = (domain, list(blueprints), symmetric)
-    results = parallel.run_sharded(payload, _matrix_tile, tiles, n_jobs)
-    for tile_result in results:
-        for i, j, value in tile_result:
-            matrix[(i, j)] = value
-    return matrix
-
-
-def _pair_shard(shard) -> list[float]:
-    """Worker: distances for one block of an explicit pair list."""
-    domain, pairs = parallel.shared_payload()
-    start, stop = shard
-    return [
-        domain.blueprint_distance(bp_a, bp_b)
-        for bp_a, bp_b in pairs[start:stop]
-    ]
-
-
-def prefill_pairwise_distances(
-    domain: Domain,
-    pairs: Sequence[tuple[Hashable, Hashable]],
-    cache: DistanceCache,
-    tile: int = DISTANCE_TILE * 8,
-) -> None:
-    """Compute an explicit pair list in parallel and seed the cache.
-
-    The merge loop's distance demand is a *sparse* matrix (only blueprint
-    pairs sharing a landmark candidate), so rather than tiling the dense
-    index space we tile the deduplicated pair list itself.  Each seeded
-    value equals ``domain.blueprint_distance`` exactly, so the serial loop
-    that follows is byte-identical to an unprefetched run — just faster.
-
-    When the blueprints are bitset-encodable the whole pair list is
-    interned once (each distinct blueprint encoded a single time) and
-    evaluated by the vectorized kernel — worthwhile even serially, so no
-    worker pool or minimum pair count is required.  Otherwise the legacy
-    per-pair path runs, and only when workers are available and the list
-    is big enough to pay for the pool.
-    """
-    if not cache.enabled or not pairs:
-        return
-    pairs = list(pairs)
-    unique = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
-    encoded = bitset.universe_for(domain, unique)
-    if encoded is not None:
-        universe, masks = encoded
-        position = {blueprint: k for k, blueprint in enumerate(unique)}
-        # Two direct scans beat zip(*pairs): star-unpacking a large pair
-        # list allocates one argument slot per pair.
-        values = bitset.indexed_pair_distances(
-            universe,
-            masks,
-            [position[bp_a] for bp_a, _ in pairs],
-            [position[bp_b] for _, bp_b in pairs],
-        )
-        cache.prime_distances(pairs, values)
-        return
-    n_jobs = parallel.kernel_jobs()
-    if n_jobs <= 1 or len(pairs) < MIN_PARALLEL_PAIRS:
-        return
-    shards = parallel.tile_ranges(len(pairs), tile)
-    results = parallel.run_sharded((domain, pairs), _pair_shard, shards, n_jobs)
-    for (start, stop), values in zip(shards, results):
-        for (bp_a, bp_b), value in zip(pairs[start:stop], values):
-            cache.prime_distance(bp_a, bp_b, value)
-
-
-def _missing_merge_pairs(
-    domain: Domain,
-    clusters: Sequence[list[TrainingExample]],
-    roi_of: dict[int, dict[str, Hashable]],
-    cache: DistanceCache,
-) -> list[tuple[Hashable, Hashable]]:
-    """The distance pairs the first merge round will request, deduplicated."""
-    symmetric = getattr(domain, "symmetric_distance", True)
-    seen: set[tuple[Hashable, Hashable]] = set()
-    pairs: list[tuple[Hashable, Hashable]] = []
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            for ex_a in clusters[i]:
-                roi_a = roi_of[id(ex_a)]
-                for ex_b in clusters[j]:
-                    roi_b = roi_of[id(ex_b)]
-                    for landmark in set(roi_a) & set(roi_b):
-                        pair = (roi_a[landmark], roi_b[landmark])
-                        if pair in seen:
-                            continue
-                        if symmetric and (pair[1], pair[0]) in seen:
-                            continue
-                        seen.add(pair)
-                        if cache.distance_cached(*pair):
-                            continue
-                        pairs.append(pair)
-    return pairs
-
-
 def fine_cluster(
     domain: Domain,
     examples: Sequence[TrainingExample],
@@ -248,66 +54,16 @@ def fine_cluster(
 
     Single-linkage agglomeration: an example joins the first cluster holding
     a document whose blueprint is within ``threshold``.  This produces the
-    "large number of very fine-grained clusters" of Section 2.1.
-
-    When the document blueprints are bitset-encodable they are interned
-    once up front and the placement loop compares big-int masks directly
-    (:func:`repro.core.bitset.jaccard_bits`) — the same lazy demand, the
-    same short-circuit order, bit-identical distances, so placements are
-    unchanged; no speculative full matrix is needed.  Otherwise, with
-    ``REPRO_JOBS > 1`` and enough documents, the full distance matrix is
-    precomputed by the blocked parallel kernel and seeded into the cache
-    first; the lookup loop's placements are again unchanged.
+    "large number of very fine-grained clusters" of Section 2.1.  The
+    scan is lazy: it stops at the first blueprint within ``threshold``,
+    so only the distances that decide a placement are computed.
     """
     cache = cache or DistanceCache(domain)
     clusters: list[list[TrainingExample]] = []
     with active_timer().stage("cluster"):
-        n = len(examples)
-        doc_blueprints = [
-            cache.document_blueprint(example.doc) for example in examples
-        ]
-        encoded = bitset.universe_for(domain, doc_blueprints)
-        if encoded is not None:
-            universe, masks = encoded
-            packed = universe.pack(masks)
-            if packed is not None:
-                clusters.extend(
-                    [examples[row] for row in rows]
-                    for rows in bitset.cluster_rows_packed(
-                        packed, threshold
-                    )
-                )
-                return clusters
-            # No vectorized popcount available: lazy big-int placement
-            # scan, short-circuiting exactly like the legacy loop.
-            mask_clusters: list[list[int]] = []
-            for example, mask in zip(examples, masks):
-                placed = False
-                for cluster, cluster_masks in zip(clusters, mask_clusters):
-                    if any(
-                        bitset.jaccard_bits(mask, other) <= threshold
-                        for other in cluster_masks
-                    ):
-                        cluster.append(example)
-                        cluster_masks.append(mask)
-                        placed = True
-                        break
-                if not placed:
-                    clusters.append([example])
-                    mask_clusters.append([mask])
-            return clusters
-        if (
-            cache.enabled
-            and parallel.kernel_jobs() > 1
-            and n * (n - 1) // 2 >= MIN_PARALLEL_PAIRS
-        ):
-            matrix = pairwise_distance_matrix(domain, doc_blueprints)
-            for (i, j), value in matrix.items():
-                cache.prime_distance(
-                    doc_blueprints[i], doc_blueprints[j], value
-                )
         blueprints: list[list[Hashable]] = []
-        for example, blueprint in zip(examples, doc_blueprints):
+        for example in examples:
+            blueprint = cache.document_blueprint(example.doc)
             placed = False
             for cluster, cluster_bps in zip(clusters, blueprints):
                 if any(
@@ -528,22 +284,8 @@ def infer_landmarks_and_clusters(
                 )
 
     # Merge clusters while some pair is within the merge threshold
-    # (lines 10-15).  The first round's pairwise ROI distances — the full
-    # demand of the whole loop, since merging never adds examples — are
-    # precomputed when the vectorized bitset kernel applies or workers
-    # are available, so the serial decision loop below only performs
-    # lookups.
+    # (lines 10-15).
     with active_timer().stage("cluster"):
-        if (
-            len(clusters) > 1
-            and cache.enabled
-            and (parallel.kernel_jobs() > 1 or bitset.bitset_enabled())
-        ):
-            prefill_pairwise_distances(
-                domain,
-                _missing_merge_pairs(domain, clusters, roi_of, cache),
-                cache,
-            )
         _merge_clusters(clusters, roi_of, cache, merge_threshold)
 
     # Finalize: recompute candidates on merged clusters and pick the top one

@@ -5,8 +5,9 @@ blueprint in the system: HTML document and region blueprints (sets of
 simplified XPaths, Section 5.1) and image *document* blueprints (sets of
 label texts).  It used to be duplicated in :mod:`repro.html.blueprint` and
 :mod:`repro.images.blueprint`; both re-export this single definition now,
-so the scalar metric and the vectorized bitset kernel
-(:mod:`repro.core.bitset`) provably share one contract:
+so the scalar metric and the serving router's bitset kernel
+(:mod:`repro.core.bitset`, :mod:`repro.serve.router`) provably share one
+contract:
 
     ``jaccard_distance(a, b) == 1 - |a ∩ b| / |a ∪ b|``, and ``0.0`` when
     both sets are empty.
@@ -21,7 +22,7 @@ from __future__ import annotations
 def jaccard_distance(a: frozenset, b: frozenset) -> float:
     """``1 - |a ∩ b| / |a ∪ b|``; the blueprint distance ``δ`` for sets.
 
-    The bitset kernel computes the same quantity as
+    The router's bitset kernel computes the same quantity as
     ``(mask_a & mask_b).bit_count() / (mask_a | mask_b).bit_count()``;
     both paths divide the same two integers, so the resulting floats are
     bit-identical (see ``tests/core/test_bitset.py``).

@@ -225,19 +225,6 @@ class Domain(abc.ABC):
     def blueprint_distance(self, bp1: Hashable, bp2: Hashable) -> float:
         """Distance ``δ`` between two blueprints, in ``[0, 1]``."""
 
-    def bitset_elements(self, blueprint: Hashable) -> frozenset[str] | None:
-        """String elements of ``blueprint`` if its metric is plain Jaccard.
-
-        The vectorized bitset kernel (:mod:`repro.core.bitset`) may only
-        replace :meth:`blueprint_distance` when the metric on this
-        blueprint is exactly ``jaccard_distance`` over a string set.
-        Domains opt in per blueprint by returning its elements; returning
-        ``None`` (the default) keeps the legacy per-pair path — required
-        for graded or asymmetric metrics (the image domain's BoxSummary
-        matching) and for ad-hoc test domains with custom distances.
-        """
-        return None
-
     # ------------------------------------------------------------------
     # Landmarks
     # ------------------------------------------------------------------

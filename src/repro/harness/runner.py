@@ -58,7 +58,6 @@ import math
 import os
 import pickle
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Sequence
@@ -402,6 +401,9 @@ def run_field_tasks(
                     for arguments in argument_tuples
                     for result in task(*arguments)
                 ]
+        # Imported here: cold in-process runs never load multiprocessing.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs()) as pool:
             futures = [
                 pool.submit(_run_field_task, task, arguments)
@@ -422,14 +424,11 @@ def _run_field_task(
 ) -> tuple[list[FieldResult], dict]:
     """Worker entry point: run one field task under an isolated timer.
 
-    Marks the process as a pool worker so the in-process parallel kernels
-    (:mod:`repro.core.parallel`) stay serial instead of forking nested
-    pools, runs the task under :func:`gc_policy` like the in-process path,
+    Runs the task under :func:`gc_policy` like the in-process path,
     and flushes the persistent store before returning so a worker's
     programs are durable even if the pool recycles it.  The worker's
     held corpus stays frozen between its tasks.
     """
-    parallel.mark_worker()
     timer = StageTimer()
     with use_timer(timer), gc_policy():
         results = [_transportable(result) for result in task(*arguments)]

@@ -21,12 +21,11 @@ back onto its task — the scheduler itself never interprets key
 components, so every bench of the suite is schedulable through one
 registry.
 
-The decomposition mirrors the blocked partitioning of the PaLD
-shared-memory kernels (``repro.core.parallel``) one level up: tasks are
-independent, assignment is a pure function of canonical position, and the
-merge is a deterministic reorder, never a reduction.  Inside a shard the
-ordinary ``REPRO_JOBS`` pools still apply, so a two-machine, eight-core
-run shards twice and forks eight ways.
+The decomposition is blocked partitioning: tasks are independent,
+assignment is a pure function of canonical position, and the merge is a
+deterministic reorder, never a reduction.  Inside a shard the ordinary
+``REPRO_JOBS`` pool still applies, so a two-machine, eight-core run
+shards twice and forks eight ways.
 
 Round-robin assignment balances task *counts*, not seconds; it is the
 only scheduler.  Shards on one machine that share a ``REPRO_STORE_DIR``

@@ -78,11 +78,6 @@ class HtmlDomain(Domain):
     ) -> float:
         return bp.jaccard_distance(bp1, bp2)
 
-    def bitset_elements(self, blueprint: frozenset[str]) -> frozenset[str]:
-        # Every HTML blueprint (document or region) is a string set under
-        # plain Jaccard, so all of them are bitset-encodable.
-        return blueprint
-
     # -- landmarks -------------------------------------------------------
     def common_values(self, docs: Sequence[HtmlDocument]) -> frozenset[str]:
         return bp.common_text_values(docs)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core import bitset, parallel
+from repro.core import bitset
 from repro.core.caching import cache_enabled
 from repro.core.document import ScoredLandmark, TrainingExample
 from repro.html.dom import DomNode, HtmlDocument
@@ -44,14 +44,6 @@ WEIGHT_FOLLOWS = 0.5
 # paper notes landmark identification can leverage the full dataset, but the
 # shared-n-gram intersection already uses every document.
 SCORE_SAMPLE = 8
-
-# Candidate scoring fans out over the shared-memory worker pool
-# (REPRO_JOBS) only when the per-call work amortizes the pool startup:
-# below this many candidate grams, scoring stays serial.
-MIN_PARALLEL_GRAMS = 96
-# Grams per shard when scoring in parallel.
-GRAM_TILE = 32
-
 
 def ngrams_of_text(text: str, max_n: int = MAX_NGRAM) -> set[str]:
     """All word n-grams (1 ≤ n ≤ ``max_n``) of a text."""
@@ -172,65 +164,63 @@ def _candidate_cost(
     doc: HtmlDocument,
     occurrences: Sequence[DomNode],
     value_locations: Sequence[DomNode],
+    costs: dict[tuple[int, int], float] | None = None,
 ) -> float:
-    """Average weighted cost between values and their nearest occurrence."""
+    """Average weighted cost between values and their nearest occurrence.
+
+    ``costs`` memoizes :func:`_pair_cost` by ``(id(occurrence),
+    id(value))``; every gram that occurs on a node re-costs the same
+    pairs, so :func:`score_grams` passes one table for all its grams.
+    The nodes belong to the sample's documents, which outlive the table.
+    """
     if not occurrences or not value_locations:
         return float("inf")
+    if costs is None:
+        costs = {}
     order = doc.order_index()
-    costs = [
-        min(_pair_cost(order, occurrence, value) for occurrence in occurrences)
-        for value in value_locations
-    ]
-    return sum(costs) / len(costs)
+    nearest = []
+    for value in value_locations:
+        value_id = id(value)
+        best = None
+        for occurrence in occurrences:
+            key = (id(occurrence), value_id)
+            cost = costs.get(key)
+            if cost is None:
+                cost = costs[key] = _pair_cost(order, occurrence, value)
+            if best is None or cost < best:  # min()'s first-wins rule
+                best = cost
+        nearest.append(best)
+    return sum(nearest) / len(nearest)
 
 
 def _gram_score(
-    gram: str, sample: Sequence[TrainingExample]
+    gram: str,
+    sample: Sequence[TrainingExample],
+    costs: dict[tuple[int, int], float],
 ) -> float | None:
-    """Average candidate cost of ``gram`` over the sample (None = unusable).
-
-    Factored out of :func:`landmark_candidates` so the serial loop and the
-    parallel shards run literally the same code on the same inputs —
-    identical scores by construction.
-    """
+    """Average candidate cost of ``gram`` over the sample (None = unusable)."""
     total = 0.0
     for example in sample:
         doc: HtmlDocument = example.doc
         occurrences = doc.find_by_text(gram)
         if not occurrences:
             return None
-        cost = _candidate_cost(doc, occurrences, example.annotation.locations)
+        cost = _candidate_cost(
+            doc, occurrences, example.annotation.locations, costs
+        )
         if cost == float("inf"):
             return None
         total += cost
     return total / len(sample)
 
 
-def _score_shard(shard: tuple[int, int]) -> list[float | None]:
-    """Worker: scores for one block of the (fork-shared) gram list."""
-    grams, sample = parallel.shared_payload()
-    start, stop = shard
-    return [_gram_score(gram, sample) for gram in grams[start:stop]]
-
-
 def score_grams(
     grams: Sequence[str], sample: Sequence[TrainingExample]
 ) -> list[float | None]:
-    """Score every gram, fanning over the worker pool when it pays off.
-
-    The documents are shared with forked workers copy-on-write (see
-    :mod:`repro.core.parallel`) — nothing is pickled but index ranges and
-    the resulting floats, and shard results merge in submission order, so
-    the output is the exact serial list.
-    """
-    n_jobs = parallel.kernel_jobs()
-    if n_jobs <= 1 or len(grams) < MIN_PARALLEL_GRAMS:
-        return [_gram_score(gram, sample) for gram in grams]
-    shards = parallel.tile_ranges(len(grams), GRAM_TILE)
-    results = parallel.run_sharded(
-        (list(grams), list(sample)), _score_shard, shards, n_jobs
-    )
-    return [score for shard_scores in results for score in shard_scores]
+    """Score every gram over the sample, in order, costing each
+    (occurrence, value) pair once for the whole call."""
+    costs: dict[tuple[int, int], float] = {}
+    return [_gram_score(gram, sample, costs) for gram in grams]
 
 
 def landmark_candidates(

@@ -104,17 +104,6 @@ class ImageDomain(Domain):
             return bp.summary_distance(bp1, bp2)
         return bp.jaccard_distance(bp1, bp2)
 
-    def bitset_elements(self, blueprint: frozenset) -> frozenset | None:
-        # Document blueprints (label-string sets, Jaccard) are encodable;
-        # BoxSummary region blueprints use the graded asymmetric
-        # summary_distance and must keep the per-pair path.  An empty
-        # blueprint is safe either way (both metrics give 0.0 vs empty,
-        # 1.0 vs non-empty — identical to Jaccard).
-        sample = next(iter(blueprint), None)
-        if isinstance(sample, tuple):
-            return None
-        return blueprint
-
     # -- landmarks ---------------------------------------------------------
     def common_values(self, docs: Sequence[ImageDocument]) -> frozenset[str]:
         return bp.frequent_ngrams(docs)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from repro.core import bitset, parallel
+from repro.core import bitset
 from repro.core.document import ScoredLandmark, TrainingExample
 from repro.images.blueprint import box_ngrams
 from repro.images.boxes import ImageDocument, TextBox
@@ -21,11 +21,6 @@ WEIGHT_AREA = 0.002
 # Labels precede their values in reading order (see the HTML scorer).
 WEIGHT_FOLLOWS = 20.0
 SCORE_SAMPLE = 8
-
-# Parallel-scoring gate, as in the HTML scorer: below this many candidate
-# grams the fork-pool startup costs more than it saves.
-MIN_PARALLEL_GRAMS = 96
-GRAM_TILE = 32
 
 STOP_WORDS = frozenset(
     """a an and are as at be by for from has have if in into is it its of on
@@ -79,11 +74,7 @@ def _enclosing_area(a: TextBox, b: TextBox) -> float:
 def _gram_score(
     gram: str, sample: Sequence[TrainingExample]
 ) -> float | None:
-    """Average candidate cost of ``gram`` over the sample (None = unusable).
-
-    Shared verbatim by the serial loop and the parallel shards so both
-    paths produce identical scores (see the HTML scorer).
-    """
+    """Average candidate cost of ``gram`` over the sample (None = unusable)."""
     total = 0.0
     for example in sample:
         doc: ImageDocument = example.doc
@@ -110,25 +101,11 @@ def _gram_score(
     return total / len(sample)
 
 
-def _score_shard(shard: tuple[int, int]) -> list[float | None]:
-    """Worker: scores for one block of the (fork-shared) gram list."""
-    grams, sample = parallel.shared_payload()
-    start, stop = shard
-    return [_gram_score(gram, sample) for gram in grams[start:stop]]
-
-
 def score_grams(
     grams: Sequence[str], sample: Sequence[TrainingExample]
 ) -> list[float | None]:
-    """Score every gram, fanning over the worker pool when it pays off."""
-    n_jobs = parallel.kernel_jobs()
-    if n_jobs <= 1 or len(grams) < MIN_PARALLEL_GRAMS:
-        return [_gram_score(gram, sample) for gram in grams]
-    shards = parallel.tile_ranges(len(grams), GRAM_TILE)
-    results = parallel.run_sharded(
-        (list(grams), list(sample)), _score_shard, shards, n_jobs
-    )
-    return [score for shard_scores in results for score in shard_scores]
+    """Score every gram over the sample, in order."""
+    return [_gram_score(gram, sample) for gram in grams]
 
 
 def landmark_candidates(

@@ -370,6 +370,7 @@ def synthesize_region_program(
     correct_on: list[list[int]] = [[] for _ in paths]
     for index, (doc, landmark, _) in enumerate(examples):
         wanted = targets[index]
+        wanted_ids = {id(box) for box in wanted}
         for position, boxes in _run_trie(doc, landmark, trie):
             # Tightness: a path that wanders past the values would feed
             # the value program unrelated text (and defeat the blueprint
@@ -379,7 +380,7 @@ def synthesize_region_program(
             # box too long).
             if len(boxes) > len(wanted) + 1:
                 continue
-            if ImageRegion(boxes).covers(wanted):
+            if wanted_ids.issubset(map(id, boxes)):
                 correct_on[position].append(index)
 
     candidates: list[Candidate[PathProgram]] = [

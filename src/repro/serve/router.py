@@ -49,12 +49,28 @@ import repro.store as store_mod
 from repro.core.bitset import BitsetUniverse, bitset_enabled, jaccard_bits
 from repro.core.distance import jaccard_distance
 
-try:  # Same optionality stance as repro.core.bitset.
+try:  # numpy is optional: the big-int path is complete without it.
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy ships with the toolchain
     _np = None
 
+# The packed path needs numpy >= 2.0 for vectorized popcount.
 _HAVE_PACKED = _np is not None and hasattr(_np, "bitwise_count")
+
+
+def pack(universe: BitsetUniverse, masks: Sequence[int]):
+    """Masks packed into an ``(n, words)`` uint64 array, or ``None``.
+
+    ``None`` when numpy's vectorized popcount is unavailable or the
+    universe is empty — the router then takes the big-int loop.
+    """
+    words = (len(universe) + 63) // 64
+    if not _HAVE_PACKED or words == 0:
+        return None
+    buffer = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
+    packed = _np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words)
+    return packed.astype(_np.uint64, copy=False)
+
 
 # Entry states beyond the exporter's own (see repro.harness.export):
 # reasons a row cannot serve, reported verbatim in 404 bodies.
@@ -286,6 +302,7 @@ class Router:
         self._universe: BitsetUniverse | None = None
         self._packed = None
         self._sizes = None
+        self._width = 0
         if bitset_enabled() and rows:
             universe = BitsetUniverse(
                 element for row in rows for element in row.blueprint
@@ -294,8 +311,9 @@ class Router:
                 row.mask = universe.encode(row.blueprint)
                 row.size = len(row.blueprint)
             self._universe = universe
-            self._packed = universe.pack([row.mask for row in rows])
+            self._packed = pack(universe, [row.mask for row in rows])
             if self._packed is not None:
+                self._width = self._packed.shape[1] * 8
                 self._sizes = _np.array(
                     [row.size for row in rows], dtype=_np.int64
                 )
@@ -317,9 +335,8 @@ class Router:
         mask = universe.encode_within(blueprint)
         size = len(blueprint)
         if self._packed is not None:
-            width = universe.words * 8
             needle = _np.frombuffer(
-                mask.to_bytes(width, "little"), dtype="<u8"
+                mask.to_bytes(self._width, "little"), dtype="<u8"
             )
             inter = _np.bitwise_count(self._packed & needle).sum(
                 axis=1, dtype=_np.int64

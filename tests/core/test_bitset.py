@@ -1,6 +1,7 @@
-"""Property tests for the interned-bitset blueprint kernel.
+"""Property tests for the interned-bitset blueprint encoding.
 
-The contracts under test, in the order the pipeline relies on them:
+The serving router interns its catalog with it.  The contracts under
+test, in the order the router relies on them:
 
 * bitset Jaccard is *bit-identical* (not approximately equal) to the
   frozenset ``jaccard_distance`` on randomized universes — both paths
@@ -8,10 +9,8 @@ The contracts under test, in the order the pipeline relies on them:
 * the interner assigns bit positions from sorted element order, so the
   encoding is a pure function of universe content: identical across
   subprocesses running under hostile ``PYTHONHASHSEED`` values;
-* encode/decode round-trips;
-* the kernel engages only where it is sound (``Domain.bitset_elements``)
-  and the ``REPRO_BITSET=0`` knob restores the legacy path everywhere
-  with unchanged results.
+* encode/decode round-trips, also on each domain's real
+  whole-document blueprints (what the router's catalog holds).
 """
 
 from __future__ import annotations
@@ -23,15 +22,12 @@ import sys
 
 from repro.core import bitset
 from repro.core.caching import DistanceCache
-from repro.core.clustering import (
-    fine_cluster,
-    pairwise_distance_matrix,
-    prefill_pairwise_distances,
-)
+from repro.core.clustering import fine_cluster
 from repro.core.distance import jaccard_distance
 from repro.html.domain import HtmlDomain
 from repro.images.domain import ImageDomain
-from tests.core.fake_domain import FakeDomain, make_example
+from repro.serve.router import pack
+from tests.core.fake_domain import make_example
 
 
 def random_universe(rng: random.Random, n_sets: int, vocab: int):
@@ -79,11 +75,13 @@ class TestInterner:
         assert len(universe) == 0
         assert universe.encode([]) == 0
         assert universe.decode(0) == frozenset()
-        assert universe.pack([0, 0]) is None
 
     def test_words_sized_for_packing(self):
-        assert bitset.BitsetUniverse([f"e{i}" for i in range(64)]).words == 1
-        assert bitset.BitsetUniverse([f"e{i}" for i in range(65)]).words == 2
+        for size, words in ((64, 1), (65, 2)):
+            universe = bitset.BitsetUniverse(f"e{i}" for i in range(size))
+            masks = [universe.encode(universe.elements), 0]
+            assert pack(universe, masks).shape == (2, words)
+        assert pack(bitset.BitsetUniverse([]), [0, 0]) is None
 
 
 class TestDistanceEquality:
@@ -99,73 +97,6 @@ class TestDistanceEquality:
                 for j, set_b in enumerate(sets):
                     expected = jaccard_distance(set_a, set_b)
                     assert bitset.jaccard_bits(masks[i], masks[j]) == expected
-
-    def test_tile_kernel_matches_per_pair_both_paths(self):
-        rng = random.Random(2)
-        sets = random_universe(rng, n_sets=20, vocab=150)
-        universe = bitset.BitsetUniverse(
-            element for s in sets for element in s
-        )
-        masks = universe.encode_all(sets)
-        n = len(sets)
-        for symmetric in (True, False):
-            for packed in (universe.pack(masks), None):
-                result = {
-                    (i, j): value
-                    for i, j, value in bitset.tile_distances(
-                        masks, packed, (0, n), (0, n), symmetric
-                    )
-                }
-                expected = {
-                    (i, j): jaccard_distance(sets[i], sets[j])
-                    for i in range(n)
-                    for j in range(n)
-                    if i != j and not (symmetric and j < i)
-                }
-                assert result == expected
-
-    def test_tile_kernel_partial_tiles(self):
-        rng = random.Random(3)
-        sets = random_universe(rng, n_sets=11, vocab=70)
-        universe = bitset.BitsetUniverse(
-            element for s in sets for element in s
-        )
-        masks = universe.encode_all(sets)
-        packed = universe.pack(masks)
-        merged: dict[tuple[int, int], float] = {}
-        for rows in ((0, 4), (4, 8), (8, 11)):
-            for cols in ((0, 4), (4, 8), (8, 11)):
-                for i, j, value in bitset.tile_distances(
-                    masks, packed, rows, cols, True
-                ):
-                    merged[(i, j)] = value
-        full = {
-            (i, j): value
-            for i, j, value in bitset.tile_distances(
-                masks, packed, (0, 11), (0, 11), True
-            )
-        }
-        assert merged == full
-
-    def test_pair_distances_matches_scalar(self):
-        rng = random.Random(4)
-        sets = random_universe(rng, n_sets=16, vocab=90)
-        universe = bitset.BitsetUniverse(
-            element for s in sets for element in s
-        )
-        masks = universe.encode_all(sets)
-        pairs = [
-            (rng.randrange(16), rng.randrange(16)) for _ in range(64)
-        ]
-        values = bitset.indexed_pair_distances(
-            universe,
-            masks,
-            [i for i, _ in pairs],
-            [j for _, j in pairs],
-        )
-        assert values == [
-            jaccard_distance(sets[i], sets[j]) for i, j in pairs
-        ]
 
     def test_empty_sets_distance_zero(self):
         universe = bitset.BitsetUniverse(["x"])
@@ -220,81 +151,64 @@ class TestHashSeedDeterminism:
         assert len(outputs) == 1
 
 
+def assert_interns_exactly(domain, blueprints):
+    """Round-trip, and bitset distance equals ``domain.blueprint_distance``."""
+    universe = bitset.BitsetUniverse(
+        element for blueprint in blueprints for element in blueprint
+    )
+    masks = universe.encode_all(blueprints)
+    for blueprint, mask in zip(blueprints, masks):
+        assert universe.decode(mask) == blueprint
+    for i, mask_a in enumerate(masks):
+        for j, mask_b in enumerate(masks):
+            assert bitset.jaccard_bits(mask_a, mask_b) == (
+                domain.blueprint_distance(blueprints[i], blueprints[j])
+            )
+
+
 class TestUniverseFor:
+    """What the router interns: each domain's whole-document blueprints."""
+
     def test_html_blueprints_encode(self):
+        from repro.datasets import m2h
+
         domain = HtmlDomain()
-        blueprints = [frozenset({"body/div", "body/span"}), frozenset()]
-        encoded = bitset.universe_for(domain, blueprints)
-        assert encoded is not None
-        universe, masks = encoded
-        assert universe.decode(masks[0]) == blueprints[0]
-        assert masks[1] == 0
+        corpus = m2h.generate_corpus(
+            "getthere", train_size=4, test_size=0, seed=0
+        )
+        blueprints = [
+            domain.document_blueprint(example.doc)
+            for example in corpus.training_examples("DTime")
+        ]
+        assert all(blueprints)
+        assert_interns_exactly(domain, blueprints + [frozenset()])
 
     def test_image_document_blueprints_encode(self):
-        domain = ImageDomain()
-        encoded = bitset.universe_for(
-            domain, [frozenset({"Total", "Date"}), frozenset({"Total"})]
-        )
-        assert encoded is not None
+        from repro.datasets import finance
 
-    def test_image_summary_blueprints_stay_legacy(self):
         domain = ImageDomain()
-        summaries = frozenset({("Total", "⊥", "⊤", "⊥", "⊥")})
-        assert (
-            bitset.universe_for(domain, [summaries, frozenset()]) is None
+        corpus = finance.generate_corpus(
+            "AccountsInvoice", train_size=4, test_size=0, seed=0
         )
-
-    def test_custom_domains_stay_legacy_by_default(self):
-        assert (
-            bitset.universe_for(
-                FakeDomain(), [frozenset({"a:"}), frozenset({"b:"})]
-            )
-            is None
-        )
+        field = finance.FINANCE_FIELDS["AccountsInvoice"][0]
+        blueprints = [
+            domain.document_blueprint(example.doc)
+            for example in corpus.training_examples(field)
+        ]
+        assert all(blueprints)
+        assert_interns_exactly(domain, blueprints + [frozenset()])
 
     def test_knob_disables(self, monkeypatch):
+        monkeypatch.delenv("REPRO_BITSET", raising=False)
+        assert bitset.bitset_enabled()
         monkeypatch.setenv("REPRO_BITSET", "0")
         assert not bitset.bitset_enabled()
-        assert (
-            bitset.universe_for(HtmlDomain(), [frozenset({"a"})]) is None
-        )
         monkeypatch.setenv("REPRO_BITSET", "1")
         assert bitset.bitset_enabled()
 
 
 class TestPipelineParity:
-    """The refactored call sites agree with the knob-off legacy paths."""
-
-    def blueprints(self, count=24):
-        rng = random.Random(6)
-        vocab = [f"body/div/p{i}" for i in range(60)]
-        return [
-            frozenset(rng.sample(vocab, rng.randrange(1, 60)))
-            for _ in range(count)
-        ]
-
-    def test_matrix_bitset_equals_legacy(self, monkeypatch):
-        domain = HtmlDomain()
-        bps = self.blueprints()
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        vectorized = pairwise_distance_matrix(domain, bps)
-        monkeypatch.setenv("REPRO_BITSET", "0")
-        legacy = pairwise_distance_matrix(domain, bps)
-        assert vectorized == legacy
-
-    def test_prefill_seeds_serially_under_bitset(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "1")
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        domain = HtmlDomain()
-        cache = DistanceCache(domain, enabled=True)
-        bps = self.blueprints(8)
-        pairs = [(bps[i], bps[j]) for i in range(8) for j in range(i + 1, 8)]
-        prefill_pairwise_distances(domain, pairs, cache)
-        for bp_a, bp_b in pairs:
-            assert cache.distance_cached(bp_a, bp_b)
-            assert cache.distance(bp_a, bp_b) == domain.blueprint_distance(
-                bp_a, bp_b
-            )
+    """Synthesis call sites agree with the plain frozenset definitions."""
 
     def test_fine_cluster_placements_match_legacy(self, monkeypatch):
         rng = random.Random(8)
@@ -305,16 +219,41 @@ class TestPipelineParity:
             example = make_example(["x:"], [0])
             example.doc = _BlueprintDoc(frozenset(cells))
             examples.append(example)
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        vectorized = fine_cluster(
-            _BlueprintOnlyDomain(), examples, threshold=0.5
-        )
-        monkeypatch.setenv("REPRO_BITSET", "0")
-        legacy = fine_cluster(_BlueprintOnlyDomain(), examples, threshold=0.5)
-        shape = lambda clusters: [  # noqa: E731
-            [id(example) for example in cluster] for cluster in clusters
-        ]
-        assert shape(vectorized) == shape(legacy)
+        domain = _BlueprintOnlyDomain()
+        placements = {}
+        for knob in ("1", "0"):
+            monkeypatch.setenv("REPRO_BITSET", knob)
+            placements[knob] = _shape(
+                fine_cluster(
+                    domain,
+                    examples,
+                    threshold=0.5,
+                    cache=DistanceCache(domain, enabled=True),
+                )
+            )
+        assert placements["1"] == placements["0"]
+        assert placements["1"] == _shape(_legacy_fine_cluster(examples, 0.5))
+
+
+def _shape(clusters):
+    return [[id(example) for example in cluster] for cluster in clusters]
+
+
+def _legacy_fine_cluster(examples, threshold):
+    """Single linkage, first cluster wins, by per-pair frozenset Jaccard."""
+    clusters = []
+    for example in examples:
+        for cluster in clusters:
+            if any(
+                jaccard_distance(example.doc.blueprint, other.doc.blueprint)
+                <= threshold
+                for other in cluster
+            ):
+                cluster.append(example)
+                break
+        else:
+            clusters.append([example])
+    return clusters
 
 
 class _BlueprintDoc:

@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 import repro.store as store_mod
-from repro.core.bitset import BitsetUniverse
 from repro.serve.router import (
     REASON_MISSING,
     REASON_STALE,
@@ -129,7 +128,9 @@ def test_distance_paths_are_bit_identical(serve_setup, sample_docs, monkeypatch)
     packed_router = Router(catalog)
     assert packed_router._packed is not None, "packed kernel expected"
 
-    monkeypatch.setattr(BitsetUniverse, "pack", lambda self, masks: None)
+    monkeypatch.setattr(
+        "repro.serve.router.pack", lambda universe, masks: None
+    )
     bigint_router = Router(catalog)
     assert bigint_router._packed is None
 
