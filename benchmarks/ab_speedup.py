@@ -5,8 +5,7 @@ Runs the two timed benches (``bench_program_size`` +
 round-robin so machine drift hits every arm equally:
 
 * **baseline** — ``REPRO_STORE=0 REPRO_CACHE=0 REPRO_JOBS=1`` (the
-  uncached, serial reference the acceptance criteria compare against;
-  ``REPRO_BITSET`` gates only the serving router, so no arm sets it);
+  uncached, serial reference the acceptance criteria compare against);
 * **cold** — cache + parallel harness on, persistent store enabled but
   pointing at a *fresh* directory every round;
 * **warm** — same knobs, store directory pre-populated by one untimed

@@ -10,11 +10,10 @@ becomes
 
 two AND/OR machine loops plus two popcounts.  The serving router
 (:mod:`repro.serve.router`) is the one user: it interns its catalog's
-routing blueprints once and scores every request against them.
-Synthesis compares blueprints with
-:func:`repro.core.distance.jaccard_distance` directly, and this module
-imports nothing beyond the standard library, so a synthesis process
-never loads numpy.
+routing blueprints once and scores every request against them with
+big-int popcounts.  Synthesis compares blueprints with
+:func:`repro.core.distance.jaccard_distance` directly.  This module
+imports nothing beyond the standard library.
 
 Determinism contract
 --------------------
@@ -23,23 +22,19 @@ Bit positions are assigned in **sorted element order**, never insertion or
 hash order, so the encoding of a given universe is a pure function of its
 contents — independent of ``PYTHONHASHSEED``, process, or the order
 blueprints were produced in.  Distances are bit-identical to
-:func:`repro.core.distance.jaccard_distance` on the decoded sets because
-both paths divide the same two integers (intersection and union
-cardinality).
-
-``REPRO_BITSET=0`` switches the router back to per-pair ``frozenset``
-distances, for A/B timing and paranoia.
+:func:`repro.core.distance.jaccard_distance` on the raw sets because
+both divide the same two integers (intersection and union cardinality).
 """
 
 from __future__ import annotations
 
-import os
 from typing import Iterable
 
 
 def bitset_enabled() -> bool:
-    """Whether the router's bitset path is active (``REPRO_BITSET`` knob)."""
-    return os.environ.get("REPRO_BITSET", "1") != "0"
+    """Always ``True``: the router has one (bitset) path.  Kept so run
+    records that list it stay readable."""
+    return True
 
 
 class BitsetUniverse:
@@ -70,13 +65,8 @@ class BitsetUniverse:
         return mask
 
     def encode_within(self, values: Iterable[str]) -> int:
-        """The bitmask of ``values ∩ universe`` (unknown values dropped).
-
-        ``mask &= universe.encode_within(s)`` is exactly iterated set
-        intersection against the universe's member sets — the form the
-        landmark modules use to intersect invariant texts across
-        documents.
-        """
+        """The bitmask of ``values ∩ universe`` (unknown values dropped):
+        how the router encodes a request blueprint against its catalog."""
         index = self.index
         mask = 0
         for value in values:
@@ -84,19 +74,6 @@ class BitsetUniverse:
             if position is not None:
                 mask |= 1 << position
         return mask
-
-    def encode_all(self, sets: Iterable[Iterable[str]]) -> list[int]:
-        return [self.encode(values) for values in sets]
-
-    def decode(self, mask: int) -> frozenset[str]:
-        """The element set a bitmask denotes (round-trips ``encode``)."""
-        elements = self.elements
-        out = []
-        while mask:
-            low_bit = mask & -mask
-            out.append(elements[low_bit.bit_length() - 1])
-            mask ^= low_bit
-        return frozenset(out)
 
 
 def intersect_all(sets: Iterable[Iterable[str]]) -> frozenset[str]:

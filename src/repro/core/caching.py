@@ -244,14 +244,6 @@ class DistanceCache:
         self._distances[key] = value
         return value
 
-    def distance_cached(self, bp_a: Hashable, bp_b: Hashable) -> bool:
-        """Whether a distance is already resident in the table."""
-        if (bp_a, bp_b) in self._distances:
-            return True
-        return getattr(self.domain, "symmetric_distance", True) and (
-            (bp_b, bp_a) in self._distances
-        )
-
     # -- landmarks ------------------------------------------------------
     def landmark_candidates(
         self, examples: Sequence, max_candidates: int = 10

@@ -10,11 +10,11 @@ only) that
   and **hot-reloads** it when the rows or the
   :data:`repro.store.BLUEPRINT_ALGO_VERSION` generation change;
 * accepts documents over ``POST /extract`` and routes each to the best
-  provider by **bitset blueprint distance** (the router's vectorized
-  ``REPRO_BITSET`` kernel over :mod:`repro.core.bitset` masks sits on
-  the per-request routing path);
-* micro-batches requests behind a **bounded admission queue** that sheds
-  load with 429s instead of growing without bound;
+  provider by **bitset blueprint distance** (big-int popcounts over
+  :mod:`repro.core.bitset` masks of the catalog's routing blueprints);
+* answers each request as soon as the extraction thread is free, behind
+  a **bounded admission queue** that sheds load with 429s instead of
+  growing without bound;
 * degrades per entry instead of crashing: a stored synthesis-failure
   sentinel, a stale-generation export or an unreadable program answers
   with a diagnostic 404 (:mod:`repro.serve.router`);
@@ -34,17 +34,6 @@ Environment knobs (flags override; see ``docs/serving.md``)
     Admission-queue bound (default ``128``).  A request arriving with the
     queue full is shed with a 429 and counted; it never waits.
 
-``REPRO_SERVE_BATCH``
-    Micro-batch size (default ``8``): after the first queued request is
-    claimed, up to ``BATCH-1`` more are collected within the batch window
-    and processed as one unit, so routing is one vectorized distance
-    evaluation per batch.  Outputs are byte-identical at every batch
-    size.
-
-``REPRO_SERVE_BATCH_WAIT_MS``
-    The batch window (default ``2`` ms): how long the batcher waits for
-    followers after the first request before processing a short batch.
-
 ``REPRO_SERVE_WATCH``
     Catalog watch interval in seconds (default ``2``; ``0`` disables the
     watcher — ``POST /reload`` still forces a reload).
@@ -60,18 +49,12 @@ import os
 
 DEFAULT_PORT = 7464
 DEFAULT_QUEUE = 128
-DEFAULT_BATCH = 8
-DEFAULT_BATCH_WAIT_MS = 2.0
 DEFAULT_WATCH_SECONDS = 2.0
 
 __all__ = [
-    "DEFAULT_BATCH",
-    "DEFAULT_BATCH_WAIT_MS",
     "DEFAULT_PORT",
     "DEFAULT_QUEUE",
     "DEFAULT_WATCH_SECONDS",
-    "serve_batch",
-    "serve_batch_wait",
     "serve_delay",
     "serve_port",
     "serve_queue",
@@ -110,16 +93,6 @@ def serve_port() -> int:
 def serve_queue() -> int:
     """Admission-queue bound (``REPRO_SERVE_QUEUE``)."""
     return _positive_int("REPRO_SERVE_QUEUE", DEFAULT_QUEUE)
-
-
-def serve_batch() -> int:
-    """Micro-batch size (``REPRO_SERVE_BATCH``)."""
-    return _positive_int("REPRO_SERVE_BATCH", DEFAULT_BATCH)
-
-
-def serve_batch_wait() -> float:
-    """Batch window in *seconds* (``REPRO_SERVE_BATCH_WAIT_MS``)."""
-    return _seconds("REPRO_SERVE_BATCH_WAIT_MS", DEFAULT_BATCH_WAIT_MS) / 1000.0
 
 
 def serve_watch() -> float:

@@ -10,8 +10,8 @@ Two subcommands — the infer-time pair to ``repro-store``'s hygiene::
         routes with (see repro.harness.export).  Rides the warm store:
         after a harness run this is nearly free.
 
-    repro-serve run [--host H] [--port N] [--queue N] [--batch N]
-                    [--batch-wait-ms MS] [--watch S] [--addr-file F]
+    repro-serve run [--host H] [--port N] [--queue N] [--watch S]
+                    [--addr-file F]
         Serve extractions over HTTP until SIGTERM (see
         repro.serve.server).  Port 0 picks a free port; --addr-file
         publishes the bound address for CI jobs that start the server
@@ -29,13 +29,7 @@ import json
 def main(argv: list[str] | None = None) -> int:
     import argparse
 
-    from repro.serve import (
-        DEFAULT_BATCH,
-        DEFAULT_BATCH_WAIT_MS,
-        DEFAULT_PORT,
-        DEFAULT_QUEUE,
-        DEFAULT_WATCH_SECONDS,
-    )
+    from repro.serve import DEFAULT_PORT, DEFAULT_QUEUE, DEFAULT_WATCH_SECONDS
 
     parser = argparse.ArgumentParser(
         prog="repro-serve",
@@ -71,20 +65,6 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="admission-queue bound; requests past it are shed with 429"
         f" (default REPRO_SERVE_QUEUE or {DEFAULT_QUEUE})",
-    )
-    run.add_argument(
-        "--batch",
-        type=int,
-        default=None,
-        help="micro-batch size"
-        f" (default REPRO_SERVE_BATCH or {DEFAULT_BATCH})",
-    )
-    run.add_argument(
-        "--batch-wait-ms",
-        type=float,
-        default=None,
-        help="batch fill window in milliseconds (default"
-        f" REPRO_SERVE_BATCH_WAIT_MS or {DEFAULT_BATCH_WAIT_MS:g})",
     )
     run.add_argument(
         "--watch",
@@ -143,12 +123,6 @@ def main(argv: list[str] | None = None) -> int:
             host=args.host,
             port=args.port,
             queue_size=args.queue,
-            batch_size=args.batch,
-            batch_wait=(
-                args.batch_wait_ms / 1000.0
-                if args.batch_wait_ms is not None
-                else None
-            ),
             watch=args.watch,
             addr_file=args.addr_file,
         )

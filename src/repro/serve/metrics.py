@@ -11,7 +11,7 @@ Percentiles are nearest-rank over a bounded ring buffer (the most recent
 :data:`WINDOW` samples per stage), so the endpoint reports *recent*
 latency, costs O(window) per scrape and the process never accumulates
 per-request state without bound.  Counters (requests, responses by
-status class, shed 429s, batches, reloads) are plain monotonic ints.
+status class, shed 429s, failed requests, reloads) are plain monotonic ints.
 
 Thread-safe by a single lock: samples arrive from the extraction worker
 thread while scrapes run on the event loop.
@@ -66,10 +66,10 @@ class StageMetrics:
                     ring = self._stages[stage] = deque(maxlen=WINDOW)
                 ring.append(seconds)
 
-    def count(self, name: str, n: int = 1) -> None:
+    def count(self, name: str) -> None:
         """Bump a monotonic counter."""
         with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
+            self._counters[name] = self._counters.get(name, 0) + 1
 
     def counter(self, name: str) -> int:
         with self._lock:

@@ -45,12 +45,8 @@ class AdmissionQueue:
         return True
 
     async def get(self) -> Any:
-        """Wait for the next admitted item (the batch leader)."""
+        """Wait for the next admitted item, oldest first."""
         return await self._queue.get()
-
-    def get_nowait(self) -> Any:
-        """Next item without waiting; raises ``asyncio.QueueEmpty``."""
-        return self._queue.get_nowait()
 
     def empty(self) -> bool:
         return self._queue.empty()

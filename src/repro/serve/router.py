@@ -27,49 +27,24 @@ process answers diagnostics, it never unpickles-and-crashes:
     blueprint distance.  The catalog's routing blueprints are interned
     into one :class:`repro.core.bitset.BitsetUniverse` at build time;
     per request, the document blueprint is encoded **within** that fixed
-    universe and one vectorized popcount pass scores every routing row
-    (the ``REPRO_BITSET`` kernel on the hot path).  Unknown elements
-    drop out of the mask but still count toward the union —
-    ``|a ∪ b| = |a| + |b| − |a ∩ b|`` over exact integers — so the
-    distances are bit-identical to
-    :func:`repro.core.distance.jaccard_distance` on the raw sets, on
-    all three paths (packed numpy, big-int fallback, kernel disabled).
-    A fixed universe also means batch composition cannot influence
-    routing: one request scores the same alone or in a full batch.
+    universe and one big-int popcount per routing row scores it.
+    Unknown elements drop out of the mask but still count toward the
+    union — ``|a ∪ b| = |a| + |b| − |a ∩ b|`` over exact integers — so
+    the distances are bit-identical to
+    :func:`repro.core.distance.jaccard_distance` on the raw sets.  The
+    universe depends on the catalog alone, so a request scores the same
+    whatever else the server is handling.
 """
 
 from __future__ import annotations
 
 import hashlib
 import pickle
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Sequence
 
 import repro.store as store_mod
-from repro.core.bitset import BitsetUniverse, bitset_enabled, jaccard_bits
-from repro.core.distance import jaccard_distance
-
-try:  # numpy is optional: the big-int path is complete without it.
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy ships with the toolchain
-    _np = None
-
-# The packed path needs numpy >= 2.0 for vectorized popcount.
-_HAVE_PACKED = _np is not None and hasattr(_np, "bitwise_count")
-
-
-def pack(universe: BitsetUniverse, masks: Sequence[int]):
-    """Masks packed into an ``(n, words)`` uint64 array, or ``None``.
-
-    ``None`` when numpy's vectorized popcount is unavailable or the
-    universe is empty — the router then takes the big-int loop.
-    """
-    words = (len(universe) + 63) // 64
-    if not _HAVE_PACKED or words == 0:
-        return None
-    buffer = b"".join(mask.to_bytes(words * 8, "little") for mask in masks)
-    packed = _np.frombuffer(buffer, dtype="<u8").reshape(len(masks), words)
-    return packed.astype(_np.uint64, copy=False)
+from repro.core.bitset import BitsetUniverse
 
 
 # Entry states beyond the exporter's own (see repro.harness.export):
@@ -299,53 +274,24 @@ class Router:
         # Intern the catalog side once.  The universe is catalog-only:
         # request elements outside it vanish from the intersection but
         # are restored in the union via |b|, keeping Jaccard exact.
-        self._universe: BitsetUniverse | None = None
-        self._packed = None
-        self._sizes = None
-        self._width = 0
-        if bitset_enabled() and rows:
-            universe = BitsetUniverse(
-                element for row in rows for element in row.blueprint
-            )
-            for row in rows:
-                row.mask = universe.encode(row.blueprint)
-                row.size = len(row.blueprint)
-            self._universe = universe
-            self._packed = pack(universe, [row.mask for row in rows])
-            if self._packed is not None:
-                self._width = self._packed.shape[1] * 8
-                self._sizes = _np.array(
-                    [row.size for row in rows], dtype=_np.int64
-                )
+        self._universe = BitsetUniverse(
+            element for row in rows for element in row.blueprint
+        )
+        for row in rows:
+            row.mask = self._universe.encode(row.blueprint)
+            row.size = len(row.blueprint)
 
     # -- distances -------------------------------------------------------
     def distances(self, blueprint: frozenset) -> list[float]:
         """Distance from ``blueprint`` to every routing row (row order).
 
-        Three paths, one answer: packed numpy popcount, big-int
-        popcount, or per-pair ``jaccard_distance`` when the kernel is
-        off — all divide the same exact intersection/union integers.
+        Divides the same exact intersection/union integers as
+        ``jaccard_distance`` on the raw sets, so the floats are equal.
         """
-        rows = self.rows
-        universe = self._universe
-        if universe is None:
-            return [
-                jaccard_distance(row.blueprint, blueprint) for row in rows
-            ]
-        mask = universe.encode_within(blueprint)
+        mask = self._universe.encode_within(blueprint)
         size = len(blueprint)
-        if self._packed is not None:
-            needle = _np.frombuffer(
-                mask.to_bytes(self._width, "little"), dtype="<u8"
-            )
-            inter = _np.bitwise_count(self._packed & needle).sum(
-                axis=1, dtype=_np.int64
-            )
-            union = self._sizes + size - inter
-            safe = _np.where(union == 0, 1, union)
-            return _np.where(union == 0, 0.0, 1.0 - inter / safe).tolist()
         out = []
-        for row in rows:
+        for row in self.rows:
             inter = (row.mask & mask).bit_count()
             union = row.size + size - inter
             out.append(1.0 - inter / union if union else 0.0)
@@ -488,7 +434,6 @@ __all__ = [
     "CatalogEntry",
     "Router",
     "ServingCatalog",
-    "jaccard_bits",
     "load_catalog",
     "peek_digest",
 ]

@@ -6,29 +6,30 @@ repo's no-deps stance.  The life of a ``POST /extract`` request:
 1. the connection handler reads the request and offers it to the
    bounded :class:`repro.serve.queue.AdmissionQueue` — full queue means
    an immediate 429, no waiting (load shedding by construction);
-2. the batch worker claims a micro-batch
-   (:func:`repro.serve.batching.next_batch`) and runs it on the single
-   extraction thread: per request, **decode** (JSON + HTML parse +
-   blueprint), **route** (:class:`repro.serve.router.Router` — one
-   vectorized bitset-distance pass), **extract** (the synthesized
-   program), **encode** (canonical JSON bytes).  A request naming its
-   ``provider`` is routed by exact lookup *before* the HTML is parsed,
-   and skips the blueprint, so an unknown provider/field costs no
-   document decoding;
+2. the worker takes the oldest admitted request as soon as the
+   extraction thread is free and runs it there: **decode** (JSON + HTML
+   parse + blueprint), **route** (:class:`repro.serve.router.Router` —
+   one big-int popcount pass over the catalog's routing rows),
+   **extract** (the synthesized program), **encode** (canonical JSON
+   bytes).  A request naming its ``provider`` is routed by exact lookup
+   *before* the HTML is parsed, and skips the blueprint, so an unknown
+   provider/field costs no document decoding;
 3. the handler awaits the request's future and writes the prepared
    bytes.
 
 One extraction thread is a feature, not a limitation: extraction is
 pure-python CPU work, so a second thread would fight the GIL, and a
-single thread makes batch-vs-single output identity trivial to
-guarantee — requests are processed in admission order, against one
-router snapshot per batch, and serialized with ``sort_keys=True``.
+single thread makes output identity under load trivial to guarantee —
+requests are processed one at a time in admission order, each against
+the router snapshot current when it starts, and serialized with
+``sort_keys=True``.  Extraction stays off the event loop so a slow
+parse never stalls ``/healthz``, admission or 429 shedding.
 
 Hot reload: a watcher polls the store every ``REPRO_SERVE_WATCH``
 seconds with :func:`repro.serve.router.peek_digest` (raw rows only) and
 rebuilds the router when the serving rows — or the live
 ``BLUEPRINT_ALGO_VERSION`` generation — changed.  The swap is one
-attribute assignment; in-flight batches keep the router they started
+attribute assignment; an in-flight request keeps the router it started
 with.  ``POST /reload`` forces the same path synchronously.
 
 Graceful drain, so that stopping the server loses no request it already
@@ -49,14 +50,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 
-from repro.serve import (
-    serve_batch,
-    serve_batch_wait,
-    serve_delay,
-    serve_queue,
-    serve_watch,
-)
-from repro.serve.batching import next_batch
+from repro.serve import serve_delay, serve_queue, serve_watch
 from repro.serve.metrics import StageMetrics
 from repro.serve.queue import AdmissionQueue
 from repro.serve.router import Router, load_catalog, peek_digest
@@ -92,7 +86,7 @@ class _BadHead(Exception):
 
 @dataclass
 class _Pending:
-    """One admitted ``/extract`` request awaiting the batch worker."""
+    """One admitted ``/extract`` request awaiting the worker."""
 
     body: bytes
     enqueued: float
@@ -100,7 +94,7 @@ class _Pending:
 
 
 class ServeApp:
-    """The serving process: listener + admission queue + batch worker."""
+    """The serving process: listener + admission queue + worker."""
 
     def __init__(
         self,
@@ -108,18 +102,12 @@ class ServeApp:
         host: str = "127.0.0.1",
         port: int | None = None,
         queue_size: int | None = None,
-        batch_size: int | None = None,
-        batch_wait: float | None = None,
         watch: float | None = None,
     ) -> None:
         self.store = store
         self.host = host
         self.port = serve_port_default(port)
         self.queue_size = queue_size if queue_size is not None else serve_queue()
-        self.batch_size = batch_size if batch_size is not None else serve_batch()
-        self.batch_wait = (
-            batch_wait if batch_wait is not None else serve_batch_wait()
-        )
         self.watch = watch if watch is not None else serve_watch()
         self.delay = serve_delay()
         self.metrics = StageMetrics()
@@ -185,7 +173,7 @@ class ServeApp:
         self._server.close()
         await self._server.wait_closed()
         # Every admitted request is a promise: wait for the queue to
-        # empty and in-flight batches to finish.
+        # empty and the in-flight request to finish.
         limit = time.monotonic() + deadline
         while (not self.queue.empty() or self._inflight) and (
             time.monotonic() < limit
@@ -395,46 +383,34 @@ class ServeApp:
             )
         return await pending.future
 
-    # -- the batch worker ------------------------------------------------
+    # -- the worker ------------------------------------------------------
     async def _worker_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while True:
-            batch = await next_batch(self.queue, self.batch_size, self.batch_wait)
-            self._inflight += len(batch)
+            pending = await self.queue.get()
+            self._inflight += 1
             try:
-                claimed = time.monotonic()
-                results = await loop.run_in_executor(
-                    self._executor, self._process_batch, batch, claimed
+                outcome = await loop.run_in_executor(
+                    self._executor, self._process, pending, time.monotonic()
                 )
-                self.metrics.count("batches")
-                self.metrics.count("batched_requests", len(batch))
             except Exception as exc:  # noqa: BLE001 - answer, keep serving
-                self.metrics.count("failed_requests", len(batch))
-                failure = (
+                self.metrics.count("failed_requests")
+                outcome = (
                     500,
                     _error(f"internal error: {type(exc).__name__}: {exc}"),
                 )
-                results = [failure] * len(batch)
             finally:
-                self._inflight -= len(batch)
-            for pending, outcome in zip(batch, results):
-                if not pending.future.done():
-                    pending.future.set_result(outcome)
+                self._inflight -= 1
+            if not pending.future.done():
+                pending.future.set_result(outcome)
 
-    def _process_batch(
-        self, batch: list[_Pending], claimed: float
-    ) -> list[tuple[int, bytes]]:
-        """Runs on the extraction thread: the four timed stages per
-        request, against one router snapshot for the whole batch."""
-        router = self.router
-        results: list[tuple[int, bytes]] = []
-        for pending in batch:
-            timings = {"queue": claimed - pending.enqueued}
-            status, payload = self._process_one(router, pending, timings)
-            timings["total"] = time.monotonic() - pending.enqueued
-            self.metrics.observe_many(timings)
-            results.append((status, payload))
-        return results
+    def _process(self, pending: _Pending, claimed: float) -> tuple[int, bytes]:
+        """Runs on the extraction thread: one request's timed stages."""
+        timings = {"queue": claimed - pending.enqueued}
+        outcome = self._process_one(self.router, pending, timings)
+        timings["total"] = time.monotonic() - pending.enqueued
+        self.metrics.observe_many(timings)
+        return outcome
 
     def _process_one(
         self, router: Router, pending: _Pending, timings: dict
@@ -507,7 +483,7 @@ class ServeApp:
             )
         timings["extract"] = time.monotonic() - started
 
-        # encode: canonical JSON so batch composition can't change bytes.
+        # encode: canonical JSON, so the same request gives the same bytes.
         started = time.monotonic()
         response = {
             "provider": entry.provider,
@@ -538,7 +514,7 @@ class ServeApp:
 
         Runs on the extraction thread, so reloads serialize with
         extraction and the router swap is a plain attribute write that
-        batches observe atomically.
+        each request observes atomically.
         """
         if not force and peek_digest(self.store) == self.router.catalog.digest:
             return False
@@ -570,8 +546,6 @@ def run_server(
     host: str = "127.0.0.1",
     port: int | None = None,
     queue_size: int | None = None,
-    batch_size: int | None = None,
-    batch_wait: float | None = None,
     watch: float | None = None,
     addr_file: str | None = None,
 ) -> int:
@@ -583,8 +557,6 @@ def run_server(
             host=host,
             port=port,
             queue_size=queue_size,
-            batch_size=batch_size,
-            batch_wait=batch_wait,
             watch=watch,
         )
         await app.start()

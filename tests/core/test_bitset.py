@@ -26,8 +26,16 @@ from repro.core.clustering import fine_cluster
 from repro.core.distance import jaccard_distance
 from repro.html.domain import HtmlDomain
 from repro.images.domain import ImageDomain
-from repro.serve.router import pack
 from tests.core.fake_domain import make_example
+
+
+def decode(universe, mask):
+    """The element set a bitmask denotes (inverts ``universe.encode``)."""
+    return frozenset(
+        element
+        for position, element in enumerate(universe.elements)
+        if mask >> position & 1
+    )
 
 
 def random_universe(rng: random.Random, n_sets: int, vocab: int):
@@ -62,7 +70,7 @@ class TestInterner:
                 element for s in sets for element in s
             )
             for s in sets:
-                assert universe.decode(universe.encode(s)) == s
+                assert decode(universe, universe.encode(s)) == s
 
     def test_encode_within_drops_unknowns(self):
         universe = bitset.BitsetUniverse(["a", "b"])
@@ -74,14 +82,7 @@ class TestInterner:
         universe = bitset.BitsetUniverse([])
         assert len(universe) == 0
         assert universe.encode([]) == 0
-        assert universe.decode(0) == frozenset()
-
-    def test_words_sized_for_packing(self):
-        for size, words in ((64, 1), (65, 2)):
-            universe = bitset.BitsetUniverse(f"e{i}" for i in range(size))
-            masks = [universe.encode(universe.elements), 0]
-            assert pack(universe, masks).shape == (2, words)
-        assert pack(bitset.BitsetUniverse([]), [0, 0]) is None
+        assert decode(universe, 0) == frozenset()
 
 
 class TestDistanceEquality:
@@ -92,7 +93,7 @@ class TestDistanceEquality:
             universe = bitset.BitsetUniverse(
                 element for s in sets for element in s
             )
-            masks = universe.encode_all(sets)
+            masks = [universe.encode(s) for s in sets]
             for i, set_a in enumerate(sets):
                 for j, set_b in enumerate(sets):
                     expected = jaccard_distance(set_a, set_b)
@@ -122,7 +123,7 @@ rng = random.Random(42)
 words = [f"tok{i}" for i in range(200)]
 sets = [frozenset(rng.sample(words, rng.randrange(0, 120))) for _ in range(30)]
 universe = bitset.BitsetUniverse(e for s in sets for e in s)
-masks = universe.encode_all(sets)
+masks = [universe.encode(s) for s in sets]
 print(",".join(universe.elements))
 print(",".join(str(m) for m in masks))
 print(",".join(repr(bitset.jaccard_bits(masks[0], m)) for m in masks))
@@ -156,9 +157,9 @@ def assert_interns_exactly(domain, blueprints):
     universe = bitset.BitsetUniverse(
         element for blueprint in blueprints for element in blueprint
     )
-    masks = universe.encode_all(blueprints)
+    masks = [universe.encode(blueprint) for blueprint in blueprints]
     for blueprint, mask in zip(blueprints, masks):
-        assert universe.decode(mask) == blueprint
+        assert decode(universe, mask) == blueprint
     for i, mask_a in enumerate(masks):
         for j, mask_b in enumerate(masks):
             assert bitset.jaccard_bits(mask_a, mask_b) == (
@@ -198,19 +199,11 @@ class TestUniverseFor:
         assert all(blueprints)
         assert_interns_exactly(domain, blueprints + [frozenset()])
 
-    def test_knob_disables(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BITSET", raising=False)
-        assert bitset.bitset_enabled()
-        monkeypatch.setenv("REPRO_BITSET", "0")
-        assert not bitset.bitset_enabled()
-        monkeypatch.setenv("REPRO_BITSET", "1")
-        assert bitset.bitset_enabled()
-
 
 class TestPipelineParity:
     """Synthesis call sites agree with the plain frozenset definitions."""
 
-    def test_fine_cluster_placements_match_legacy(self, monkeypatch):
+    def test_fine_cluster_placements_match_legacy(self):
         rng = random.Random(8)
         vocab = [f"body/table/tr/td{i}" for i in range(20)]
         examples = []
@@ -220,19 +213,15 @@ class TestPipelineParity:
             example.doc = _BlueprintDoc(frozenset(cells))
             examples.append(example)
         domain = _BlueprintOnlyDomain()
-        placements = {}
-        for knob in ("1", "0"):
-            monkeypatch.setenv("REPRO_BITSET", knob)
-            placements[knob] = _shape(
-                fine_cluster(
-                    domain,
-                    examples,
-                    threshold=0.5,
-                    cache=DistanceCache(domain, enabled=True),
-                )
-            )
-        assert placements["1"] == placements["0"]
-        assert placements["1"] == _shape(_legacy_fine_cluster(examples, 0.5))
+        placements = fine_cluster(
+            domain,
+            examples,
+            threshold=0.5,
+            cache=DistanceCache(domain, enabled=True),
+        )
+        assert _shape(placements) == _shape(
+            _legacy_fine_cluster(examples, 0.5)
+        )
 
 
 def _shape(clusters):

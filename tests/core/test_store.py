@@ -161,7 +161,7 @@ class TestAsymmetricOrientationKeys:
         value = cache.distance(bp_a, bp_b)
         # Reversed orientation is served from the single entry.
         assert cache.distance(bp_b, bp_a) == value
-        assert cache.distance_cached(bp_b, bp_a)
+        assert list(cache._distances) == [(bp_a, bp_b)]
         assert cache.miss_counts.get("distance") == 1
         assert cache.hit_counts.get("distance") == 1
         store = shared_store()

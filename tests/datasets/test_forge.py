@@ -7,6 +7,7 @@ produce visibly different providers.
 """
 
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -18,6 +19,16 @@ from repro.datasets.base import CONTEMPORARY, LONGITUDINAL
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 SRC = REPO_ROOT / "src"
+# A bare subprocess environment that still honours a run's choice not to
+# write bytecode into the source tree.
+CLEAN_ENV = {
+    "PATH": "/usr/bin:/bin",
+    **{
+        k: v
+        for k, v in os.environ.items()
+        if k == "PYTHONDONTWRITEBYTECODE"
+    },
+}
 
 
 @pytest.fixture(scope="module")
@@ -146,7 +157,7 @@ class TestCrossProcessDeterminism:
                 [sys.executable, "-c", DETERMINISM_SNIPPET.format(src=str(SRC))],
                 capture_output=True,
                 text=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={**CLEAN_ENV, "PYTHONHASHSEED": hash_seed},
                 check=True,
             )
             outputs.append(proc.stdout)
@@ -158,7 +169,7 @@ class TestCrossProcessDeterminism:
             sys.executable, "-m", "repro.datasets.forge",
             "--providers", "2", "--docs", "8", "--seed", "1",
         ]
-        env = {"PYTHONPATH": str(SRC), "PATH": "/usr/bin:/bin"}
+        env = {**CLEAN_ENV, "PYTHONPATH": str(SRC)}
         first = subprocess.run(
             argv, capture_output=True, text=True, check=True,
             env={**env, "PYTHONHASHSEED": "2"},

@@ -1,10 +1,11 @@
-"""A synthesis process never loads numpy or the process-pool machinery.
+"""Synthesis and serving processes never load numpy or the process-pool
+machinery.
 
 numpy costs a cold process tens of milliseconds and ~14 MB of RSS, and
-``concurrent.futures.process`` pulls in ``multiprocessing``; only the
-serving router (numpy) and a ``REPRO_JOBS > 1`` harness run (the pool)
-need them.  Each check runs in a fresh interpreter, because the test
-session itself may have imported either.
+``concurrent.futures.process`` pulls in ``multiprocessing``; nothing
+under ``src/`` imports numpy, and only a ``REPRO_JOBS > 1`` harness run
+needs the pool.  Each check runs in a fresh interpreter, because the
+test session itself may have imported either.
 """
 
 from __future__ import annotations
@@ -33,6 +34,27 @@ assert run_m2h_experiment(
 assert run_finance_experiment(
     [LrsynImageMethod()], doc_types=["CashInvoice"], train_size=3, test_size=3
 )
+"""
+
+_ROUTE = """
+import repro.serve.server
+from repro.serve.router import CatalogEntry, Router, ServingCatalog
+
+class Program:
+    def extract(self, doc):
+        return []
+
+entries = [
+    CatalogEntry(
+        key=provider, dataset="synthetic", provider=provider, field="F",
+        method="LRSyn", program_key=provider, algo=0,
+        blueprints=(frozenset(elements),), extractor=Program(),
+    )
+    for provider, elements in (("pA", "ab"), ("pB", "bc"))
+]
+router = Router(ServingCatalog(entries=entries, digest="d", generation="g"))
+entry, distance, diagnostic = router.route("F", frozenset("cx"))
+assert (entry.provider, distance, diagnostic) == ("pB", 1 - 1 / 3, None)
 """
 
 
@@ -67,3 +89,7 @@ def test_harness_and_store_import_without_numpy(tmp_path):
 
 def test_serial_training_loads_neither(tmp_path):
     assert loaded_modules(_TRAIN, tmp_path) == []
+
+
+def test_serving_router_loads_neither(tmp_path):
+    assert loaded_modules(_ROUTE, tmp_path) == []

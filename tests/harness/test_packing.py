@@ -17,6 +17,7 @@ print byte-identical JSON.
 """
 
 import json
+import os
 import random
 import subprocess
 import sys
@@ -27,6 +28,16 @@ import pytest
 from repro.harness import sharding
 
 REPO = Path(__file__).resolve().parent.parent.parent
+# A bare subprocess environment that still honours a run's choice not to
+# write bytecode into the source tree.
+CLEAN_ENV = {
+    "PATH": "/usr/bin:/bin",
+    **{
+        k: v
+        for k, v in os.environ.items()
+        if k == "PYTHONDONTWRITEBYTECODE"
+    },
+}
 
 
 def random_graph(seed: int, max_tasks: int = 40):
@@ -137,7 +148,7 @@ class TestDeterminism:
                 capture_output=True,
                 text=True,
                 check=True,
-                env={"PYTHONHASHSEED": hash_seed, "PATH": "/usr/bin:/bin"},
+                env={**CLEAN_ENV, "PYTHONHASHSEED": hash_seed},
             )
             outputs.append(result.stdout)
         assert outputs[0] == outputs[1] == outputs[2]

@@ -114,34 +114,35 @@ def test_routes_training_doc_to_its_provider(serve_setup, sample_docs):
         assert distance == 0.0
 
 
-def test_distance_paths_are_bit_identical(serve_setup, sample_docs, monkeypatch):
+def test_distance_paths_are_bit_identical(serve_setup, sample_docs):
+    """The bitset distances equal per-pair ``jaccard_distance`` exactly,
+    also for request blueprints holding elements outside the catalog
+    universe and for the empty blueprint."""
+    import random
+
+    from repro.core.distance import jaccard_distance
     from repro.html.domain import HtmlDomain
 
     domain = HtmlDomain()
-    catalog = load_catalog(serve_setup.store)
+    router = Router(load_catalog(serve_setup.store))
+    assert router.rows
     blueprints = [
         domain.document_blueprint(doc)
         for docs in sample_docs.values()
         for doc in (*docs.training, *docs.test)
     ]
-
-    packed_router = Router(catalog)
-    assert packed_router._packed is not None, "packed kernel expected"
-
-    monkeypatch.setattr(
-        "repro.serve.router.pack", lambda universe, masks: None
-    )
-    bigint_router = Router(catalog)
-    assert bigint_router._packed is None
-
-    monkeypatch.setenv("REPRO_BITSET", "0")
-    legacy_router = Router(catalog)
-    assert legacy_router._universe is None
+    known = sorted({e for row in router.rows for e in row.blueprint})
+    rng = random.Random(0)
+    for index in range(20):
+        inside = rng.sample(known, rng.randrange(0, min(len(known), 40)))
+        outside = [f"unseen-{index}-{n}" for n in range(rng.randrange(0, 5))]
+        blueprints.append(frozenset(inside + outside))
+    blueprints.append(frozenset())
 
     for blueprint in blueprints:
-        packed = packed_router.distances(blueprint)
-        assert packed == bigint_router.distances(blueprint)
-        assert packed == legacy_router.distances(blueprint)
+        assert router.distances(blueprint) == [
+            jaccard_distance(row.blueprint, blueprint) for row in router.rows
+        ]
 
 
 def test_route_tie_breaks_deterministically(tmp_path):

@@ -1,4 +1,4 @@
-"""In-process server behavior: admission, batching, reload, metrics."""
+"""In-process server behavior: admission, reload, metrics."""
 
 from __future__ import annotations
 
@@ -137,7 +137,7 @@ def test_batch_vs_single_byte_identical(run_app, sample_docs):
 
     async def scenario(app):
         single = []
-        for payload in requests:  # sequential: every batch has size 1
+        for payload in requests:  # sequential: one request in flight
             status, _, raw = await http_request(
                 app.port, "POST", "/extract", payload
             )
@@ -151,11 +151,12 @@ def test_batch_vs_single_byte_identical(run_app, sample_docs):
         )
         assert [raw for _, _, raw in burst] == single
         status, metrics, _ = await http_request(app.port, "GET", "/metrics")
-        counters = metrics["counters"]
-        # The burst actually exercised multi-request batches.
-        assert counters["batches"] < counters["batched_requests"]
+        # The whole burst was admitted: nothing was shed with a 429.
+        assert metrics["queue"]["shed"] == 0
+        assert "http.429" not in metrics["counters"]
+        assert metrics["queue"]["admitted"] == 2 * len(requests)
 
-    run_app(scenario, batch_size=4, batch_wait=0.05)
+    run_app(scenario)
 
 
 def test_admission_queue_overflow_sheds_429(run_app, sample_docs):
@@ -184,7 +185,7 @@ def test_admission_queue_overflow_sheds_429(run_app, sample_docs):
         assert metrics["queue"]["shed"] == shed
         assert metrics["counters"]["http.429"] == shed
 
-    run_app(scenario, queue_size=2, batch_size=1, batch_wait=0.0)
+    run_app(scenario, queue_size=2)
 
 
 def test_forced_reload_picks_up_new_export(run_app, serve_setup):
