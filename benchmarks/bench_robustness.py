@@ -12,8 +12,8 @@ Two checks from the paper:
 Both run through the experiment harness (``run_m2h_robustness_experiment``
 / ``train_method`` + the harness corpus helpers) rather than hand-rolled
 ``generate_corpus``/``train`` loops, so the memo tables, the persistent
-program store, ``REPRO_JOBS`` and ``REPRO_SHARD`` cover this bench
-exactly like the table benches — the training-set study is the
+program store and ``REPRO_JOBS`` cover this bench exactly like the
+table benches — the training-set study is the
 ``robustness`` experiment of the ``repro-shard`` registry.
 """
 

@@ -10,23 +10,19 @@ Every experiment run is timed under an isolated
 ``benchmarks/results/BENCH_synthesis_speed.json`` — a trajectory of
 per-stage wall-clock (cluster, landmark, region-synth, value-synth, score)
 plus cache hit/miss counters, so future optimization PRs can prove their
-speedups against the recorded history.  ``REPRO_SCALE``, ``REPRO_JOBS``,
-``REPRO_SHARD`` and ``REPRO_CACHE`` (see :mod:`repro.harness.runner`) are
-recorded with each entry.
+speedups against the recorded history.  ``REPRO_SCALE``, ``REPRO_JOBS``
+and ``REPRO_CACHE`` (see :mod:`repro.harness.runner`) are recorded with
+each entry.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import pathlib
-import subprocess
-import sys
 import time
 
 from repro.core.caching import StageTimer, cache_enabled, use_timer
 from repro.store import store_enabled
-from repro.harness.sharding import env_shard
 from repro.harness.ablations import run_ablations_experiment
 from repro.harness.images import (
     AfrMethod,
@@ -46,47 +42,11 @@ from repro.harness.runner import (
     scale,
 )
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 SPEED_TRAJECTORY = RESULTS_DIR / "BENCH_synthesis_speed.json"
 
 HTML_METHODS = ("ForgivingXPaths", "NDSyn", "LRSyn")
 IMAGE_METHODS = ("AFR", "LRSyn")
-
-
-def run_shard_subprocess(
-    experiment: str,
-    shard: str,
-    seed: int,
-    scale: str,
-    out: pathlib.Path,
-    hash_seed: int | None = None,
-    extra_env: dict[str, str] | None = None,
-) -> None:
-    """Run one ``repro-shard run`` in a child process (CI gate scripts).
-
-    Shared by ``shard_equivalence_check`` (which pins a distinct
-    ``PYTHONHASHSEED`` per arm to emulate separate machines),
-    ``shard_prewarm_check`` (which inherits the ambient one) and
-    ``forge_smoke_check`` (which sets its forge knobs via
-    ``extra_env``).  Every arm is a round-robin ``repro-shard run``.
-    """
-    env = {**os.environ, "REPRO_SCALE": scale, **(extra_env or {})}
-    if hash_seed is not None:
-        env["PYTHONHASHSEED"] = str(hash_seed)
-    env["PYTHONPATH"] = str(REPO_ROOT / "src") + (
-        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
-    )
-    subprocess.run(
-        [
-            sys.executable, "-m", "repro.harness.sharding", "run",
-            "--experiment", experiment, "--shard", shard,
-            "--seed", str(seed), "--out", str(out),
-        ],
-        env=env,
-        check=True,
-        cwd=REPO_ROOT,
-    )
 
 
 def emit(name: str, text: str) -> None:
@@ -112,11 +72,6 @@ def timed_experiment(name: str, experiment, *args, **kwargs):
     context = dict(
         scale=scale(),
         jobs=jobs(),
-        # The experiment drivers honour REPRO_SHARD, so a sharded bench
-        # run records partial-coverage timings; "0/1" marks a full run.
-        # (The table benches assert full-table shapes — run those
-        # unsharded; sharded CI coverage goes through `repro-shard`.)
-        shard=str(env_shard()),
         cache_enabled=cache_enabled(),
         store_enabled=store_enabled(),
     )
@@ -159,8 +114,7 @@ def m2h_images_results(seed: int = 0):
 def robustness_results(seed: int = 0):
     """The Section 7.4 training-set robustness experiment (seed axis in
     ``FieldResult.setting``), routed through the harness like every
-    table experiment — caches, store, ``REPRO_JOBS`` and ``REPRO_SHARD``
-    all apply."""
+    table experiment — caches, store and ``REPRO_JOBS`` all apply."""
     return timed_experiment(
         "robustness",
         run_m2h_robustness_experiment,

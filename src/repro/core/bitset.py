@@ -101,15 +101,3 @@ def intersect_all(sets: Iterable[Iterable[str]]) -> frozenset[str]:
             return frozenset()
         survivors.intersection_update(values)
     return frozenset(survivors)
-
-
-def jaccard_bits(a: int, b: int) -> float:
-    """Jaccard distance between two bitmasks of one universe.
-
-    Bit-identical to ``jaccard_distance`` on the decoded sets: both
-    divide ``|a ∩ b|`` by ``|a ∪ b|`` as exact integers.
-    """
-    union = (a | b).bit_count()
-    if not union:
-        return 0.0
-    return 1.0 - (a & b).bit_count() / union

@@ -48,11 +48,10 @@ class StageTimer:
     wall-clock: each experiment driver wraps one canonical task (see
     :mod:`repro.harness.sharding`) in :meth:`task`, and the resulting
     ``tasks`` table — keyed by the task's string tuple — lands in every
-    shard partial as ``task_seconds``.  Task keys ride through
+    partial-result file as ``task_seconds``.  Task keys ride through
     :meth:`snapshot`/:meth:`merge` like every other measurement, so
-    per-task timings survive process fan-out and shard merges (task sets
-    are disjoint across workers and partials, so summing on merge is
-    exact).
+    per-task timings survive the ``REPRO_JOBS`` process fan-out (task
+    sets are disjoint across workers, so summing on merge is exact).
     """
 
     def __init__(self) -> None:

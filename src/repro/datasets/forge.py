@@ -86,11 +86,11 @@ def forge_providers() -> list[str]:
 
 
 def config_fingerprint() -> str:
-    """The forge configuration a shard split must agree on.
+    """The forge configuration two compared runs must agree on.
 
-    Folded into the shard graph digest: ``REPRO_FORGE_DOCS`` changes
+    Folded into the partial graph digest: ``REPRO_FORGE_DOCS`` changes
     corpus sizes (and therefore scores) without changing the task graph,
-    so partials generated under different knob values must not merge.
+    so ``repro-shard diff`` refuses partials from different knob values.
     """
     return f"forge|providers={forge_provider_count()}|docs={forge_docs()}"
 

@@ -18,9 +18,8 @@ the mechanism's baseline *and* ablated method variant on the task's
 corpus and labels results with the mechanism in ``FieldResult.setting``.
 Everything routes through the harness layer
 (:func:`~repro.harness.runner.held`, :func:`train_method` via
-:func:`evaluate_on_corpus`, the ``REPRO_JOBS`` pool, ``REPRO_SHARD``),
-so the memo tables, the persistent program store and the shard
-scheduler apply.
+:func:`evaluate_on_corpus`, the ``REPRO_JOBS`` pool), so the memo
+tables and the persistent program store apply.
 
 (The third prose mechanism, layout-conditional synthesis, is exercised on
 a purpose-built synthetic corpus directly in the bench: it has no dataset
@@ -134,7 +133,6 @@ def run_ablations_experiment(
     train_size: int | None = None,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[TaskKey] | None = None,
 ) -> list[FieldResult]:
     """Run the ablation tasks; two results (baseline, ablated) per task.
@@ -154,7 +152,7 @@ def run_ablations_experiment(
              _ablation_corpus, mechanism, provider,
              *_mechanism_sizes(mechanism, train_size, test_size), seed)
             for mechanism, provider, field in resolve_tasks(
-                ablation_tasks(), shard, tasks
+                ablation_tasks(), tasks
             )
         ],
     )

@@ -4,10 +4,9 @@
 both settings (drifted longitudinal test pages); ``forge_images`` runs the
 image method set over degraded scans.  Both are a task graph run by the
 table drivers' own task function (:func:`repro.harness.runner.table_task`)
-— program store, ``REPRO_JOBS`` fan-out, ``REPRO_SHARD`` task
-resolution — so the forge doubles as a store/scheduler stress
-workload at whatever size ``REPRO_FORGE_PROVIDERS`` ×
-``REPRO_FORGE_DOCS`` dials in.
+— program store and ``REPRO_JOBS`` fan-out — so the forge doubles as a
+store/harness stress workload at whatever size
+``REPRO_FORGE_PROVIDERS`` × ``REPRO_FORGE_DOCS`` dials in.
 """
 
 from __future__ import annotations
@@ -88,7 +87,6 @@ def run_forge_html_experiment(
     train_size: int | None = None,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[tuple[str, str]] | None = None,
 ) -> list[FieldResult]:
     """The forged-provider HTML experiment (both settings)."""
@@ -102,7 +100,7 @@ def run_forge_html_experiment(
             (methods, provider, field,
              forge_corpora, provider, train_size, test_size, seed)
             for provider, field in resolve_tasks(
-                forge_html_tasks(), shard, tasks
+                forge_html_tasks(), tasks
             )
         ],
     )
@@ -113,7 +111,6 @@ def run_forge_images_experiment(
     train_size: int | None = None,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[tuple[str, str]] | None = None,
 ) -> list[FieldResult]:
     """The forged-provider degraded-scan experiment (contemporary only)."""
@@ -125,6 +122,6 @@ def run_forge_images_experiment(
     test_size = test_size if test_size is not None else default_test
     return run_image_tasks(
         "forge_images", methods,
-        resolve_tasks(forge_image_tasks(), shard, tasks),
+        resolve_tasks(forge_image_tasks(), tasks),
         train_size, test_size, seed,
     )

@@ -89,14 +89,13 @@ def run_finance_experiment(
     train_size: int = 10,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[tuple[str, str]] | None = None,
 ) -> list[FieldResult]:
     """Table 3: the Finance dataset (34 field tasks, 10 training images)."""
     test_size = test_size if test_size is not None else scaled(160, minimum=25)
     return run_image_tasks(
         "finance", methods,
-        resolve_tasks(finance_tasks(doc_types), shard, tasks),
+        resolve_tasks(finance_tasks(doc_types), tasks),
         train_size, test_size, seed,
     )
 
@@ -107,14 +106,13 @@ def run_m2h_images_experiment(
     train_size: int = 10,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[tuple[str, str]] | None = None,
 ) -> list[FieldResult]:
     """Table 4: the M2H-Images dataset (print + scan + OCR pipeline)."""
     test_size = test_size if test_size is not None else scaled(120, minimum=25)
     return run_image_tasks(
         "m2h_images", methods,
-        resolve_tasks(m2h_images_tasks(providers), shard, tasks),
+        resolve_tasks(m2h_images_tasks(providers), tasks),
         train_size, test_size, seed,
     )
 

@@ -36,19 +36,15 @@ Environment knobs
     changes: subtree texts, element counts, text queries
     (``find_by_text``), per-tag child lists and the order maps.
 
-``REPRO_SHARD``
-    ``i/N`` restricts every experiment driver to the i-th of N
-    deterministic slices of its ``(provider, field)`` task graph, so an
-    experiment can be split across CI jobs or machines and merged back
-    into byte-identical tables (:mod:`repro.harness.sharding` and the
-    ``repro-shard`` CLI).  Default: the whole graph.
-
 ``REPRO_STORE`` / ``REPRO_STORE_DIR``
     The persistent content-hash store (:mod:`repro.store`): trained
     extractors survive across runs and CI jobs.  ``REPRO_STORE=0``
     disables it; ``REPRO_STORE_DIR`` overrides ``~/.cache/repro``.
-    Shard jobs on one machine share one warm cache by sharing the
-    sqlite file.  See ``docs/performance.md``.
+    See ``docs/performance.md``.
+
+Every driver runs its whole canonical task graph unless the caller
+passes an explicit ``tasks`` list; :mod:`repro.harness.sharding` (the
+``repro-shard`` CLI) runs registered experiments and diffs their results.
 """
 
 from __future__ import annotations
@@ -537,7 +533,7 @@ def table_task(
 
     Scores every method on the settings → corpus dict ``load(*load_key)``,
     obtained through :func:`held`.  The task's timing window includes the
-    corpus load it triggers: a shard that draws tasks from k providers
+    corpus load it triggers: a worker that draws tasks from k providers
     really does pay k loads, and the cost model should see that.
     """
     with active_timer().task((provider, field)):
@@ -624,22 +620,12 @@ def m2h_corpora(
 
 def resolve_tasks(
     all_tasks: list[tuple[str, ...]],
-    shard,
     tasks: Sequence[tuple[str, ...]] | None,
 ) -> list[tuple[str, ...]]:
-    """The task subset an experiment driver should run.
-
-    ``tasks`` (an explicit list, used by the shard scheduler and its
-    tests) wins outright; otherwise the canonical list is filtered down to
-    the requested shard — ``shard=None`` reads ``REPRO_SHARD`` from the
-    environment, which defaults to the whole graph.
-    """
-    from repro.harness import sharding
-
-    if tasks is not None:
-        return [tuple(task) for task in tasks]
-    all_tasks = [tuple(task) for task in all_tasks]
-    return sharding.assign(all_tasks, sharding.resolve_shard(shard))
+    """The tasks an experiment driver should run: an explicit ``tasks``
+    list (a subset, used by the tests and the registry) wins, else the
+    whole canonical graph."""
+    return [tuple(task) for task in (all_tasks if tasks is None else tasks)]
 
 
 def m2h_tasks(
@@ -659,7 +645,6 @@ def run_m2h_experiment(
     train_size: int | None = None,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[tuple[str, str]] | None = None,
 ) -> list[FieldResult]:
     """The M2H HTML experiment behind Tables 1 and 2.
@@ -668,10 +653,8 @@ def run_m2h_experiment(
     (roughly 60/520 per provider); sizes default to the scaled-down
     equivalents (see :func:`scale`).  With ``REPRO_JOBS > 1`` the
     independent ``(provider, field)`` tasks run on a process pool; see the
-    module docstring for the determinism guarantees.  ``shard`` (or the
-    ``REPRO_SHARD`` env knob, or an explicit ``tasks`` list) restricts the
-    run to a deterministic subset of the task graph — see
-    :mod:`repro.harness.sharding`.
+    module docstring for the determinism guarantees.  An explicit
+    ``tasks`` list restricts the run to those tasks of the graph.
     """
     train_size = train_size if train_size is not None else scaled(60)
     test_size = test_size if test_size is not None else scaled(520, minimum=30)
@@ -682,7 +665,7 @@ def run_m2h_experiment(
             (methods, provider, field,
              m2h_corpora, provider, train_size, test_size, seed)
             for provider, field in resolve_tasks(
-                m2h_tasks(providers), shard, tasks
+                m2h_tasks(providers), tasks
             )
         ],
     )
@@ -712,7 +695,7 @@ def m2h_contemporary_corpus(
 # The paper's robustness check reruns field tasks with differently seeded
 # training sets and reports the per-field F1 spread.  Providers/fields
 # follow benchmarks/bench_robustness.py; the seed axis becomes part of the
-# task graph so `repro-shard` can split the experiment like any other.
+# task graph so the harness runs the experiment like any other.
 ROBUSTNESS_PROVIDERS: tuple[str, ...] = ("getthere", "delta", "airasia")
 ROBUSTNESS_FIELDS: tuple[str, ...] = ("DTime", "DIata", "RId")
 ROBUSTNESS_SEEDS: tuple[int, ...] = (0, 1, 2, 3)
@@ -748,7 +731,6 @@ def run_m2h_robustness_experiment(
     train_size: int | None = None,
     test_size: int | None = None,
     seed: int = 0,
-    shard=None,
     tasks: Sequence[tuple[str, str, str]] | None = None,
 ) -> list[FieldResult]:
     """Section 7.4 training-set robustness as a first-class experiment.
@@ -757,8 +739,8 @@ def run_m2h_robustness_experiment(
     ``seed + K`` and scores on that corpus's contemporary test split; the
     seed label lands in ``FieldResult.setting`` so the per-seed scores of
     one field task stay distinguishable.  Routed through the harness
-    layer — :func:`held`, :func:`train_method`, the ``REPRO_JOBS`` pool
-    and ``REPRO_SHARD``.
+    layer — :func:`held`, :func:`train_method` and the ``REPRO_JOBS``
+    pool.
     """
     methods = list(methods) if methods is not None else [LrsynHtmlMethod()]
     train_size = train_size if train_size is not None else scaled(
@@ -774,7 +756,7 @@ def run_m2h_robustness_experiment(
              m2h_contemporary_corpus, provider, train_size, test_size,
              seed + int(label[1:]))
             for provider, field, label in resolve_tasks(
-                robustness_tasks(providers, fields, seeds), shard, tasks
+                robustness_tasks(providers, fields, seeds), tasks
             )
         ],
     )

@@ -1,55 +1,34 @@
-"""Sharded experiment scheduler: split experiment tasks across machines.
+"""Experiment registry and whole-experiment runs (the ``repro-shard`` CLI).
 
-PR 1 made the experiment drivers fan ``(provider, field)`` tasks over a
-process pool; this module splits the same task graph across *jobs or
-machines*.  A shard is ``REPRO_SHARD=i/N``: the canonical task list of an
-experiment (exactly the order an unsharded run visits) is
-partitioned deterministically, shard ``i`` runs every task whose
-canonical position is ``i (mod N)``, and the per-shard partial results
-serialize to a file.  ``repro-shard merge`` reassembles partials into the
-canonical order, so the merged result list — and every table rendered
-from it — is **byte-identical** to the unsharded run (enforced by
-``tests/harness/test_sharding.py`` and
-``benchmarks/shard_equivalence_check.py``).
+Every bench of the suite is one registered :class:`Experiment`: a
+canonical task graph, a method set and a driver.  :func:`run_experiment`
+runs the whole graph in one process — the ordinary ``REPRO_JOBS`` pool
+still fans its tasks over local workers, in the same order — and returns
+a partial-result dict that serializes to a file; :func:`diff_partials`
+compares two such files for score identity.  A crashed run is recovered
+by rerunning the experiment.
 
 Task keys are string tuples whose shape belongs to the experiment: the
 table experiments use ``(provider, field)``, the Section 7.4 robustness
 experiment ``(provider, field, seed-label)``, the ablation experiment
 ``(mechanism, provider, field)``.  Each registered
 :class:`Experiment` carries a ``result_key`` projecting one driver result
-back onto its task — the scheduler itself never interprets key
-components, so every bench of the suite is schedulable through one
-registry.
-
-The decomposition is blocked partitioning: tasks are independent,
-assignment is a pure function of canonical position, and the merge is a
-deterministic reorder, never a reduction.  Inside a shard the ordinary
-``REPRO_JOBS`` pool still applies, so a two-machine, eight-core run
-shards twice and forks eight ways.
-
-Round-robin assignment balances task *counts*, not seconds; it is the
-only scheduler.  Shards on one machine that share a ``REPRO_STORE_DIR``
-share a single warm sqlite store (:mod:`repro.store`) — programs
-trained by one shard are hits for the rest.
+back onto its task — the runner itself never interprets key components.
 
 Command line (installed as ``repro-shard``)::
 
     repro-shard tasks                                  # registry summary
-    repro-shard tasks --experiment robustness --shards 3
-    REPRO_SCALE=0.15 repro-shard run --experiment m2h --shard 0/3 \
-        --out part0.pkl
-    repro-shard merge part*.pkl --out merged.pkl --table table.txt \
-        --timing-json benchmarks/results/BENCH_synthesis_speed.json
-    repro-shard retry part0.pkl part2.pkl --out residual.pkl
-    repro-shard diff merged.pkl baseline.pkl
+    repro-shard tasks --experiment robustness          # one task graph
+    REPRO_SCALE=0.15 repro-shard run --experiment m2h --out m2h.pkl
+    repro-shard diff m2h.pkl baseline.pkl
 
-Partial files embed a digest of (experiment, task graph, seed, scale), so
-merging partials from incompatible configurations fails loudly instead of
-producing a quietly wrong table.  When a shard job dies, ``merge``
-reports the exact residual task set and the ``retry`` command that reruns
-it: ``retry`` reads the surviving partials, runs precisely the missing
-tasks, and writes a residual partial that completes the merge — still
-byte-identical to an unsharded run.
+Partial files embed a digest of (experiment, task graph, seed, scale,
+methods, experiment config), so ``diff`` refuses to compare runs of
+different configurations instead of reporting a quietly wrong verdict.
+The file layout (``PARTIAL_SCHEMA`` 1) still carries the ``shard`` and
+``owned`` fields of older, split-capable versions — always ``(0, 1)``
+and the whole graph — so files from either version diff against each
+other.
 """
 
 from __future__ import annotations
@@ -72,80 +51,6 @@ TaskKey = tuple[str, ...]
 
 
 # ----------------------------------------------------------------------
-# Shard specification (the REPRO_SHARD knob)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class ShardSpec:
-    """One shard of an ``N``-way split: ``index`` in ``range(count)``."""
-
-    index: int
-    count: int
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise ValueError(f"shard count must be >= 1, got {self.count}")
-        if not 0 <= self.index < self.count:
-            raise ValueError(
-                f"shard index must be in [0, {self.count}), got {self.index}"
-            )
-
-    def owns(self, position: int) -> bool:
-        """Whether the task at canonical ``position`` belongs to this shard."""
-        return position % self.count == self.index
-
-    def __str__(self) -> str:
-        return f"{self.index}/{self.count}"
-
-
-FULL_RUN = ShardSpec(0, 1)
-
-
-def parse_shard(text: str) -> ShardSpec:
-    """Parse ``"i/N"`` (e.g. ``0/2``, ``2/3``) into a :class:`ShardSpec`."""
-    head, sep, tail = text.strip().partition("/")
-    try:
-        if not sep:
-            raise ValueError
-        spec = ShardSpec(int(head), int(tail))
-    except ValueError:
-        raise ValueError(
-            f"shard must look like i/N with 0 <= i < N, got {text!r}"
-        ) from None
-    return spec
-
-
-def env_shard() -> ShardSpec:
-    """The shard from ``REPRO_SHARD`` (default ``0/1`` = the whole graph)."""
-    raw = os.environ.get("REPRO_SHARD", "").strip()
-    if not raw:
-        return FULL_RUN
-    return parse_shard(raw)
-
-
-def resolve_shard(shard: "ShardSpec | str | None") -> ShardSpec:
-    """Normalize an explicit shard argument, falling back to the env knob."""
-    if shard is None:
-        return env_shard()
-    if isinstance(shard, str):
-        return parse_shard(shard)
-    return shard
-
-
-def assign(tasks: Sequence[TaskKey], shard: ShardSpec) -> list[TaskKey]:
-    """The sub-list of canonical ``tasks`` owned by ``shard``.
-
-    Assignment is round-robin over canonical position — a pure function of
-    the task's place in the canonical enumeration, never of runtime state —
-    so every shard of a split agrees on ownership without coordination,
-    shards are balanced to within one task, and a provider's owned tasks
-    stay consecutive (the one-corpus ``runner.held`` slot still applies
-    inside a shard).  ``count > len(tasks)`` simply leaves the
-    surplus shards empty.
-    """
-    return [task for i, task in enumerate(tasks) if shard.owns(i)]
-
-
-# ----------------------------------------------------------------------
 # Experiment registry (task graphs + method sets + drivers)
 # ----------------------------------------------------------------------
 def field_task_key(result) -> TaskKey:
@@ -162,15 +67,15 @@ class Experiment:
     """One schedulable experiment: canonical task graph plus driver.
 
     ``result_key`` projects one driver result back onto the canonical
-    task that produced it — the scheduler groups, validates and reorders
-    results purely through this projection, so experiments are free to
-    shape their task keys however their axes demand.
+    task that produced it — :func:`run_experiment` groups results purely
+    through this projection, so experiments are free to shape their task
+    keys however their axes demand.
 
     ``config`` names any extra environment the experiment's scores depend
     on beyond (graph, seed, scale, methods) — e.g. the forge's corpus-size
     knob, which changes scores without changing the task graph.  The
-    string is folded into the split digest so partials generated under
-    different configurations refuse to merge.
+    string is folded into the graph digest so ``diff`` refuses partials
+    generated under different configurations.
     """
 
     name: str
@@ -281,7 +186,7 @@ EXPERIMENTS: dict[str, Experiment] = {
     ),
     # The synthetic document forge (repro.datasets.forge): as many
     # providers as REPRO_FORGE_PROVIDERS asks for, corpus sizes from
-    # REPRO_FORGE_DOCS — the store/scheduler stress workloads.
+    # REPRO_FORGE_DOCS — the store/harness stress workloads.
     "forge_html": Experiment(
         "forge_html", _constant("repro.datasets.base:SETTINGS"),
         _lazy("repro.harness.forge:forge_html_tasks"),
@@ -308,22 +213,8 @@ def get_experiment(name: str) -> Experiment:
 
 
 # ----------------------------------------------------------------------
-# Partial results: run one shard, serialize, merge
+# Partial results: run an experiment, serialize, load
 # ----------------------------------------------------------------------
-class IncompleteMergeError(ValueError):
-    """Partials do not cover the task graph (a shard job died or is lost).
-
-    Carries the exact residual: ``missing`` is the uncovered tasks in
-    canonical order — precisely what ``repro-shard retry`` (or
-    :func:`retry_partial`) will rerun.
-    """
-
-    def __init__(self, missing: list[TaskKey]):
-        self.missing = missing
-        super().__init__(
-            f"incomplete merge: {len(missing)} tasks unowned"
-            f" (first missing: {missing[0]})"
-        )
 def _graph_digest(
     experiment: str,
     graph: Sequence[TaskKey],
@@ -332,15 +223,12 @@ def _graph_digest(
     method_names: Sequence[str],
     config: str = "",
 ) -> str:
-    """Compatibility fingerprint for a shard split.
+    """Compatibility fingerprint of a run.
 
-    Two partials merge only when they agree on experiment, the full
-    canonical graph, the method set, the corpus seed, the dataset
-    scale and any experiment-specific ``config`` string — everything that
-    determines the task set and its scores.  (Shard geometry is
-    deliberately *not* part of the digest: a 2-way and a 3-way split of
-    the same run share it, which is what lets ``diff`` compare a merged
-    run against an unsharded baseline.)
+    Two partials compare only when they agree on experiment, the full
+    canonical graph, the method set, the corpus seed, the dataset scale
+    and any experiment-specific ``config`` string — everything that
+    determines the task set and its scores.
     """
     hasher = hashlib.sha256()
     hasher.update(f"schema={PARTIAL_SCHEMA}|{experiment}".encode())
@@ -357,49 +245,41 @@ def _graph_digest(
     return hasher.hexdigest()
 
 
-def run_shard(
+def run_experiment(
     experiment: str,
-    shard: "ShardSpec | str | None" = None,
     seed: int = 0,
     *,
     methods: list | None = None,
     graph: Sequence[TaskKey] | None = None,
-    owned: Sequence[TaskKey] | None = None,
     run: Callable[[list, list[TaskKey], int], list] | None = None,
 ) -> dict:
-    """Run one shard of ``experiment`` and return its partial-result dict.
+    """Run the whole task graph of ``experiment``; return its partial dict.
 
     The keyword overrides exist for the test suite (smaller graphs, custom
-    method sets, arbitrary task partitions); the CLI always runs the
-    registered full graph.  ``owned`` overrides the round-robin assignment
-    with an explicit task set — ownership validation then happens at merge
-    time, where the union over partials must cover the graph exactly once.
-
-    The partial records observed per-task wall-clock (``task_seconds``).
+    method sets); the CLI always runs the registered graph.  The partial
+    records observed per-task wall-clock (``task_seconds``).
     """
     from repro.core.caching import StageTimer, use_timer
     from repro.harness.runner import flush_corpus_store, scale
 
-    spec = resolve_shard(shard)
     registered = get_experiment(experiment)
     graph = list(graph if graph is not None else registered.tasks())
-    owned = list(owned if owned is not None else assign(graph, spec))
     methods = methods if methods is not None else registered.methods()
     run = run if run is not None else registered.run
 
     timer = StageTimer()
     start = time.perf_counter()
     with use_timer(timer):
-        results = run(methods, owned, seed)
+        results = run(methods, graph, seed)
     wall = time.perf_counter() - start
     flush_corpus_store()
 
-    grouped: dict[TaskKey, list] = {task: [] for task in owned}
+    grouped: dict[TaskKey, list] = {task: [] for task in graph}
     for result in results:
         key = registered.result_key(result)
         if key not in grouped:
             raise RuntimeError(
-                f"driver returned result for unowned task {key}"
+                f"driver returned result for task {key} outside the graph"
             )
         grouped[key].append(result)
     task_seconds = {
@@ -411,7 +291,7 @@ def run_shard(
     return {
         "schema": PARTIAL_SCHEMA,
         "experiment": experiment,
-        "shard": (spec.index, spec.count),
+        "shard": (0, 1),
         "seed": seed,
         "scale": scale(),
         "graph": graph,
@@ -419,7 +299,7 @@ def run_shard(
             experiment, graph, seed, scale(), method_names,
             registered.config(),
         ),
-        "owned": owned,
+        "owned": graph,
         "methods": method_names,
         "results": grouped,
         "wall_seconds": wall,
@@ -431,10 +311,8 @@ def run_shard(
 def save_partial(path: "str | os.PathLike", partial: dict) -> None:
     """Serialize a partial, dropping non-picklable extractors first.
 
-    The write is atomic (tmp + ``os.replace``), so a *live* writer never
-    exposes a torn file.  A torn partial on disk therefore always means a
-    crashed writer; merge skips it, reports the exact residual, and
-    ``retry`` reruns precisely the tasks it failed to carry.
+    The write is atomic (tmp + ``os.replace``), so a reader never sees a
+    torn file; a run that dies before the replace leaves no file at all.
     """
     from repro.harness.runner import _transportable
 
@@ -460,185 +338,14 @@ def load_partial(path: "str | os.PathLike") -> dict:
     return partial
 
 
-def merge_partials(partials: Sequence[dict]) -> dict:
-    """Merge shard partials into one full-coverage result set.
-
-    Validates that every partial belongs to the same split (graph digest),
-    that ownership tiles the graph — each canonical task claimed by
-    exactly one partial, none missing, none duplicated — and reassembles
-    results in canonical task order, which makes the merged list (and any
-    table rendered from it) independent of how tasks were distributed or
-    in which order the partials are supplied.
-    """
-    if not partials:
-        raise ValueError("nothing to merge: no partials given")
-    _check_same_split(partials)
-    first = partials[0]
-    graph = [tuple(task) for task in first["graph"]]
-    owner_of: dict[TaskKey, int] = {}
-    for position, partial in enumerate(partials):
-        owned_set = set()
-        for task in partial["owned"]:
-            task = tuple(task)
-            if task in owner_of:
-                raise ValueError(
-                    f"task {task} owned by two partials"
-                    f" (#{owner_of[task]} and #{position})"
-                )
-            owner_of[task] = position
-            owned_set.add(task)
-        unowned_results = [
-            task for task in partial["results"]
-            if tuple(task) not in owned_set
-        ]
-        if unowned_results:
-            # A results entry outside the owned list would otherwise
-            # silently overwrite the rightful owner's rows.
-            raise ValueError(
-                f"partial #{position} carries results for tasks it does"
-                f" not own: {sorted(map(tuple, unowned_results))[:3]}"
-            )
-    missing = [task for task in graph if task not in owner_of]
-    if missing:
-        raise IncompleteMergeError(missing)
-    stray = sorted(set(owner_of) - set(graph))
-    if stray:
-        raise ValueError(f"partials own tasks outside the graph: {stray[:3]}")
-
-    from repro.core.caching import StageTimer
-
-    merged_results: dict[TaskKey, list] = {}
-    task_seconds: dict[TaskKey, float] = {}
-    timer = StageTimer()
-    wall = 0.0
-    for partial in partials:
-        for task, results in partial["results"].items():
-            merged_results[tuple(task)] = results
-        for task, seconds in partial.get("task_seconds", {}).items():
-            task_seconds[tuple(task)] = seconds
-        timer.merge(partial.get("timer", {}))
-        wall += partial.get("wall_seconds", 0.0)
-    return {
-        "schema": PARTIAL_SCHEMA,
-        "experiment": first["experiment"],
-        "shard": (0, 1),
-        "seed": first["seed"],
-        "scale": first["scale"],
-        "graph": graph,
-        "graph_digest": first["graph_digest"],
-        "owned": graph,
-        "methods": list(first.get("methods", [])),
-        "results": merged_results,
-        "wall_seconds": wall,
-        "task_seconds": task_seconds,
-        "timer": timer.snapshot(),
-    }
-
-
-def _check_same_split(partials: Sequence[dict]) -> None:
-    """Every partial must share the first one's graph digest."""
-    first = partials[0]
-    for partial in partials[1:]:
-        if partial["graph_digest"] != first["graph_digest"]:
-            raise ValueError(
-                "incompatible partials: "
-                f"{partial['experiment']} seed={partial['seed']} "
-                f"scale={partial['scale']} vs "
-                f"{first['experiment']} seed={first['seed']} "
-                f"scale={first['scale']}"
-            )
-
-
-def residual_tasks(partials: Sequence[dict]) -> list[TaskKey]:
-    """The canonical tasks no surviving partial owns (empty = complete)."""
-    if not partials:
-        raise ValueError("no partials: cannot derive the task graph")
-    _check_same_split(partials)
-    owned = {
-        tuple(task) for partial in partials for task in partial["owned"]
-    }
-    return [
-        task
-        for task in (tuple(t) for t in partials[0]["graph"])
-        if task not in owned
-    ]
-
-
-def retry_partial(
-    partials: Sequence[dict],
-    *,
-    methods: list | None = None,
-    run: Callable[[list, list[TaskKey], int], list] | None = None,
-) -> dict:
-    """Rerun exactly the tasks missing from ``partials``.
-
-    The requeue half of the retry story: surviving partials define the
-    split (experiment, graph, seed, scale), the residual task set is
-    everything they do not cover, and the returned partial owns precisely
-    that set — so ``merge_partials([*partials, residual])`` completes to
-    the byte-identical full table.  The keyword overrides mirror
-    :func:`run_shard` (test-sized graphs).
-
-    Raises :class:`ValueError` when there is nothing to retry, when the
-    current ``REPRO_SCALE`` does not match the partials' recorded scale,
-    or when the rerun's configuration no longer digests to the same split
-    (e.g. the method set changed since the original run).
-    """
-    from repro.harness.runner import scale
-
-    missing = residual_tasks(partials)
-    if not missing:
-        raise ValueError(
-            "nothing to retry: partials already cover the task graph"
-        )
-    first = partials[0]
-    if scale() != first["scale"]:
-        raise ValueError(
-            f"scale mismatch: partials ran at REPRO_SCALE={first['scale']}"
-            f" but the current scale is {scale()};"
-            " set REPRO_SCALE to match before retrying"
-        )
-    graph = [tuple(task) for task in first["graph"]]
-    # Validate the digest *before* rerunning anything: the residual may
-    # be hours of synthesis, and an incompatible configuration (changed
-    # method set / task graph) is knowable up front.
-    registered = get_experiment(first["experiment"])
-    if methods is None:
-        methods = registered.methods()
-    expected = _graph_digest(
-        first["experiment"],
-        graph,
-        first["seed"],
-        scale(),
-        [method.name for method in methods],
-        registered.config(),
-    )
-    if expected != first["graph_digest"]:
-        raise ValueError(
-            "cannot retry: the experiment configuration (method set /"
-            " task graph) changed since the original shards ran — the"
-            " residual would not merge"
-        )
-    return run_shard(
-        first["experiment"],
-        FULL_RUN,
-        seed=first["seed"],
-        methods=methods,
-        graph=graph,
-        owned=missing,
-        run=run,
-    )
-
-
 def flat_results(partial: dict) -> list:
     """The partial's results flattened in canonical task order."""
-    owned = {tuple(task) for task in partial["owned"]}
-    ordered = []
-    for task in partial["graph"]:
-        task = tuple(task)
-        if task in owned:
-            ordered.extend(partial["results"].get(task, []))
-    return ordered
+    results = partial["results"]
+    return [
+        result
+        for task in partial["graph"]
+        for result in results.get(tuple(task), [])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -664,36 +371,27 @@ def canonical_scores(results: Sequence) -> str:
 
 
 def render_tables(partial: dict) -> str:
-    """Paper-style tables for a partial/merged result set."""
+    """Paper-style tables for a partial result set."""
     from repro.harness.reporting import overall_scores_table, per_field_table
 
     experiment = get_experiment(partial["experiment"])
     settings = experiment.settings()
     # The partial records the method set it actually ran (the digest pins
-    # it at merge time); fall back to the registry for older files.
+    # it); fall back to the registry for older files.
     methods = partial.get("methods") or [
         method.name for method in experiment.methods()
     ]
     methods = list(dict.fromkeys(methods))
     results = flat_results(partial)
-    shard = ShardSpec(*partial["shard"])
-    label = "" if shard == FULL_RUN else f" [shard {shard}]"
+    name = partial["experiment"]
     blocks = [
         overall_scores_table(
-            results,
-            methods,
-            setting,
-            f"{partial['experiment']}{label} overall ({setting})",
+            results, methods, setting, f"{name} overall ({setting})"
         )
         for setting in settings
     ]
     blocks.append(
-        per_field_table(
-            results,
-            methods,
-            settings,
-            f"{partial['experiment']}{label} per field",
-        )
+        per_field_table(results, methods, settings, f"{name} per field")
     )
     return "\n\n".join(blocks)
 
@@ -732,64 +430,32 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-shard",
         description=(
-            "Partition an experiment's field tasks into shards, run them"
-            " on separate jobs/machines, and merge the partial results"
-            " into tables byte-identical to an unsharded run."
+            "List an experiment's task graph, run the whole experiment"
+            " into a partial-result file, or compare two such files for"
+            " score identity."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    tasks_cmd = sub.add_parser(
-        "tasks", help="list the canonical task graph and shard assignment"
-    )
+    tasks_cmd = sub.add_parser("tasks", help="list the canonical task graph")
     tasks_cmd.add_argument(
         "--experiment",
         default=None,
         choices=sorted(EXPERIMENTS),
         help="experiment to list (default: summarize every experiment)",
     )
-    tasks_cmd.add_argument("--shards", type=int, default=1)
 
     run_cmd = sub.add_parser(
-        "run", help="run one shard and write its partial-result file"
+        "run", help="run an experiment and write its partial-result file"
     )
     run_cmd.add_argument(
         "--experiment", required=True, choices=sorted(EXPERIMENTS)
     )
-    run_cmd.add_argument(
-        "--shard",
-        default=None,
-        help="i/N (default: REPRO_SHARD, else the whole graph)",
-    )
     run_cmd.add_argument("--seed", type=int, default=0)
     run_cmd.add_argument("--out", required=True)
 
-    merge_cmd = sub.add_parser(
-        "merge", help="merge shard partials into one result file"
-    )
-    merge_cmd.add_argument("partials", nargs="+")
-    merge_cmd.add_argument("--out", required=True)
-    merge_cmd.add_argument(
-        "--table", default=None, help="also write rendered tables here"
-    )
-    merge_cmd.add_argument(
-        "--timing-json",
-        default=None,
-        help="append the merged wall-clock/stage timings to this trajectory",
-    )
-
-    retry_cmd = sub.add_parser(
-        "retry",
-        help=(
-            "rerun the tasks missing from the surviving partials and"
-            " write a residual partial that completes the merge"
-        ),
-    )
-    retry_cmd.add_argument("partials", nargs="+")
-    retry_cmd.add_argument("--out", required=True)
-
     diff_cmd = sub.add_parser(
-        "diff", help="compare two partial/merged files for score identity"
+        "diff", help="compare two partial files for score identity"
     )
     diff_cmd.add_argument("left")
     diff_cmd.add_argument("right")
@@ -805,118 +471,19 @@ def main(argv: list[str] | None = None) -> int:
                 )
                 print(f"{name}: {len(graph)} tasks (methods: {names})")
             return 0
-        experiment = get_experiment(args.experiment)
-        graph = experiment.tasks()
-        shards = ShardSpec(0, max(1, args.shards)).count
-        print(f"{args.experiment}: {len(graph)} tasks, {shards} shard(s)")
+        graph = get_experiment(args.experiment).tasks()
+        print(f"{args.experiment}: {len(graph)} tasks")
         for position, task in enumerate(graph):
-            print(
-                f"  [{position:3d}] shard {position % shards}/{shards}"
-                f"  {' / '.join(task)}"
-            )
+            print(f"  [{position:3d}]  {' / '.join(task)}")
         return 0
 
     if args.command == "run":
-        spec = resolve_shard(args.shard)
-        partial = run_shard(args.experiment, spec, seed=args.seed)
+        partial = run_experiment(args.experiment, seed=args.seed)
         save_partial(args.out, partial)
         count = sum(len(r) for r in partial["results"].values())
         print(
-            f"shard {spec} of {args.experiment}:"
-            f" {len(partial['owned'])}/{len(partial['graph'])} tasks,"
+            f"{args.experiment}: {len(partial['graph'])} tasks,"
             f" {count} results, {partial['wall_seconds']:.2f}s"
-            f" -> {args.out}"
-        )
-        return 0
-
-    if args.command == "merge":
-        partials, skipped = _load_partials_tolerant(args.partials)
-        if not partials:
-            print("MERGE FAILED: no readable partials")
-            return 1
-        loaded_paths = [path for path, _ in partials]
-        try:
-            merged = merge_partials([partial for _, partial in partials])
-        except IncompleteMergeError as err:
-            print(
-                f"MERGE INCOMPLETE: {len(err.missing)} task(s) have no"
-                " surviving partial"
-                + (f" ({len(skipped)} file(s) unreadable)" if skipped else "")
-            )
-            for task in err.missing:
-                print(f"  missing: {' / '.join(task)}")
-            survivors = " ".join(loaded_paths)
-            # The recipe must be copy-pasteable: pin the recorded scale
-            # (retry refuses a mismatch) and carry the merge options.
-            scale_prefix = f"REPRO_SCALE={partials[0][1]['scale']} "
-            merge_options = ""
-            if args.table:
-                merge_options += f" --table {args.table}"
-            if args.timing_json:
-                merge_options += f" --timing-json {args.timing_json}"
-            print("rerun exactly the residual tasks with:")
-            print(
-                f"  {scale_prefix}repro-shard retry {survivors}"
-                " --out residual.pkl"
-            )
-            print(
-                f"  repro-shard merge {survivors} residual.pkl"
-                f" --out {args.out}{merge_options}"
-            )
-            return 1
-        save_partial(args.out, merged)
-        if args.table:
-            Path(args.table).write_text(render_tables(merged) + "\n")
-        if args.timing_json:
-            from repro.harness.reporting import record_synthesis_speed
-
-            record_synthesis_speed(
-                args.timing_json,
-                f"{merged['experiment']}[merged x{len(partials)}]",
-                merged["wall_seconds"],
-                merged["timer"],
-                scale=merged["scale"],
-                shards=len(partials),
-            )
-        count = sum(len(r) for r in merged["results"].values())
-        print(
-            f"merged {len(partials)} partials of {merged['experiment']}:"
-            f" {len(merged['graph'])} tasks, {count} results -> {args.out}"
-        )
-        return 0
-
-    if args.command == "retry":
-        partials, skipped = _load_partials_tolerant(args.partials)
-        if not partials:
-            print("RETRY FAILED: no readable partials to derive the split")
-            return 1
-        try:
-            missing = residual_tasks([partial for _, partial in partials])
-        except ValueError as err:
-            print(f"RETRY FAILED: {err}")
-            return 1
-        if not missing:
-            print(
-                "nothing to retry: the given partials already cover the"
-                " task graph"
-            )
-            return 0
-        first = partials[0][1]
-        print(
-            f"retrying {len(missing)} task(s) of {first['experiment']}"
-            f" (seed={first['seed']}, scale={first['scale']})"
-            + (f"; {len(skipped)} partial file(s) unreadable" if skipped else "")
-        )
-        try:
-            residual = retry_partial([partial for _, partial in partials])
-        except ValueError as err:
-            print(f"RETRY FAILED: {err}")
-            return 1
-        save_partial(args.out, residual)
-        count = sum(len(r) for r in residual["results"].values())
-        print(
-            f"residual partial: {len(residual['owned'])} tasks,"
-            f" {count} results, {residual['wall_seconds']:.2f}s"
             f" -> {args.out}"
         )
         return 0
@@ -932,26 +499,6 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     return 2  # pragma: no cover - argparse enforces the choices
-
-
-def _load_partials_tolerant(
-    paths: Sequence[str],
-) -> tuple[list[tuple[str, dict]], list[str]]:
-    """Load every readable partial; report the rest instead of dying.
-
-    A crashed shard job leaves a missing or truncated file — exactly the
-    situation ``merge``/``retry`` must diagnose, so unreadable inputs
-    become warnings and the survivors carry on.
-    """
-    loaded: list[tuple[str, dict]] = []
-    skipped: list[str] = []
-    for path in paths:
-        try:
-            loaded.append((path, load_partial(path)))
-        except (OSError, ValueError, pickle.UnpicklingError, EOFError) as err:
-            print(f"WARNING: skipping unreadable partial {path}: {err}")
-            skipped.append(path)
-    return loaded, skipped
 
 
 if __name__ == "__main__":  # pragma: no cover

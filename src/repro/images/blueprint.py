@@ -72,7 +72,7 @@ def frequent_gram_of(text: str, frequent: frozenset[str]) -> str | None:
     Ties between equal-length grams break lexicographically — never by
     set iteration order, which follows the per-process hash seed and
     would leak nondeterminism into every BoxSummary (and hence every
-    store key and cross-machine shard result) derived from it.
+    store key and stored result) derived from it.
     """
     candidates = [gram for gram in box_ngrams(text) if gram in frequent]
     if not candidates:
@@ -161,9 +161,9 @@ def summary_distance(a: frozenset, b: frozenset) -> float:
     # Greedy matching is order-sensitive when several summaries share a
     # frequent gram, and frozenset iteration order follows the per-process
     # hash seed — so iterate both sides in sorted order to keep the value
-    # a pure function of content.  Cross-process reproducibility (shard
-    # jobs on separate machines, store entries computed by one run and
-    # consumed by another) depends on this.
+    # a pure function of content.  Cross-process reproducibility (pool
+    # workers, store entries computed by one run and consumed by another)
+    # depends on this.
     total = 0.0
     b_remaining = sorted(b)
     for summary in sorted(a):

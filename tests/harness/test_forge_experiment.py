@@ -1,11 +1,10 @@
-"""End-to-end shard tests for the forge experiments.
+"""End-to-end tests for the forge experiments.
 
-``forge_html`` at tiny scale must be byte-identical between an unsharded
-``repro-shard run`` and a 2-shard run + merge; a warm-store rerun must skip training (the
-``tests/harness/test_bench_experiment_store.py`` pattern); and partials
-generated under different ``REPRO_FORGE_DOCS`` knob values must refuse to
-merge (the knob changes scores without changing the task graph, so it is
-folded into the split digest via ``Experiment.config``).
+A warm-store rerun must skip training (the
+``tests/harness/test_bench_experiment_store.py`` pattern), and ``diff``
+must refuse partials generated under different ``REPRO_FORGE_DOCS`` knob
+values (the knob changes scores without changing the task graph, so it
+is folded into the graph digest via ``Experiment.config``).
 """
 
 import pytest
@@ -30,48 +29,8 @@ def tiny_forge(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE", "1")
     monkeypatch.setenv("REPRO_CACHE", "1")
     monkeypatch.setenv("REPRO_JOBS", "1")
-    monkeypatch.delenv("REPRO_SHARD", raising=False)
     yield
     flush_corpus_store()
-
-
-def scores(partial):
-    return sharding.canonical_scores(sharding.flat_results(partial))
-
-
-class TestShardedForgeRuns:
-    def test_two_shard_merge_matches_unsharded(self):
-        baseline = sharding.run_shard("forge_html")
-        partials = [
-            sharding.run_shard("forge_html", f"{index}/2")
-            for index in range(2)
-        ]
-        merged = sharding.merge_partials(partials)
-        assert scores(merged) == scores(baseline)
-        assert sharding.render_tables(merged) == sharding.render_tables(
-            baseline
-        )
-        assert merged["graph_digest"] == baseline["graph_digest"]
-
-    def test_forge_images_two_shard_merge_matches_unsharded(self):
-        baseline = sharding.run_shard("forge_images")
-        partials = [
-            sharding.run_shard("forge_images", f"{index}/2")
-            for index in range(2)
-        ]
-        merged = sharding.merge_partials(partials)
-        assert scores(merged) == scores(baseline)
-        assert sharding.render_tables(merged) == sharding.render_tables(
-            baseline
-        )
-
-    def test_docs_knob_mismatch_refuses_to_merge(self, monkeypatch):
-        left = sharding.run_shard("forge_html", "0/2")
-        monkeypatch.setenv("REPRO_FORGE_DOCS", "32")
-        right = sharding.run_shard("forge_html", "1/2")
-        assert left["graph_digest"] != right["graph_digest"]
-        with pytest.raises(ValueError, match="incompatible partials"):
-            sharding.merge_partials([left, right])
 
 
 FORGE_TASKS = [
@@ -118,3 +77,13 @@ class TestWarmForgeRun:
             uncached = _run_forge()
         assert_identical(baseline, uncached)
         assert timer.counters.get("store.program.hit", 0) == 0
+
+
+class TestForgeDiff:
+    def test_docs_knob_mismatch_refuses_to_diff(self, monkeypatch):
+        left = sharding.run_experiment("forge_html", graph=FORGE_TASKS)
+        monkeypatch.setenv("REPRO_FORGE_DOCS", "32")
+        right = sharding.run_experiment("forge_html", graph=FORGE_TASKS)
+        assert left["graph_digest"] != right["graph_digest"]
+        verdict = sharding.diff_partials(left, right)
+        assert verdict.startswith("different splits")

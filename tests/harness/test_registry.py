@@ -2,14 +2,20 @@
 
 A new experiment must be visible everywhere the registry is consumed —
 the no-arg ``repro-shard tasks`` summary, the per-experiment CLI
-listings, and ``get_experiment`` (which is what lets
-``benchmarks/shard_equivalence_check.py`` accept it) — so future
-experiments cannot silently miss the registry.
+listings, and ``get_experiment`` (which ``repro-shard run`` resolves
+names through) — so future experiments cannot silently miss the
+registry.  The task graphs of the robustness and ablation experiments
+and the ``result_key`` projections are pinned here too.
 """
 
 import pytest
 
-from repro.harness.sharding import EXPERIMENTS, get_experiment, main
+from repro.harness.sharding import (
+    EXPERIMENTS,
+    field_task_key,
+    get_experiment,
+    main,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -35,11 +41,15 @@ def test_tasks_summary_lists_every_experiment(capsys):
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
-def test_cli_lists_each_experiment_with_shard_assignment(name, capsys):
-    assert main(["tasks", "--experiment", name, "--shards", "2"]) == 0
-    out = capsys.readouterr().out
+def test_cli_lists_each_experiment_task_graph(name, capsys):
+    assert main(["tasks", "--experiment", name]) == 0
+    lines = capsys.readouterr().out.splitlines()
     graph = EXPERIMENTS[name].tasks()
-    assert f"{name}: {len(graph)} tasks, 2 shard(s)" in out
+    assert lines[0] == f"{name}: {len(graph)} tasks"
+    assert lines[1:] == [
+        f"  [{position:3d}]  {' / '.join(task)}"
+        for position, task in enumerate(graph)
+    ]
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
@@ -82,3 +92,55 @@ def test_forge_task_counts_follow_provider_knob(monkeypatch):
         for provider in forge.forge_providers()
     )
     assert len(EXPERIMENTS["forge_images"].tasks()) == expected_images
+
+
+class TestGeneralizedTaskGraphs:
+    def test_registry_lists_every_bench_experiment(self):
+        assert set(EXPERIMENTS) == {
+            "m2h", "finance", "m2h_images", "robustness", "ablations",
+            "forge_html", "forge_images",
+        }
+
+    def test_robustness_graph_shape(self):
+        tasks = get_experiment("robustness").tasks()
+        assert len(tasks) == 36  # 3 providers x 3 fields x 4 seeds
+        assert all(len(task) == 3 for task in tasks)
+        labels = {task[2] for task in tasks}
+        assert labels == {"s0", "s1", "s2", "s3"}
+        # (provider, seed) groups stay consecutive: one live corpus at a
+        # time, exactly like the provider-major table loops.
+        groups = [(task[0], task[2]) for task in tasks]
+        seen, current = set(), None
+        for group in groups:
+            if group != current:
+                assert group not in seen
+                seen.add(group)
+                current = group
+
+    def test_ablations_graph_shape(self):
+        tasks = get_experiment("ablations").tasks()
+        assert all(len(task) == 3 for task in tasks)
+        assert {task[0] for task in tasks} == {"blueprint", "hierarchy"}
+
+    def test_result_key_projections(self):
+        from repro.harness.runner import FieldResult
+
+        result = FieldResult("LRSyn", "getthere", "DTime", "s2", None)
+        robustness = get_experiment("robustness")
+        assert robustness.result_key(result) == ("getthere", "DTime", "s2")
+        result = FieldResult("LRSyn[flat]", "getthere", "DTime", "hierarchy",
+                             None)
+        ablations = get_experiment("ablations")
+        assert ablations.result_key(result) == (
+            "hierarchy", "getthere", "DTime"
+        )
+        assert field_task_key(result) == ("getthere", "DTime")
+
+    def test_tasks_cli_lists_new_experiments(self, capsys):
+        assert main(["tasks"]) == 0
+        out = capsys.readouterr().out
+        assert "robustness: 36 tasks" in out
+        assert "ablations: 3 tasks" in out
+        assert main(["tasks", "--experiment", "ablations"]) == 0
+        out = capsys.readouterr().out
+        assert "blueprint / SalesInvoice / RefNo" in out

@@ -39,7 +39,6 @@ def cold_env():
     mp.setenv("REPRO_SCALE", "0.15")
     mp.setenv("REPRO_STORE", "0")
     mp.setenv("REPRO_JOBS", "1")
-    mp.delenv("REPRO_SHARD", raising=False)
     mp.delenv("REPRO_FORGE_PROVIDERS", raising=False)
     mp.delenv("REPRO_FORGE_DOCS", raising=False)
     yield
