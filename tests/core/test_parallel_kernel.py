@@ -40,12 +40,12 @@ class TestKernelGuards:
         assert parallel.jobs() == 3
         assert runner.jobs() == 3
 
-    def test_run_field_tasks_orders_results(self, monkeypatch):
+    def test_run_sharded_orders_results(self, monkeypatch):
         fields, pids = _run_probe(monkeypatch, n_jobs=2, count=6)
         assert fields == [f"f{i}" for i in range(6)]
         assert str(os.getpid()) not in pids
 
-    def test_run_field_tasks_serial_fallback(self, monkeypatch):
+    def test_run_sharded_serial_fallback(self, monkeypatch):
         fields, pids = _run_probe(monkeypatch, n_jobs=1, count=4)
         assert fields == [f"f{i}" for i in range(4)]
         assert pids == {str(os.getpid())}

@@ -1,19 +1,19 @@
-"""Properties of round-robin shard packing (:func:`repro.harness.sharding.assign`).
+"""How :func:`repro.harness.runner.run_field_tasks` packs a task graph
+onto ``REPRO_JOBS`` worker processes.
 
-Round-robin over canonical position is the scheduler: shard ``i`` of
-``N`` runs every task whose canonical position is ``i (mod N)``.
+The pool is the harness's one fan-out: futures are submitted in
+canonical order and consumed in that order, so whatever order the
+workers finish in, the results come back as the serial run lays them
+out.
 
-* **coverage** — for random graphs and every shard count, every task
-  lands in exactly one shard, shards keep canonical order and differ in
-  size by at most one task;
-* **balance** — on the classic LPT adversarial fixtures (listed heaviest
-  first), round-robin is LPT without cost knowledge: no shard carries
-  more than the largest task plus ``total/N``, which is inside Graham's
-  bound plus one max task of slack.
+* **coverage** — for random graphs and every worker count, each task's
+  results come back exactly once, in canonical order; with one job every
+  task runs in the calling process, with more none of them does;
+* **bad knob values** are refused before any task runs.
 
-Determinism is checked the hard way: the same assignment computed in
-three subprocesses pinned to different ``PYTHONHASHSEED`` values must
-print byte-identical JSON.
+Determinism is checked the hard way: the same pooled run in three
+subprocesses pinned to different ``PYTHONHASHSEED`` values must print
+byte-identical JSON.
 """
 
 import json
@@ -21,11 +21,12 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.harness import sharding
+from repro.harness.runner import FieldResult, run_field_tasks
 
 REPO = Path(__file__).resolve().parent.parent.parent
 # A bare subprocess environment that still honours a run's choice not to
@@ -54,93 +55,80 @@ def random_graph(seed: int, max_tasks: int = 40):
     return graph
 
 
-def round_robin(graph, count):
-    """Per-shard task lists of a ``count``-way split."""
+def probe_task(provider, field, pause=0.0):
+    """A field task that records which process ran it."""
+    time.sleep(pause)
     return [
-        sharding.assign(graph, sharding.ShardSpec(index, count))
-        for index in range(count)
+        FieldResult(
+            method="probe",
+            provider=provider,
+            field=field,
+            setting=str(os.getpid()),
+            score=None,
+        )
     ]
+
+
+def pooled(monkeypatch, graph, count, pause=0.0):
+    """``(tasks in result order, pids that ran them)`` under ``count`` jobs."""
+    monkeypatch.setenv("REPRO_JOBS", str(count))
+    results = run_field_tasks(
+        probe_task, [(*task, pause) for task in graph]
+    )
+    return (
+        [(r.provider, r.field) for r in results],
+        {r.setting for r in results},
+    )
 
 
 class TestCoverage:
     @pytest.mark.parametrize("seed", range(8))
     @pytest.mark.parametrize("count", [1, 2, 3, 7])
-    def test_every_task_exactly_once(self, seed, count):
+    def test_every_task_exactly_once(self, seed, count, monkeypatch):
         graph = random_graph(seed)
-        shards = round_robin(graph, count)
-        assert len(shards) == count
-        flat = [task for shard in shards for task in shard]
-        assert sorted(flat) == sorted(graph)
-        assert len(flat) == len(set(flat)) == len(graph)
-        for shard in shards:
-            assert shard == sorted(shard, key=graph.index)
-        sizes = [len(shard) for shard in shards]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_more_shards_than_tasks_leaves_empty_shards(self):
-        graph = random_graph(3, max_tasks=4)
-        shards = round_robin(graph, len(graph) + 5)
-        assert shards[: len(graph)] == [[task] for task in graph]
-        assert all(not shard for shard in shards[len(graph):])
+        tasks, pids = pooled(monkeypatch, graph, count)
+        assert tasks == graph
+        assert len(tasks) == len(set(tasks))
+        if count == 1:
+            assert pids == {str(os.getpid())}
+        else:
+            assert str(os.getpid()) not in pids
+            assert len(pids) <= count
 
     def test_rejects_bad_inputs(self, monkeypatch):
-        with pytest.raises(ValueError, match="count"):
-            sharding.ShardSpec(0, 0)
-        with pytest.raises(ValueError, match="index"):
-            sharding.ShardSpec(2, 2)
-        for bad in ("2", "a/b", "3/2", "-1/2", ""):
-            with pytest.raises(ValueError, match="i/N"):
-                sharding.parse_shard(bad)
-        monkeypatch.setenv("REPRO_SHARD", "1/1")
-        with pytest.raises(ValueError, match="i/N"):
-            sharding.resolve_shard(None)
+        ran = []
 
+        def task(index):
+            ran.append(index)
+            return []
 
-class TestMakespan:
-    # Classic LPT stress fixtures: Graham's worst case (2N+1 jobs of
-    # sizes 2N-1..N), near-ties, one dominating task, uniform costs.
-    ADVERSARIAL = [
-        ([5.0, 5.0, 4.0, 4.0, 3.0, 3.0, 3.0], 2),
-        ([7.0, 7.0, 6.0, 6.0, 5.0, 5.0, 4.0, 4.0, 4.0], 3),
-        ([11.0, 11.0, 10.0, 10.0, 9.0, 9.0, 8.0, 8.0, 7.0, 7.0, 6.0, 6.0], 4),
-        ([100.0] + [1.0] * 30, 2),
-        ([1.0] * 17, 5),
-        ([3.0, 3.0, 2.0, 2.0, 2.0], 2),
-    ]
-
-    @pytest.mark.parametrize("costs,count", ADVERSARIAL)
-    def test_within_lpt_bound_on_adversarial_fixtures(self, costs, count):
-        graph = [("p", f"f{i}") for i in range(len(costs))]
-        cost_of = dict(zip(graph, costs))
-        makespan = max(
-            sum(cost_of[task] for task in shard)
-            for shard in round_robin(graph, count)
-        )
-        # Heaviest first, each later task of a shard is at most the mean
-        # of the N tasks ending at it, so a shard carries at most
-        # max + total/N.  OPT >= max(total/N, max task), so this sits
-        # inside Graham's 4/3 * lower-bound + one max task of slack.
-        lower_bound = max(sum(costs) / count, max(costs))
-        assert makespan <= max(costs) + sum(costs) / count
-        assert makespan <= (4.0 / 3.0) * lower_bound + max(costs)
+        for bad in ("2.5", "a", "1/2", ""):
+            monkeypatch.setenv("REPRO_JOBS", bad)
+            with pytest.raises(ValueError, match="REPRO_JOBS"):
+                run_field_tasks(task, [(0,), (1,)])
+        assert ran == []
 
 
 DETERMINISM_SNIPPET = """
-import json, sys
+import json, os, sys
 sys.path.insert(0, {src!r})
-from repro.harness import sharding
+sys.path.insert(0, {repo!r})
+os.environ["REPRO_JOBS"] = "3"
+from repro.harness.runner import run_field_tasks
+from tests.harness.test_packing import probe_task
 
 graph = [(f"p{{i % 9}}", f"f{{i}}") for i in range(37)]
-print(json.dumps([
-    sharding.assign(graph, sharding.ShardSpec(index, 3))
-    for index in range(3)
-]))
+results = run_field_tasks(probe_task, graph)
+print(json.dumps([[r.provider, r.field] for r in results]))
+print(len({{r.setting for r in results}} - {{str(os.getpid())}}))
 """
 
 
 class TestDeterminism:
     def test_identical_across_hash_seeds(self):
-        snippet = DETERMINISM_SNIPPET.format(src=str(REPO / "src"))
+        snippet = DETERMINISM_SNIPPET.format(
+            src=str(REPO / "src"), repo=str(REPO)
+        )
         outputs = []
         for hash_seed in ("0", "1", "31337"):
             result = subprocess.run(
@@ -150,21 +138,24 @@ class TestDeterminism:
                 check=True,
                 env={**CLEAN_ENV, "PYTHONHASHSEED": hash_seed},
             )
-            outputs.append(result.stdout)
+            order, workers = result.stdout.splitlines()
+            assert 1 <= int(workers) <= 3
+            outputs.append(order)
         assert outputs[0] == outputs[1] == outputs[2]
-        shards = json.loads(outputs[0])
-        assert [len(shard) for shard in shards] == [13, 12, 12]
-        assert shards[0][:2] == [["p0", "f0"], ["p3", "f3"]]
+        tasks = json.loads(outputs[0])
+        assert tasks == [[f"p{i % 9}", f"f{i}"] for i in range(37)]
 
-    def test_repeat_calls_identical(self):
+    def test_repeat_calls_identical(self, monkeypatch):
         graph = random_graph(5)
-        assert round_robin(graph, 3) == round_robin(list(graph), 3)
+        first, _ = pooled(monkeypatch, graph, 3)
+        second, _ = pooled(monkeypatch, list(graph), 3)
+        serial, _ = pooled(monkeypatch, graph, 1)
+        assert first == second == serial
 
-    def test_equal_costs_tie_break_by_canonical_position(self):
+    def test_equal_costs_tie_break_by_canonical_position(self, monkeypatch):
         graph = [("p", f"f{i}") for i in range(6)]
-        # Round-robin weighs every task alike: shards alternate by
-        # canonical position.
-        assert round_robin(graph, 2) == [
-            [("p", "f0"), ("p", "f2"), ("p", "f4")],
-            [("p", "f1"), ("p", "f3"), ("p", "f5")],
-        ]
+        # Equal-cost tasks finish on the two workers in whatever order
+        # the scheduler allows; results still come back by position.
+        tasks, pids = pooled(monkeypatch, graph, 2, pause=0.02)
+        assert tasks == graph
+        assert str(os.getpid()) not in pids

@@ -4,18 +4,12 @@ A new experiment must be visible everywhere the registry is consumed —
 the no-arg ``repro-shard tasks`` summary, the per-experiment CLI
 listings, and ``get_experiment`` (which ``repro-shard run`` resolves
 names through) — so future experiments cannot silently miss the
-registry.  The task graphs of the robustness and ablation experiments
-and the ``result_key`` projections are pinned here too.
+registry.
 """
 
 import pytest
 
-from repro.harness.sharding import (
-    EXPERIMENTS,
-    field_task_key,
-    get_experiment,
-    main,
-)
+from repro.harness.sharding import EXPERIMENTS, get_experiment, main
 
 
 @pytest.fixture(autouse=True)
@@ -93,54 +87,3 @@ def test_forge_task_counts_follow_provider_knob(monkeypatch):
     )
     assert len(EXPERIMENTS["forge_images"].tasks()) == expected_images
 
-
-class TestGeneralizedTaskGraphs:
-    def test_registry_lists_every_bench_experiment(self):
-        assert set(EXPERIMENTS) == {
-            "m2h", "finance", "m2h_images", "robustness", "ablations",
-            "forge_html", "forge_images",
-        }
-
-    def test_robustness_graph_shape(self):
-        tasks = get_experiment("robustness").tasks()
-        assert len(tasks) == 36  # 3 providers x 3 fields x 4 seeds
-        assert all(len(task) == 3 for task in tasks)
-        labels = {task[2] for task in tasks}
-        assert labels == {"s0", "s1", "s2", "s3"}
-        # (provider, seed) groups stay consecutive: one live corpus at a
-        # time, exactly like the provider-major table loops.
-        groups = [(task[0], task[2]) for task in tasks]
-        seen, current = set(), None
-        for group in groups:
-            if group != current:
-                assert group not in seen
-                seen.add(group)
-                current = group
-
-    def test_ablations_graph_shape(self):
-        tasks = get_experiment("ablations").tasks()
-        assert all(len(task) == 3 for task in tasks)
-        assert {task[0] for task in tasks} == {"blueprint", "hierarchy"}
-
-    def test_result_key_projections(self):
-        from repro.harness.runner import FieldResult
-
-        result = FieldResult("LRSyn", "getthere", "DTime", "s2", None)
-        robustness = get_experiment("robustness")
-        assert robustness.result_key(result) == ("getthere", "DTime", "s2")
-        result = FieldResult("LRSyn[flat]", "getthere", "DTime", "hierarchy",
-                             None)
-        ablations = get_experiment("ablations")
-        assert ablations.result_key(result) == (
-            "hierarchy", "getthere", "DTime"
-        )
-        assert field_task_key(result) == ("getthere", "DTime")
-
-    def test_tasks_cli_lists_new_experiments(self, capsys):
-        assert main(["tasks"]) == 0
-        out = capsys.readouterr().out
-        assert "robustness: 36 tasks" in out
-        assert "ablations: 3 tasks" in out
-        assert main(["tasks", "--experiment", "ablations"]) == 0
-        out = capsys.readouterr().out
-        assert "blueprint / SalesInvoice / RefNo" in out

@@ -1,4 +1,4 @@
-"""Whole-experiment runs and their partial-result files.
+"""Whole-experiment runs, their partial-result files and the registry.
 
 :func:`repro.harness.sharding.run_experiment` runs a registered task
 graph into a partial dict; ``save_partial``/``load_partial`` carry it
@@ -6,7 +6,9 @@ through disk and ``diff_partials`` compares two of them.  The file
 layout is schema 1 with ``shard = (0, 1)`` and ``owned == graph``, the
 layout older, split-capable versions wrote for a whole run, so files from
 either version diff against each other.  The experiment arms run the real
-M2H pipeline on two providers at toy sizes.
+M2H pipeline on two providers at toy sizes.  The registry's robustness
+and ablation task graphs and its ``result_key`` projections are pinned at
+the end.
 """
 
 import pytest
@@ -116,12 +118,6 @@ class TestWholeRun:
         subset = small_run([LrsynHtmlMethod()], graph()[:2], 0)
         assert {(r.provider, r.field) for r in subset} == set(graph()[:2])
 
-    def test_partials_record_per_task_seconds(self, baseline):
-        assert set(baseline["task_seconds"]) == set(graph())
-        assert all(
-            seconds > 0 for seconds in baseline["task_seconds"].values()
-        )
-
     def test_result_outside_the_graph_is_refused(self):
         def stray_run(methods, tasks, seed):
             return small_run(methods, graph(), seed)
@@ -138,7 +134,18 @@ class TestWholeRun:
         assert "m2h per field" in tables
 
 
-class TestPartialFile:
+class TestTaskTimingsInPartials:
+    def test_partials_record_per_task_seconds(self, baseline):
+        assert set(baseline["task_seconds"]) == set(graph())
+        assert all(
+            seconds > 0 for seconds in baseline["task_seconds"].values()
+        )
+
+
+class TestMergeEquivalence:
+    """A partial read back from disk, or rebuilt in the older layout, is
+    identical to the run that wrote it."""
+
     def test_partial_round_trips_through_disk(self, tmp_path, baseline):
         path = tmp_path / "m2h.pkl"
         sharding.save_partial(path, baseline)
@@ -147,10 +154,16 @@ class TestPartialFile:
         loaded = sharding.load_partial(path)
         assert set(loaded) == set(baseline)
         assert sharding.diff_partials(loaded, baseline) is None
-        assert sharding.render_tables(loaded) == sharding.render_tables(
-            baseline
-        )
 
+    def test_rendered_tables_identical(self, tmp_path, baseline):
+        path = tmp_path / "m2h.pkl"
+        sharding.save_partial(path, baseline)
+        expected = sharding.render_tables(baseline)
+        assert sharding.render_tables(sharding.load_partial(path)) == expected
+        assert sharding.render_tables(older_layout(baseline)) == expected
+
+
+class TestPartialFile:
     def test_load_refuses_other_pickles(self, tmp_path):
         path = tmp_path / "other.pkl"
         sharding.save_partial(path, {"schema": 2, "results": {}})
@@ -190,12 +203,26 @@ class TestOlderLayout:
         assert baseline["scale"] == scale()
 
 
-class TestDiff:
-    def test_different_method_sets_refused(self, baseline):
+class TestMergeValidation:
+    """``diff`` refuses partials made under different configurations."""
+
+    def test_different_method_sets_rejected(self, baseline):
         other = make_partial(methods=[NdsynMethod()])
         verdict = sharding.diff_partials(baseline, other)
         assert verdict.startswith("different splits")
 
+    def test_mixed_configurations_rejected(self, baseline, monkeypatch):
+        # The toy run fixes its own corpus sizes, so the scores match;
+        # the recorded scale alone must still refuse the comparison.
+        monkeypatch.setenv("REPRO_SCALE", str(scale() * 2))
+        other = make_partial()
+        assert scores(other) == scores(baseline)
+        verdict = sharding.diff_partials(baseline, other)
+        assert verdict.startswith("different splits")
+        assert f"scale={scale()}" in verdict
+
+
+class TestDiff:
     def test_changed_score_reported(self, baseline):
         import dataclasses
 
@@ -207,6 +234,58 @@ class TestDiff:
         ]
         verdict = sharding.diff_partials(baseline, changed)
         assert verdict.startswith("first differing row")
+
+
+class TestGeneralizedTaskGraphs:
+    def test_registry_lists_every_bench_experiment(self):
+        assert set(sharding.EXPERIMENTS) == {
+            "m2h", "finance", "m2h_images", "robustness", "ablations",
+            "forge_html", "forge_images",
+        }
+
+    def test_robustness_graph_shape(self):
+        tasks = sharding.get_experiment("robustness").tasks()
+        assert len(tasks) == 36  # 3 providers x 3 fields x 4 seeds
+        assert all(len(task) == 3 for task in tasks)
+        labels = {task[2] for task in tasks}
+        assert labels == {"s0", "s1", "s2", "s3"}
+        # (provider, seed) groups stay consecutive: one live corpus at a
+        # time, exactly like the provider-major table loops.
+        groups = [(task[0], task[2]) for task in tasks]
+        seen, current = set(), None
+        for group in groups:
+            if group != current:
+                assert group not in seen
+                seen.add(group)
+                current = group
+
+    def test_ablations_graph_shape(self):
+        tasks = sharding.get_experiment("ablations").tasks()
+        assert all(len(task) == 3 for task in tasks)
+        assert {task[0] for task in tasks} == {"blueprint", "hierarchy"}
+
+    def test_result_key_projections(self):
+        from repro.harness.runner import FieldResult
+
+        result = FieldResult("LRSyn", "getthere", "DTime", "s2", None)
+        robustness = sharding.get_experiment("robustness")
+        assert robustness.result_key(result) == ("getthere", "DTime", "s2")
+        result = FieldResult("LRSyn[flat]", "getthere", "DTime", "hierarchy",
+                             None)
+        ablations = sharding.get_experiment("ablations")
+        assert ablations.result_key(result) == (
+            "hierarchy", "getthere", "DTime"
+        )
+        assert sharding.field_task_key(result) == ("getthere", "DTime")
+
+    def test_tasks_cli_lists_new_experiments(self, capsys):
+        assert sharding.main(["tasks"]) == 0
+        out = capsys.readouterr().out
+        assert "robustness: 36 tasks" in out
+        assert "ablations: 3 tasks" in out
+        assert sharding.main(["tasks", "--experiment", "ablations"]) == 0
+        out = capsys.readouterr().out
+        assert "blueprint / SalesInvoice / RefNo" in out
 
 
 class TestCli:
