@@ -65,10 +65,18 @@ def typical_blueprint(
     if not blueprints:
         raise SynthesisFailure("no blueprints observed: empty layout group")
     if distance is not None:
-        return min(
-            blueprints,
-            key=lambda bp: sum(distance(bp, other) for other in blueprints),
-        )
+        # Equal blueprints have equal sums, so each distinct one is summed
+        # once, over the full list in its order; min still returns the
+        # first blueprint with the least sum.  Keyed on the blueprint
+        # alone: the image metric is asymmetric.
+        sums: dict[Hashable, float] = {}
+
+        def total(bp: Hashable) -> float:
+            if bp not in sums:
+                sums[bp] = sum(distance(bp, other) for other in blueprints)
+            return sums[bp]
+
+        return min(blueprints, key=total)
     if all(isinstance(bp, frozenset) for bp in blueprints):
         counts: Counter = Counter()
         for bp in blueprints:

@@ -10,7 +10,7 @@ they cannot leak into learned programs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.core.document import Annotation, AnnotationGroup, TrainingExample
 from repro.html.dom import HtmlDocument
@@ -76,6 +76,24 @@ class Corpus:
             (extractor.extract(labeled.doc), labeled.gold(field_name))
             for labeled in self.test
         ]
+
+
+def release_corpora(corpora: Iterable[Corpus]) -> None:
+    """Release every HTML document of ``corpora`` (:meth:`HtmlDocument.release`).
+
+    Each document list is released once, since paired corpora share one
+    ``train`` list.  Image documents hold no reference cycles and are
+    left as they are.  Nothing may read the corpora afterwards.
+    """
+    released: set[int] = set()
+    for corpus in corpora:
+        for labeled_documents in (corpus.train, corpus.test):
+            if id(labeled_documents) in released:
+                continue
+            released.add(id(labeled_documents))
+            for labeled in labeled_documents:
+                if isinstance(labeled.doc, HtmlDocument):
+                    labeled.doc.release()
 
 
 def reuse_train(

@@ -620,6 +620,7 @@ def generate_image_document(
 ) -> LabeledImageDocument:
     labeled = generate_document(provider, rng, CONTEMPORARY, seed)
     page = render_to_boxes(labeled.doc)
+    labeled.doc.release()  # freed here, not by the cyclic collector
     scanned = OcrSimulator(FORGE_OCR).scan(page, rng)
     degraded = transforms.apply_scan_effects(scanned, rng, profile)
     # Image annotations group boxes by tag value, so truth is deduplicated

@@ -54,6 +54,7 @@ def generate_document(
 ) -> LabeledImageDocument:
     labeled_html = m2h.generate_document(provider, rng, CONTEMPORARY)
     page = render_to_boxes(labeled_html.doc)
+    labeled_html.doc.release()  # freed here, not by the cyclic collector
     if provider == "iflyalaskaair":
         # The label and value share a printed row; merging them leaves no
         # local landmark for DDate.

@@ -70,7 +70,12 @@ from repro.core.synthesis import LrsynConfig, lrsyn
 from repro.baselines.forgiving_xpaths import synthesize_forgiving_xpaths
 from repro.baselines.ndsyn import synthesize_ndsyn
 from repro.datasets import m2h
-from repro.datasets.base import CONTEMPORARY, LONGITUDINAL, Corpus
+from repro.datasets.base import (
+    CONTEMPORARY,
+    LONGITUDINAL,
+    Corpus,
+    release_corpora,
+)
 from repro.html.domain import HtmlDomain
 
 
@@ -435,16 +440,16 @@ def _run_field_task(
 # ----------------------------------------------------------------------
 # Garbage-collector policy for field tasks
 # ----------------------------------------------------------------------
-# A held corpus is immutable and lives for all of its provider's tasks,
-# and a parsed HTML document is one reference cycle per DOM node (through
-# ``parent``).  Under the default thresholds every generation-2 collection
-# walks the whole corpus again, while synthesis allocates enough to
-# trigger many of them.  Field tasks therefore run with a higher
-# generation-0 threshold, and held() moves each freshly loaded corpus into
-# the collector's permanent generation (gc.freeze) without a collection
-# first: a forced collect on every corpus load costs more than it saves
-# at small scales.  The policy is fixed; it changes when memory is
-# reclaimed, never what any task computes.
+# A held corpus is immutable and lives for all of its provider's tasks.
+# Under the default thresholds every generation-2 collection walks the
+# whole corpus again, while synthesis allocates enough to trigger many of
+# them.  Field tasks therefore run with a higher generation-0 threshold,
+# and held() moves each freshly loaded corpus into the collector's
+# permanent generation (gc.freeze) without a collection first.  No
+# collection is needed when a corpus is dropped either: held() releases
+# its DOM trees (HtmlDocument.release), so reference counting frees it.
+# The policy is fixed; it changes when memory is reclaimed, never what
+# any task computes.
 GC_THRESHOLDS = (50_000, 20, 100)
 
 # perf_counter() at the start of the collection in progress.
@@ -487,21 +492,20 @@ _held: dict[tuple, Any] = {}
 
 
 def _drop_held() -> None:
-    """Empty the held() slot and hand its corpus back to the collector.
+    """Empty the held() slot, releasing the corpora it held.
 
-    The slot held the only reference, so dropping it leaves cyclic
-    garbage in the oldest generation, which the next held() load would
-    freeze again.  One collection reclaims it first, but only while the
-    store or ``REPRO_CACHE`` is off; with both on, collecting at every
-    switch measured slower on perfsuite's workloads (docs/performance.md,
-    "GC policy").  The rule changes when memory is reclaimed, never what
-    any task computes.
+    The slot held the only reference to its corpora, and
+    :func:`~repro.datasets.base.release_corpora` breaks the reference
+    cycles of their parsed HTML trees, so reference counting frees a
+    dropped corpus here, before the next load; the freeze that follows
+    that load never sees it.  Values other than corpora are simply
+    dropped.
     """
-    dropped = bool(_held)
+    for value in _held.values():
+        corpora = value.values() if isinstance(value, dict) else (value,)
+        release_corpora(c for c in corpora if isinstance(c, Corpus))
     _held.clear()
     gc.unfreeze()
-    if dropped and not (shared_store().enabled and cache_enabled()):
-        gc.collect()
 
 
 def held(load: Callable[..., Any], *key) -> Any:
@@ -511,8 +515,9 @@ def held(load: Callable[..., Any], *key) -> Any:
     its tasks in submission order, so each process sees its corpora
     consecutively: the slot turns a corpus's repeat loads into lookups
     and never holds more than one corpus.  A different ``(load, key)``
-    drops the held value before loading.  A loaded value is frozen out
-    of the collector's scans until it is dropped (see :func:`gc_policy`).
+    drops the held value, releasing its corpora (:func:`_drop_held`),
+    before loading.  A loaded value is frozen out of the collector's scans
+    until it is dropped (see :func:`gc_policy`).
     """
     slot = (load, key)
     if slot not in _held:

@@ -362,6 +362,21 @@ class HtmlDocument:
             self._elements = list(self.root.iter_elements())
         return self._elements
 
+    def release(self) -> None:
+        """Break the tree's reference cycles, so that dropping the last
+        reference to the document frees it at once.
+
+        Every node refers to its parent and every parent to its children,
+        so a parsed tree is cyclic garbage that only the cyclic collector
+        reclaims.  Clearing each element's child lists, in one flat pass
+        over the element list, leaves only upward references.  The tree
+        is unusable afterwards: call this only when nothing will read the
+        document again.
+        """
+        for element in self.elements():
+            element.children.clear()
+            element._children_by_tag = None
+
     def document_order(self, node: DomNode) -> int:
         """Position of ``node`` in pre-order traversal (proxy for rendering
         position; see DESIGN.md on the Euclidean-distance approximation)."""

@@ -55,15 +55,6 @@ def ngrams_of_text(text: str, max_n: int = MAX_NGRAM) -> set[str]:
     return grams
 
 
-def document_ngrams(doc: HtmlDocument) -> set[str]:
-    """All n-grams over the document's text nodes."""
-    grams: set[str] = set()
-    for node in doc.root.iter():
-        if node.is_text and node.text:
-            grams |= ngrams_of_text(node.text)
-    return grams
-
-
 def _is_stopword_gram(gram: str) -> bool:
     """Filter n-grams whose words are all stop words or non-alphabetic."""
     words = [word.strip(":,.").lower() for word in gram.split()]

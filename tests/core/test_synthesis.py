@@ -1,5 +1,7 @@
 """Tests for LRSyn synthesis (Algorithms 2 and 4)."""
 
+import random
+
 import pytest
 
 from repro.core.document import SynthesisFailure
@@ -55,6 +57,54 @@ class TestTypicalBlueprint:
 
     def test_most_common_for_non_sets(self):
         assert typical_blueprint(["x", "y", "x"]) == "x"
+
+
+def jaccard_distance(x, y):
+    union = len(x | y)
+    return 1 - len(x & y) / union if union else 0.0
+
+
+def uncovered_share(x, y):
+    """An asymmetric metric: the share of ``x`` that ``y`` misses."""
+    return len(x - y) / len(x) if x else 0.0
+
+
+class TestMedoidOverDistinctBlueprints:
+    """The medoid sums each distinct blueprint once, and must pick exactly
+    the blueprint (the same object) that the quadratic form picks."""
+
+    @staticmethod
+    def quadratic_medoid(blueprints, distance):
+        return min(
+            blueprints,
+            key=lambda bp: sum(distance(bp, other) for other in blueprints),
+        )
+
+    @pytest.mark.parametrize("distance", [jaccard_distance, uncovered_share])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_equals_the_quadratic_form(self, distance, seed):
+        rng = random.Random(seed)
+        # A few distinct values over a small alphabet: long lists are
+        # dense in duplicates and in tied sums.
+        shapes = [
+            sorted(rng.sample("abcd", rng.randint(0, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        # Every entry is its own object, so the check below also pins
+        # which of several equal blueprints is returned.
+        blueprints = [
+            frozenset(set(rng.choice(shapes)))
+            for _ in range(rng.randint(1, 40))
+        ]
+        calls = []
+
+        def counted(x, y):
+            calls.append((x, y))
+            return distance(x, y)
+
+        chosen = typical_blueprint(blueprints, counted)
+        assert chosen is self.quadratic_medoid(blueprints, distance)
+        assert len(calls) == len(set(blueprints)) * len(blueprints)
 
 
 class TestSynthesizeExtractionProgram:

@@ -1,19 +1,24 @@
-"""The collector policy field tasks run under (runner.gc_policy / held)."""
+"""The collector policy field tasks run under (runner.gc_policy / held),
+and the release of each corpus that held() drops."""
 
 import gc
+import pickle
 import weakref
 
 import pytest
 
 from repro.core.caching import StageTimer, use_timer
-from repro.datasets.base import CONTEMPORARY
+from repro.datasets.base import CONTEMPORARY, LONGITUDINAL, release_corpora
 from repro.harness import runner
+from repro.harness.forge import forge_corpora
+from repro.harness.images import image_corpus
 from repro.harness.runner import (
     GC_THRESHOLDS,
     FieldResult,
     held,
     run_field_tasks,
 )
+from repro.html.dom import DomNode, HtmlDocument
 
 
 class Node:
@@ -112,6 +117,8 @@ class TestPolicyWindow:
         calls = []
 
         class Recorder:
+            """Stands in for the gc module: a collect() call fails."""
+
             def freeze(self):
                 calls.append("freeze")
                 gc.freeze()
@@ -119,10 +126,6 @@ class TestPolicyWindow:
             def unfreeze(self):
                 calls.append("unfreeze")
                 gc.unfreeze()
-
-            def collect(self):
-                calls.append("collect")
-                return gc.collect()
 
         def load(name):
             calls.append(f"load {name}")
@@ -133,32 +136,92 @@ class TestPolicyWindow:
         held(load, "a")
         held(load, "b")
         runner._drop_held()
-        # Without the store each drop also collects the cycles it leaves
-        # behind; with the store and REPRO_CACHE on, the cycles wait for
-        # the collector's own schedule (see runner._drop_held).
-        drop = ["unfreeze", "collect"] if store == "0" else ["unfreeze"]
+        # The same sequence with the store on or off, and no collection.
         assert calls == [
             "unfreeze", "load a", "freeze",
-            *drop, "load b", "freeze",
-            *drop,
+            "unfreeze", "load b", "freeze",
+            "unfreeze",
         ]
 
-    def test_switching_collects_the_dropped_corpus_without_a_store(
-        self, default_gc, monkeypatch
-    ):
-        monkeypatch.setenv("REPRO_STORE", "0")
-        first = held(load_corpus, "a")[0]
-        ref = weakref.ref(first)
-        del first
+
+@pytest.fixture
+def no_collector(default_gc):
+    """Only reference counting frees anything while the test runs."""
+    gc.collect()
+    gc.disable()
+    yield
+    gc.enable()
+    runner._drop_held()
+
+
+def html_documents(corpora):
+    return [
+        labeled.doc
+        for corpus in corpora.values()
+        for labeled in corpus.train + corpus.test
+    ]
+
+
+def unreachable_dom_nodes():
+    """How many DOM nodes only the cyclic collector could free.
+
+    A dropped document dies with its last reference whatever its tree
+    holds (nothing in the tree refers back to it), so its weakref alone
+    does not show that the tree was freed too.
+    """
+    gc.unfreeze()  # held() froze everything alive, garbage included
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
         gc.collect()
-        assert ref() is not None  # held, and frozen
-        held(load_corpus, "b")
-        # Unfrozen and collected at the switch, so the freeze after the
-        # load of "b" did not move its cycles into the permanent
-        # generation.
-        assert ref() is None
-        runner._drop_held()
-        assert gc.get_freeze_count() == 0
+        return sum(isinstance(obj, DomNode) for obj in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+
+
+class TestReleaseAtTheSwitch:
+    """held() releases a dropped corpus, so it is freed at the switch
+    without the collector, whatever the store knob says."""
+
+    @pytest.mark.parametrize("store", ["0", "1"])
+    def test_switching_frees_the_dropped_corpus(
+        self, no_collector, monkeypatch, tmp_path, store
+    ):
+        monkeypatch.setenv("REPRO_STORE", store)
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        corpora = held(runner.m2h_corpora, "getthere", 3, 4, 0)
+        # The longitudinal corpus shares the contemporary training list.
+        assert corpora[LONGITUDINAL].train is corpora[CONTEMPORARY].train
+        refs = [weakref.ref(doc) for doc in html_documents(corpora)]
+        del corpora
+        assert all(ref() is not None for ref in refs)  # held
+        held(runner.m2h_corpora, "delta", 3, 4, 0)
+        assert all(ref() is None for ref in refs)
+        assert unreachable_dom_nodes() == 0
+
+    def test_switching_frees_a_dropped_forge_corpus(self, no_collector):
+        corpora = held(forge_corpora, "forge000", 3, 4, 0)
+        refs = [weakref.ref(doc) for doc in html_documents(corpora)]
+        del corpora
+        held(forge_corpora, "forge001", 3, 4, 0)
+        assert all(ref() is None for ref in refs)
+        assert unreachable_dom_nodes() == 0
+
+    def test_a_shared_training_list_is_released_once(self, monkeypatch):
+        corpora = runner.m2h_corpora("getthere", 3, 4, 0)
+        released = []
+        monkeypatch.setattr(
+            HtmlDocument, "release", lambda doc: released.append(id(doc))
+        )
+        release_corpora(corpora.values())
+        documents = {id(doc) for doc in html_documents(corpora)}
+        assert sorted(released) == sorted(documents)
+
+    def test_releasing_an_image_corpus_does_nothing(self):
+        corpus = image_corpus("finance", "CashInvoice", 3, 4, 0)
+        before = pickle.dumps(corpus)
+        release_corpora([corpus])
+        assert pickle.dumps(corpus) == before
 
 
 class TestNothingElseHoldsACorpus:
